@@ -74,9 +74,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parallel_ri::registry;
-use ri_core::engine::faults::{FaultPlan, RETRY_AFTER_MS_HEADER};
+use ri_core::engine::faults::FaultPlan;
 use ri_core::engine::json::{self, Value};
-use ri_core::engine::{ServeError, ServeRequest, ServeResponse, WorkloadSpec};
+use ri_core::engine::{ServeRequest, ServeResponse, WorkloadSpec};
 use ri_router::{BackendSpec, BackendTarget, Router, RouterConfig};
 use ri_serve::{http, ServeConfig, Server};
 
@@ -291,28 +291,6 @@ fn install_chaos(addrs: &[SocketAddr], spec: &str) {
     );
 }
 
-/// Whether an error response means "never ran; safe to re-send": trust
-/// the envelope's `retryable` when the body parses, else fall back to
-/// the status code.
-fn response_retryable(resp: &http::HttpResponse) -> bool {
-    match ServeError::from_json(&resp.body) {
-        Ok(err) => err.retryable,
-        Err(_) => matches!(resp.status, 503 | 504),
-    }
-}
-
-/// The server's retry hint in milliseconds: ms-precision
-/// `X-RI-Retry-After-Ms` when present, else whole-second `Retry-After`.
-fn retry_hint_ms(resp: &http::HttpResponse) -> Option<u64> {
-    resp.header(RETRY_AFTER_MS_HEADER)
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .or_else(|| {
-            resp.header("retry-after")
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .map(|secs| secs.saturating_mul(1000))
-        })
-}
-
 /// Cap on any single client-side Retry-After sleep, so a pathological
 /// hint cannot wedge the generator.
 const MAX_CLIENT_RETRY_SLEEP_MS: u64 = 2_000;
@@ -337,8 +315,8 @@ fn with_retry_after(
     loop {
         let outcome = send();
         let pause_ms = match &outcome {
-            Ok(resp) if resp.status != 200 && response_retryable(resp) => Some(
-                retry_hint_ms(resp)
+            Ok(resp) if resp.status != 200 && resp.retryable() => Some(
+                resp.retry_hint_ms()
                     .unwrap_or(50)
                     .min(MAX_CLIENT_RETRY_SLEEP_MS),
             ),

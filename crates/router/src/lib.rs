@@ -12,21 +12,22 @@
 //!   `GET /healthz` (verifying each shard answers with the expected
 //!   `shard_id`) into the cluster view the router's own `/healthz`
 //!   serves.
-//! * **Retry with breakers, backoff, and deadlines** — a shard that
-//!   answers a *retryable* error (`503`/`504`: the solve never ran) or
-//!   fails at the transport level is failed over to the next distinct
-//!   shard on the ring. Safe by construction: every solve is
-//!   deterministic and side-effect-free, so a retry can never
-//!   double-apply anything. Each shard sits behind a per-shard
-//!   [`breaker::CircuitBreaker`] (closed → open on a failure-rate
-//!   window → half-open probe), so a misbehaving shard is shed from the
-//!   walk instead of burning a timeout per request; retry attempts are
-//!   spaced by exponential backoff with deterministic jitter (floored
-//!   by the shard's own `Retry-After` hint); and every request carries
-//!   a deadline budget — `X-RI-Deadline-Ms` at ingress (defaulting to
-//!   `request_timeout_ms`), decremented per hop and per retry and
-//!   forwarded to the shards, answering a structured `504` when
-//!   exhausted instead of burning a full timeout per attempt.
+//! * **One request path** — every hop to a shard goes through one
+//!   `send` (a pooled keep-alive connection, in-flight accounting, and
+//!   what remains of the request's deadline budget as both socket
+//!   timeout and forwarded `X-RI-Deadline-Ms`), and every request that
+//!   may fail over goes through one retry loop, `proxy`, which
+//!   classifies each attempt once — served, shed-retryable, structured
+//!   error, or lost — and records it in the shard's
+//!   [`breaker::CircuitBreaker`]. The endpoint picks the recovery:
+//!   solves and session opens are `Retry` (next distinct shard on the
+//!   ring, breaker-gated, spaced by deterministic backoff floored by the
+//!   shard's `Retry-After`); stream batches are `RebuildThenRetry`
+//!   (close-and-replay the session, then retry once). Safe by
+//!   construction: an answer depends only on its determinism key and a
+//!   session only on its spec and batch counts. The budget is the
+//!   ingress `X-RI-Deadline-Ms` clamped to `request_timeout_ms`; once it
+//!   is spent the router answers a structured `504`.
 //! * **Sticky streaming sessions** — `POST /stream` assigns the session
 //!   an id (`rs-<seq>` unless the client names one), consistent-hashes
 //!   *the id* onto the ring, and pins every later `/stream/<id>/...`
@@ -50,7 +51,8 @@
 //!   repeat keys without compute (`X-RI-Cache: hit`), sound for exactly
 //!   the same reason replay is.
 //!
-//! The router itself is thread-per-connection with keep-alive, no solve
+//! The router runs the same thread-per-connection keep-alive front end
+//! as `ri-serve` ([`ri_serve::http::spawn_acceptor`]) and has no solve
 //! queue of its own — admission control lives in the backends, whose
 //! `503 overloaded` the router converts into failover rather than
 //! client-visible failure (until every shard has shed it).
@@ -66,7 +68,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -76,7 +78,7 @@ use ri_core::engine::json::{self, Value};
 use ri_core::engine::session::{BatchDelta, BatchRequest, StreamSpec};
 use ri_core::engine::witness::{witness_key, StreamBatchRecord, WitnessLog, WitnessRecord};
 use ri_serve::http::{
-    read_request_buffered, write_response_opts, ClientConn, HttpResponse, ReadError,
+    self, write_response_opts, ClientConn, Front, HttpRequest, HttpResponse, Service,
 };
 
 pub use backend::{Backend, BackendSpec, BackendState, BackendTarget};
@@ -194,8 +196,8 @@ struct Shared {
     backoff_sleeps: AtomicU64,
     /// Total milliseconds spent in inter-retry backoff sleeps.
     backoff_total_ms: AtomicU64,
-    draining: AtomicBool,
-    connections: AtomicUsize,
+    /// Connection cap, body limit, and the draining flag.
+    front: Front,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
@@ -267,8 +269,14 @@ impl Router {
             deadline_expired: AtomicU64::new(0),
             backoff_sleeps: AtomicU64::new(0),
             backoff_total_ms: AtomicU64::new(0),
-            draining: AtomicBool::new(false),
-            connections: AtomicUsize::new(0),
+            // Socket timeouts derive from the request budget (floored at
+            // 10 s for idle keep-alive reads): a fleet tuned for long
+            // solves must not have the router's own sockets cut them short.
+            front: Front::new(
+                cfg.max_connections,
+                cfg.max_body_bytes,
+                Duration::from_millis(cfg.request_timeout_ms.max(10_000)),
+            ),
             cfg,
         });
 
@@ -294,13 +302,7 @@ impl Router {
                 .spawn(move || health_loop(&shared))
                 .expect("spawning the health thread")
         };
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("ri-router-accept".into())
-                .spawn(move || acceptor_loop(&shared, listener))
-                .expect("spawning the acceptor thread")
-        };
+        let acceptor = http::spawn_acceptor("ri-router", listener, Arc::clone(&shared))?;
 
         Ok(Router {
             shared,
@@ -328,23 +330,13 @@ impl Router {
     /// Graceful shutdown: stop accepting, join the poller, detach every
     /// backend (killing spawned children).
     pub fn shutdown(mut self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        let woken =
-            (0..3).any(|_| TcpStream::connect_timeout(&self.addr, Duration::from_secs(1)).is_ok());
         if let Some(acceptor) = self.acceptor.take() {
-            if woken {
-                let _ = acceptor.join();
-            }
+            self.shared.front.stop(self.addr, acceptor);
         }
         if let Some(health) = self.health.take() {
             let _ = health.join();
         }
-        let t0 = Instant::now();
-        while self.shared.connections.load(Ordering::SeqCst) > 0
-            && t0.elapsed() < Duration::from_secs(5)
-        {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        self.shared.front.wait_idle();
         for backend in &self.shared.backends {
             backend.detach();
         }
@@ -353,9 +345,9 @@ impl Router {
 
 fn health_loop(shared: &Arc<Shared>) {
     let interval = Duration::from_millis(shared.cfg.health_interval_ms.max(10));
-    while !shared.draining.load(Ordering::SeqCst) {
+    while !shared.front.draining() {
         std::thread::sleep(interval);
-        if shared.draining.load(Ordering::SeqCst) {
+        if shared.front.draining() {
             break;
         }
         poll_health_once(shared);
@@ -400,127 +392,46 @@ fn poll_health_once(shared: &Shared) {
     }
 }
 
-fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => {
-                if shared.draining.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-        };
-        if shared.draining.load(Ordering::SeqCst) {
-            reject_connection(shared, stream, "router is draining");
-            break;
-        }
-        if shared.connections.load(Ordering::SeqCst) >= shared.cfg.max_connections {
-            reject_connection(shared, stream, "connection limit reached; retry later");
-            continue;
-        }
-        shared.connections.fetch_add(1, Ordering::SeqCst);
-        let conn_shared = Arc::clone(shared);
-        let spawned = std::thread::Builder::new()
-            .name("ri-router-conn".into())
-            .spawn(move || {
-                handle_connection(&conn_shared, stream);
-                conn_shared.connections.fetch_sub(1, Ordering::SeqCst);
-            });
-        if spawned.is_err() {
-            shared.connections.fetch_sub(1, Ordering::SeqCst);
-        }
+impl Service for Shared {
+    fn front(&self) -> &Front {
+        &self.front
     }
-}
 
-fn reject_connection(shared: &Shared, mut stream: TcpStream, why: &str) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    respond_error(
-        shared,
-        &mut stream,
-        &ServeError::new(ServeErrorKind::Overloaded, why),
-        false,
-        &[],
-    );
-}
-
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
-    // Socket timeouts are derived from the configured request budget
-    // (floored at 10 s for idle keep-alive reads) — a fleet tuned for
-    // long solves must not have the router's own sockets cut them short.
-    let io_timeout = Duration::from_millis(shared.cfg.request_timeout_ms.max(10_000));
-    let _ = stream.set_read_timeout(Some(io_timeout));
-    let _ = stream.set_write_timeout(Some(io_timeout));
-    let _ = stream.set_nodelay(true);
-
-    let mut carry = Vec::new();
-    loop {
-        let request =
-            match read_request_buffered(&mut stream, &mut carry, shared.cfg.max_body_bytes) {
-                Ok(r) => r,
-                Err(e) => {
-                    let err = match e {
-                        ReadError::Closed | ReadError::Io(_) => return,
-                        ReadError::BodyTooLarge {
-                            declared, limit, ..
-                        } => ServeError::new(
-                            ServeErrorKind::BodyTooLarge,
-                            format!("body of {declared} bytes exceeds the {limit}-byte limit"),
-                        ),
-                        ReadError::BadRequest(msg) => ServeError::bad_request(msg),
-                    };
-                    respond_error(shared, &mut stream, &err, false, &[]);
-                    return;
-                }
-            };
-
-        let keep_alive = request.keep_alive() && !shared.draining.load(Ordering::SeqCst);
-        // The end-to-end deadline budget for this request: the client's
-        // `X-RI-Deadline-Ms` when present (clamped to the router's own
-        // ceiling), else the configured request timeout. Decremented
-        // across retries and forwarded to the shards.
-        let budget_ms = request
-            .header(DEADLINE_HEADER)
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map_or(shared.cfg.request_timeout_ms, |b| {
-                b.min(shared.cfg.request_timeout_ms)
-            });
+    /// The router's route table.
+    fn handle(
+        self: &Arc<Self>,
+        stream: &mut TcpStream,
+        request: &HttpRequest,
+        keep_alive: bool,
+    ) -> bool {
+        let shared = self;
+        let budget = Budget::new(
+            request
+                .header(DEADLINE_HEADER)
+                .and_then(|v| v.trim().parse::<u64>().ok())
+                .map_or(shared.cfg.request_timeout_ms, |b| {
+                    b.min(shared.cfg.request_timeout_ms)
+                }),
+        );
+        let body = &request.body;
         match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/solve") => {
-                handle_solve(shared, &mut stream, &request.body, keep_alive, budget_ms)
-            }
-            ("POST", "/stream") => {
-                handle_stream_open(shared, &mut stream, &request.body, keep_alive, budget_ms)
-            }
+            ("POST", "/solve") => handle_solve(shared, stream, body, keep_alive, &budget),
+            ("POST", "/stream") => handle_stream_open(shared, stream, body, keep_alive, &budget),
             (method, path) if path.strip_prefix("/stream/").is_some_and(|r| !r.is_empty()) => {
-                handle_stream_session(
-                    shared,
-                    &mut stream,
-                    method,
-                    path,
-                    &request.body,
-                    keep_alive,
-                    budget_ms,
-                )
+                handle_stream_session(shared, stream, method, path, body, keep_alive, &budget)
             }
             ("GET", "/healthz") => {
                 let body = health_value(shared).write();
-                let _ = write_response_opts(&mut stream, 200, keep_alive, &[], &body);
+                let _ = write_response_opts(stream, 200, keep_alive, &[], &body);
             }
-            ("GET", "/problems") => handle_problems(shared, &mut stream, keep_alive),
-            ("POST", "/admin/drain") => {
-                handle_drain(shared, &mut stream, &request.body, keep_alive)
-            }
-            (_, "/solve")
-            | (_, "/stream")
-            | (_, "/healthz")
-            | (_, "/problems")
-            | (_, "/admin/drain") => {
+            ("GET", "/problems") => handle_problems(shared, stream, keep_alive, &budget),
+            ("POST", "/admin/drain") => handle_drain(shared, stream, body, keep_alive),
+            (method, path @ ("/solve" | "/stream" | "/healthz" | "/problems" | "/admin/drain")) => {
                 let err = ServeError::new(
                     ServeErrorKind::MethodNotAllowed,
-                    format!("{} is not supported on {}", request.method, request.path),
+                    format!("{method} is not supported on {path}"),
                 );
-                respond_error(shared, &mut stream, &err, keep_alive, &[]);
+                respond_error(shared, stream, &err, keep_alive);
             }
             (_, path) => {
                 let err = ServeError::new(
@@ -530,23 +441,53 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                          GET /healthz, POST /admin/drain"
                     ),
                 );
-                respond_error(shared, &mut stream, &err, keep_alive, &[]);
+                respond_error(shared, stream, &err, keep_alive);
             }
         }
-        if !keep_alive {
-            return;
-        }
+        true
+    }
+
+    fn reject(&self, stream: &mut TcpStream, err: &ServeError) {
+        respond_error(self, stream, err, false);
     }
 }
 
-/// `POST /solve`: validate, check the cache, then walk the ring under
-/// breaker gating, backoff, and the request's deadline budget.
+/// One request's deadline budget, fixed at ingress: the client's
+/// `X-RI-Deadline-Ms` clamped to `request_timeout_ms`, else that timeout.
+/// Every backend hop the request causes — attempts, backoff sleeps,
+/// session rebuilds — spends from it, and each hop takes what remains as
+/// its socket timeout and forwards it to the shard, so the whole chain
+/// shares one clock.
+struct Budget {
+    start: Instant,
+    ms: u64,
+}
+
+impl Budget {
+    fn new(ms: u64) -> Budget {
+        Budget {
+            start: Instant::now(),
+            ms,
+        }
+    }
+
+    fn remaining(&self) -> Duration {
+        Duration::from_millis(self.ms).saturating_sub(self.start.elapsed())
+    }
+
+    fn expired(&self) -> bool {
+        self.remaining() < Duration::from_millis(1)
+    }
+}
+
+/// `POST /solve`: validate, check the cache, then [`proxy`] along the
+/// ring from the determinism key's home shard.
 fn handle_solve(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     stream: &mut TcpStream,
     body: &[u8],
     keep_alive: bool,
-    budget_ms: u64,
+    budget: &Budget,
 ) {
     // Parse with the same envelope code the backends use, so the router
     // rejects malformed requests itself instead of burning a backend
@@ -555,14 +496,14 @@ fn handle_solve(
         Ok(t) => t,
         Err(_) => {
             let err = ServeError::bad_request("request body is not UTF-8");
-            respond_error(shared, stream, &err, keep_alive, &[]);
+            respond_error(shared, stream, &err, keep_alive);
             return;
         }
     };
     let request = match ServeRequest::from_json(text) {
         Ok(r) => r,
         Err(err) => {
-            respond_error(shared, stream, &err, keep_alive, &[]);
+            respond_error(shared, stream, &err, keep_alive);
             return;
         }
     };
@@ -574,183 +515,207 @@ fn handle_solve(
         return;
     }
 
-    match walk_ring(shared, &key, "POST", "/solve", Some(text), budget_ms) {
-        WalkOutcome::Served { index, resp } => {
+    let idem = Idempotency::Retry { key: &key };
+    match proxy(shared, "/solve", text, budget, idem) {
+        Ok((index, resp)) => {
             let backend = &shared.backends[index];
             record_witness(shared, backend.shard_id(), &key, &resp.body);
             backend.count_served();
             shared.routed.fetch_add(1, Ordering::SeqCst);
-            let shard = backend.shard_id().to_string();
             let _ = write_response_opts(
                 stream,
                 200,
                 keep_alive,
-                &[("X-RI-Shard", &shard), ("X-RI-Cache", "miss")],
+                &[("X-RI-Shard", backend.shard_id()), ("X-RI-Cache", "miss")],
                 &resp.body,
             );
         }
-        WalkOutcome::Forward { index, resp } => {
-            forward_response(shared, stream, index, &resp, keep_alive);
-        }
-        WalkOutcome::Exhausted { sent, hint_ms } => {
-            respond_exhausted(shared, stream, sent, hint_ms, keep_alive, "the request");
-        }
-        WalkOutcome::DeadlineExpired => {
-            respond_deadline_expired(shared, stream, budget_ms, keep_alive);
-        }
-        WalkOutcome::NoCandidates => {
-            let err = ServeError::new(
-                ServeErrorKind::Overloaded,
-                "no routable shard (all draining or detached); retry later",
-            );
-            respond_error(shared, stream, &err, keep_alive, &[]);
-        }
+        Err(failure) => respond_failure(shared, stream, failure, keep_alive, "the request"),
     }
 }
 
-/// Outcome of one breaker-gated, deadline-bounded ring walk.
-enum WalkOutcome {
-    /// A shard answered 200.
-    Served {
-        /// Index into `Shared::backends` of the serving shard.
-        index: usize,
-        /// The shard's response.
-        resp: HttpResponse,
+/// How [`proxy`] recovers from a failed attempt. Each endpoint picks its
+/// own; no client input selects it.
+enum Idempotency<'a> {
+    /// Every shard gives the same answer (a solve, or a session open,
+    /// which holds no state yet): walk the ring from `key`'s home shard
+    /// under breaker admission and backoff, up to `max_attempts` shards.
+    Retry { key: &'a str },
+    /// The request advances a pinned session (a batch): rebuild the
+    /// session by close-and-replay — first when it is dirty or its shard
+    /// unroutable, and after a failed attempt — and retry once.
+    RebuildThenRetry {
+        id: &'a str,
+        sess: &'a mut StickySession,
     },
-    /// A shard answered a structured error the client must see: either
-    /// non-retryable, or retryable but the walk ran out of attempts —
-    /// forward the shard's own envelope rather than synthesizing one.
+}
+
+/// Why [`proxy`] has no 200 to return.
+enum Failure {
+    /// A shard's own error envelope, which the client must see: a
+    /// non-retryable error, or the last retryable one when attempts ran
+    /// out (it carries the best hint).
     Forward { index: usize, resp: HttpResponse },
-    /// Every admitted attempt failed at the transport level (or every
-    /// routable shard's breaker shed the request: `sent == 0`).
-    Exhausted {
-        /// Attempts actually proxied.
-        sent: usize,
-        /// The freshest shard `Retry-After` hint (ms), when one arrived.
-        hint_ms: Option<u64>,
-    },
-    /// The deadline budget ran out before any shard answered.
-    DeadlineExpired,
-    /// No routable backend exists at all.
+    /// Every attempt was lost in transit (`sent > 0`), or every routable
+    /// shard's breaker shed the request (`sent == 0`).
+    Exhausted { sent: usize },
+    /// The request's deadline budget (`budget_ms`) ran out before any
+    /// shard answered.
+    DeadlineExpired { budget_ms: u64 },
+    /// No routable shard could take the request.
     NoCandidates,
 }
 
-/// Walk the ring from `ring_key`'s home shard: skip unroutable shards
-/// and open breakers, space retry attempts by deterministic backoff
-/// (floored by shard `Retry-After` hints), bound everything by the
-/// deadline budget, and forward the *remaining* budget to each shard so
-/// the whole chain shares one clock. Records every admitted attempt's
-/// outcome into the shard's breaker.
-fn walk_ring(
+/// The router's one retry loop: `POST path` with `body` until a shard
+/// answers 200, within the request's budget. Every attempt goes through
+/// [`send`] and is classified once — served, shed-retryable, structured
+/// error, or lost — and recorded in the shard's breaker; `idem` decides
+/// where the next attempt goes. Returns the serving shard and its 200.
+fn proxy(
     shared: &Shared,
-    ring_key: &str,
-    method: &str,
     path: &str,
-    body: Option<&str>,
-    budget_ms: u64,
-) -> WalkOutcome {
-    let t0 = Instant::now();
-    let budget = Duration::from_millis(budget_ms);
-    let jitter_key = ring::fnv1a(ring_key.as_bytes());
-    let max_attempts = shared.cfg.max_attempts.max(1);
+    body: &str,
+    budget: &Budget,
+    mut idem: Idempotency,
+) -> Result<(usize, HttpResponse), Failure> {
+    let retry = matches!(idem, Idempotency::Retry { .. });
+    let (mut ring, max_attempts) = match &idem {
+        Idempotency::Retry { key } => (
+            shared.ring.order(key).into_iter(),
+            shared.cfg.max_attempts.max(1),
+        ),
+        Idempotency::RebuildThenRetry { .. } => (Vec::new().into_iter(), 2),
+    };
     let mut sent = 0usize;
     let mut hint_ms: Option<u64> = None;
     let mut saw_routable = false;
-    let mut last_retryable: Option<(usize, HttpResponse)> = None;
+    let mut last_shed: Option<(usize, HttpResponse)> = None;
 
-    for &index in &shared.ring.order(ring_key) {
-        if sent >= max_attempts {
-            break;
+    while sent < max_attempts {
+        let index = match &mut idem {
+            Idempotency::Retry { key } => {
+                let Some(index) = ring.next() else { break };
+                if !shared.backends[index].routable() {
+                    continue;
+                }
+                saw_routable = true;
+                if sent > 0 {
+                    // Space retries out instead of hammering the next
+                    // shard the instant the previous one failed; the
+                    // sleep never overruns the budget.
+                    let jitter_key = ring::fnv1a(key.as_bytes());
+                    let delay = backoff_delay_ms(&shared.cfg, jitter_key, sent as u32, hint_ms);
+                    let sleep = Duration::from_millis(delay).min(budget.remaining());
+                    if !sleep.is_zero() {
+                        shared.backoff_sleeps.fetch_add(1, Ordering::SeqCst);
+                        shared
+                            .backoff_total_ms
+                            .fetch_add(sleep.as_millis() as u64, Ordering::SeqCst);
+                        std::thread::sleep(sleep);
+                    }
+                }
+                index
+            }
+            Idempotency::RebuildThenRetry { id, sess } => {
+                // A dirty session's shard-side state is unknown (a lost
+                // batch response may have executed): only a rebuild from
+                // the recorded history makes another batch safe.
+                let stale = sess.dirty || !shared.backends[sess.shard].routable();
+                if (sent > 0 || stale) && !migrate_session(shared, id, sess, budget) {
+                    break;
+                }
+                saw_routable = true;
+                sess.shard
+            }
+        };
+        if budget.expired() {
+            let budget_ms = budget.ms;
+            return Err(Failure::DeadlineExpired { budget_ms });
         }
         let backend = &shared.backends[index];
-        if !backend.routable() {
-            continue;
-        }
-        saw_routable = true;
-        if sent > 0 {
-            // Space this retry out instead of hammering the next shard
-            // the instant the previous one failed; the sleep never
-            // overruns the remaining budget.
-            let delay = backoff_delay_ms(&shared.cfg, jitter_key, sent as u32, hint_ms);
-            let remaining = budget.saturating_sub(t0.elapsed());
-            if remaining.is_zero() {
-                return WalkOutcome::DeadlineExpired;
-            }
-            let sleep = Duration::from_millis(delay).min(remaining);
-            if !sleep.is_zero() {
-                shared.backoff_sleeps.fetch_add(1, Ordering::SeqCst);
-                shared
-                    .backoff_total_ms
-                    .fetch_add(sleep.as_millis() as u64, Ordering::SeqCst);
-                std::thread::sleep(sleep);
-            }
-        }
-        let remaining = budget.saturating_sub(t0.elapsed());
-        if remaining < Duration::from_millis(1) {
-            return WalkOutcome::DeadlineExpired;
-        }
-        // Admission is checked *after* the deadline so a half-open
-        // probe slot is never claimed and then abandoned unsent.
-        if backend.breaker().admit() == Admission::Shed {
+        // Admission comes after the deadline check, so a half-open probe
+        // slot is never claimed and then abandoned unsent.
+        if retry && backend.breaker().admit() == Admission::Shed {
             continue;
         }
         if sent > 0 {
             shared.retries.fetch_add(1, Ordering::SeqCst);
         }
-        let attempt_timeout = remaining.min(Duration::from_millis(
-            shared.cfg.request_timeout_ms.max(100),
-        ));
-        let forwarded = remaining.as_millis().min(u64::MAX as u128) as u64;
-        let deadline_hdr = forwarded.to_string();
-        backend.begin_request();
-        let outcome = proxy_request_opts(
-            backend,
-            method,
-            path,
-            body,
-            attempt_timeout,
-            &[(DEADLINE_HEADER, &deadline_hdr)],
-            true,
-        );
-        backend.end_request();
+        let outcome = send(backend, "POST", path, Some(body), budget);
         sent += 1;
         match outcome {
             Ok(resp) if resp.status == 200 => {
                 backend.breaker().record(true);
-                return WalkOutcome::Served { index, resp };
+                return Ok((index, resp));
             }
-            Ok(resp) if retryable_response(&resp) => {
-                // The shard shed the request without running it: note
-                // its retry hint and fail over along the ring.
+            Ok(resp) if resp.retryable() => {
+                // The shard shed the request without running it: note its
+                // retry hint and move on.
                 backend.breaker().record(false);
                 backend.count_failed();
-                hint_ms = retry_hint_ms(&resp).or(hint_ms);
-                last_retryable = Some((index, resp));
+                hint_ms = resp.retry_hint_ms().or(hint_ms);
+                last_shed = Some((index, resp));
             }
+            // A pinned session the shard no longer has (TTL eviction, a
+            // restart, or a migration whose close outlived its reopen):
+            // the router holds the full history, so rebuild rather than
+            // forward a terminal 404 for a recoverable session.
+            Ok(resp) if resp.status == 404 && !retry => backend.breaker().record(true),
             Ok(resp) => {
-                // A non-retryable error: the shard is responsive (the
-                // breaker sees success) and the client must see it.
+                // A structured error: the shard is responsive (the breaker
+                // sees success) and the client must see the answer.
                 backend.breaker().record(true);
-                return WalkOutcome::Forward { index, resp };
+                return Err(Failure::Forward { index, resp });
             }
             Err(_) => {
-                // Transport failure: the shard is gone or wedged. Mark
-                // it so routing avoids it until a health poll clears it.
+                // Lost in transit. A batch may or may not have executed,
+                // so the session is dirty until a rebuild restores it.
                 backend.breaker().record(false);
-                backend.observe(false);
                 backend.count_failed();
+                if let Idempotency::RebuildThenRetry { sess, .. } = &mut idem {
+                    sess.dirty = true;
+                }
             }
         }
     }
-    if let Some((index, resp)) = last_retryable {
-        // Out of attempts with a structured retryable envelope in hand:
-        // forward the shard's own answer (it carries the best hint).
-        return WalkOutcome::Forward { index, resp };
+    match last_shed {
+        Some((index, resp)) => Err(Failure::Forward { index, resp }),
+        None if !saw_routable => Err(Failure::NoCandidates),
+        None => Err(Failure::Exhausted { sent }),
     }
-    if !saw_routable {
-        return WalkOutcome::NoCandidates;
+}
+
+/// Send one request to `backend` over a pooled keep-alive connection —
+/// the only code that talks to a shard on a client request's behalf.
+/// The hop's socket timeout and its forwarded `X-RI-Deadline-Ms` are what
+/// remains of `budget`; the in-flight count covers the hop, so a drain
+/// waits it out; and a transport failure marks the shard unhealthy until
+/// a health poll clears it. A stale pooled connection is re-sent on only
+/// for idempotent requests: a batch advances session state and may have
+/// executed even though no response came back.
+fn send(
+    backend: &Backend,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+    budget: &Budget,
+) -> io::Result<HttpResponse> {
+    if budget.expired() {
+        return Err(io::ErrorKind::TimedOut.into());
     }
-    WalkOutcome::Exhausted { sent, hint_ms }
+    let remaining = budget.remaining();
+    let deadline = remaining.as_millis().to_string();
+    let extra = [(DEADLINE_HEADER, deadline.as_str())];
+    let idempotent = !path.ends_with("/batch");
+    backend.begin_request();
+    let mut conn = backend.checkout(remaining);
+    let result = conn.request_with(method, path, body, &extra, idempotent);
+    backend.end_request();
+    match &result {
+        Ok(_) => backend.checkin(conn),
+        Err(_) => backend.observe(false),
+    }
+    result
 }
 
 /// The deterministic inter-retry backoff: `base · 2^(k-1)` plus seeded
@@ -770,143 +735,65 @@ fn backoff_delay_ms(
     exp.saturating_add(jitter).min(cfg.backoff_cap_ms).max(hint)
 }
 
-/// A shard's retry hint in milliseconds: the ms-precision
-/// `X-RI-Retry-After-Ms` when present, else `Retry-After` seconds.
-fn retry_hint_ms(resp: &HttpResponse) -> Option<u64> {
-    if let Some(ms) = resp
-        .header(RETRY_AFTER_MS_HEADER)
-        .and_then(|v| v.trim().parse::<u64>().ok())
-    {
-        return Some(ms);
-    }
-    resp.header("retry-after")
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(|secs| secs.saturating_mul(1000))
-}
-
-/// Forward a shard's own error envelope to the client, preserving its
-/// retry hints (or supplying the legacy `Retry-After: 1` when the shard
-/// sent none) and naming the shard.
-fn forward_response(
+/// Answer a request [`proxy`] could not serve; `what` names it in the
+/// synthesized messages. A forwarded envelope keeps the shard's retry
+/// hints (or the fallback `Retry-After: 1`) and names the shard.
+fn respond_failure(
     shared: &Shared,
     stream: &mut TcpStream,
-    index: usize,
-    resp: &HttpResponse,
-    keep_alive: bool,
-) {
-    shared.errored.fetch_add(1, Ordering::SeqCst);
-    if resp.status == 504 {
-        shared.deadline_expired.fetch_add(1, Ordering::SeqCst);
-    }
-    let shard = shared.backends[index].shard_id().to_string();
-    let mut extra: Vec<(&str, &str)> = vec![("X-RI-Shard", &shard)];
-    if resp.status == 503 {
-        extra.push(("Retry-After", resp.header("retry-after").unwrap_or("1")));
-        if let Some(ms) = resp.header(RETRY_AFTER_MS_HEADER) {
-            extra.push((RETRY_AFTER_MS_HEADER, ms));
-        }
-    }
-    let _ = write_response_opts(stream, resp.status, keep_alive, &extra, &resp.body);
-}
-
-/// Answer the synthesized 503 for a walk that ran dry: either every
-/// admitted attempt failed at the transport level, or (with `sent == 0`)
-/// every routable shard's breaker was open.
-fn respond_exhausted(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    sent: usize,
-    hint_ms: Option<u64>,
+    failure: Failure,
     keep_alive: bool,
     what: &str,
 ) {
-    let err = if sent == 0 {
-        ServeError::new(
-            ServeErrorKind::Overloaded,
-            format!("every routable shard's circuit breaker is open for {what}; retry later"),
-        )
-    } else {
-        ServeError::new(
-            ServeErrorKind::Overloaded,
-            format!("every candidate shard failed {what} (tried {sent}); retry later"),
-        )
+    let overloaded = |msg: String| ServeError::new(ServeErrorKind::Overloaded, msg);
+    let err = match failure {
+        Failure::Forward { index, resp } => {
+            shared.errored.fetch_add(1, Ordering::SeqCst);
+            if resp.status == 504 {
+                shared.deadline_expired.fetch_add(1, Ordering::SeqCst);
+            }
+            let mut extra = vec![("X-RI-Shard", shared.backends[index].shard_id())];
+            if resp.status == 503 {
+                extra.push(("Retry-After", resp.header("retry-after").unwrap_or("1")));
+                if let Some(ms) = resp.header(RETRY_AFTER_MS_HEADER) {
+                    extra.push((RETRY_AFTER_MS_HEADER, ms));
+                }
+            }
+            let _ = write_response_opts(stream, resp.status, keep_alive, &extra, &resp.body);
+            return;
+        }
+        Failure::DeadlineExpired { budget_ms } => ServeError::new(
+            ServeErrorKind::DeadlineExceeded,
+            format!("deadline budget of {budget_ms} ms exhausted before any shard answered"),
+        ),
+        Failure::Exhausted { sent: 0 } => overloaded(format!(
+            "every routable shard's circuit breaker is open for {what}; retry later"
+        )),
+        Failure::Exhausted { sent } => overloaded(format!(
+            "every candidate shard failed {what} (tried {sent}); retry later"
+        )),
+        Failure::NoCandidates => {
+            overloaded(format!("no routable shard could take {what}; retry later"))
+        }
     };
-    let hint = hint_ms.unwrap_or(1_000);
-    let secs = hint.div_ceil(1000).max(1).to_string();
-    let ms = hint.to_string();
-    respond_error(
-        shared,
-        stream,
-        &err,
-        keep_alive,
-        &[("Retry-After", &secs), (RETRY_AFTER_MS_HEADER, &ms)],
-    );
-}
-
-/// Answer the structured 504 for an exhausted deadline budget.
-fn respond_deadline_expired(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    budget_ms: u64,
-    keep_alive: bool,
-) {
-    let err = ServeError::new(
-        ServeErrorKind::DeadlineExceeded,
-        format!("deadline budget of {budget_ms} ms exhausted before any shard answered"),
-    );
-    respond_error(shared, stream, &err, keep_alive, &[]);
-}
-
-/// Proxy one idempotent request to a backend over its pooled keep-alive
-/// connection (stale-connection retry enabled).
-fn proxy_request(
-    backend: &Backend,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    timeout: Duration,
-) -> io::Result<HttpResponse> {
-    proxy_request_opts(backend, method, path, body, timeout, &[], true)
-}
-
-/// Proxy one request to a backend over its pooled keep-alive connection,
-/// with extra headers (the forwarded deadline budget) and explicit
-/// stale-retry control — `retry_stale: false` for non-idempotent
-/// requests (stream batches), where a blind re-send on a half-written
-/// pooled connection could execute the batch twice.
-fn proxy_request_opts(
-    backend: &Backend,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    timeout: Duration,
-    extra: &[(&str, &str)],
-    retry_stale: bool,
-) -> io::Result<HttpResponse> {
-    let mut conn = backend.checkout(timeout);
-    let result = conn.request_with(method, path, body, extra, retry_stale);
-    if result.is_ok() {
-        backend.checkin(conn);
-    }
-    result
+    respond_error(shared, stream, &err, keep_alive);
 }
 
 /// `POST /stream`: assign the session id, pick its home shard by
 /// consistent-hashing *the id*, and open it there (failing over along
-/// the ring like `/solve` — an open has no state to lose yet, so it
-/// shares the breaker/backoff/deadline walk).
+/// the ring like `/solve` — an open has no state to lose yet).
 fn handle_stream_open(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     stream: &mut TcpStream,
     body: &[u8],
     keep_alive: bool,
-    budget_ms: u64,
+    budget: &Budget,
 ) {
     let text = match std::str::from_utf8(body) {
         Ok(t) => t,
         Err(_) => {
             let err = ServeError::bad_request("request body is not UTF-8");
-            respond_error(shared, stream, &err, keep_alive, &[]);
+            respond_error(shared, stream, &err, keep_alive);
             return;
         }
     };
@@ -916,7 +803,7 @@ fn handle_stream_open(
     let mut spec = match StreamSpec::from_json(text) {
         Ok(s) => s,
         Err(err) => {
-            respond_error(shared, stream, &err, keep_alive, &[]);
+            respond_error(shared, stream, &err, keep_alive);
             return;
         }
     };
@@ -928,16 +815,17 @@ fn handle_stream_open(
     });
     if lock(&shared.sticky).contains_key(&id) {
         let err = ServeError::bad_request(format!("session `{id}` is already open"));
-        respond_error(shared, stream, &err, keep_alive, &[]);
+        respond_error(shared, stream, &err, keep_alive);
         return;
     }
     spec.session_id = Some(id.clone());
     let open_body = spec.to_json();
 
-    match walk_ring(shared, &id, "POST", "/stream", Some(&open_body), budget_ms) {
-        WalkOutcome::Served { index, resp } => {
+    let idem = Idempotency::Retry { key: &id };
+    match proxy(shared, "/stream", &open_body, budget, idem) {
+        Ok((index, resp)) => {
             lock(&shared.sticky).insert(
-                id.clone(),
+                id,
                 Arc::new(Mutex::new(StickySession {
                     shard: index,
                     open_body,
@@ -945,51 +833,23 @@ fn handle_stream_open(
                     dirty: false,
                 })),
             );
-            let shard = shared.backends[index].shard_id().to_string();
-            let _ = write_response_opts(
-                stream,
-                200,
-                keep_alive,
-                &[("X-RI-Shard", &shard)],
-                &resp.body,
-            );
+            let extra = [("X-RI-Shard", shared.backends[index].shard_id())];
+            let _ = write_response_opts(stream, 200, keep_alive, &extra, &resp.body);
         }
-        WalkOutcome::Forward { index, resp } => {
-            forward_response(shared, stream, index, &resp, keep_alive);
-        }
-        WalkOutcome::Exhausted { sent, hint_ms } => {
-            respond_exhausted(
-                shared,
-                stream,
-                sent,
-                hint_ms,
-                keep_alive,
-                "the session open",
-            );
-        }
-        WalkOutcome::DeadlineExpired => {
-            respond_deadline_expired(shared, stream, budget_ms, keep_alive);
-        }
-        WalkOutcome::NoCandidates => {
-            let err = ServeError::new(
-                ServeErrorKind::Overloaded,
-                "no routable shard (all draining or detached); retry later",
-            );
-            respond_error(shared, stream, &err, keep_alive, &[]);
-        }
+        Err(failure) => respond_failure(shared, stream, failure, keep_alive, "the session open"),
     }
 }
 
 /// `/stream/<id>[/batch]`: sticky-route to the session's pinned shard,
 /// migrating the session first when that shard is gone.
 fn handle_stream_session(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     stream: &mut TcpStream,
     method: &str,
     path: &str,
     body: &[u8],
     keep_alive: bool,
-    budget_ms: u64,
+    budget: &Budget,
 ) {
     let rest = path.strip_prefix("/stream/").unwrap_or_default();
     let (id, action) = match rest.strip_suffix("/batch") {
@@ -1001,27 +861,22 @@ fn handle_stream_session(
             ServeErrorKind::NotFound,
             format!("no such path `{path}`; stream paths are /stream/<id> and /stream/<id>/batch"),
         );
-        respond_error(shared, stream, &err, keep_alive, &[]);
+        respond_error(shared, stream, &err, keep_alive);
         return;
     }
     match (method, action) {
-        ("POST", "batch") => handle_stream_batch(shared, stream, id, body, keep_alive, budget_ms),
-        ("GET", "") => handle_stream_info(shared, stream, id, keep_alive),
-        ("DELETE", "") => handle_stream_close(shared, stream, id, keep_alive),
+        ("POST", "batch") => handle_stream_batch(shared, stream, id, body, keep_alive, budget),
+        ("GET" | "DELETE", "") => {
+            handle_stream_pinned(shared, stream, method, id, keep_alive, budget)
+        }
         _ => {
             let err = ServeError::new(
                 ServeErrorKind::MethodNotAllowed,
                 format!("{method} is not supported on {path}"),
             );
-            respond_error(shared, stream, &err, keep_alive, &[]);
+            respond_error(shared, stream, &err, keep_alive);
         }
     }
-}
-
-/// Look up a session's sticky entry (shared so the per-session mutex
-/// outlives the map lock).
-fn sticky_entry(shared: &Shared, id: &str) -> Option<Arc<Mutex<StickySession>>> {
-    lock(&shared.sticky).get(id).cloned()
 }
 
 fn respond_no_session(shared: &Shared, stream: &mut TcpStream, id: &str, keep_alive: bool) {
@@ -1029,28 +884,20 @@ fn respond_no_session(shared: &Shared, stream: &mut TcpStream, id: &str, keep_al
         ServeErrorKind::NotFound,
         format!("no open session `{id}` (closed, evicted, or never opened here)"),
     );
-    respond_error(shared, stream, &err, keep_alive, &[]);
+    respond_error(shared, stream, &err, keep_alive);
 }
 
-/// `POST /stream/<id>/batch`: serve the batch from the pinned shard. The
-/// per-session lock is held across the proxy, so batches within a session
-/// are strictly ordered and migration never races a batch. On transport
-/// failure (or an unroutable pin) the session is migrated via
-/// close-and-replay and the batch retried once on its new home.
-///
-/// A batch is **non-idempotent** (it advances session state), so it is
-/// proxied with the stale-connection retry disabled: a half-written
-/// request on a stale pooled connection surfaces as a transport error
-/// and recovery goes through close-and-replay migration — which rebuilds
-/// the *pre-batch* state, making the router-level retry safe — never
-/// through a blind re-send that could execute the batch twice.
+/// `POST /stream/<id>/batch`: [`proxy`] the batch to the pinned shard,
+/// rebuilding the session by close-and-replay when needed. The
+/// per-session lock is held throughout, so batches within a session are
+/// strictly ordered and migration never races a batch.
 fn handle_stream_batch(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     stream: &mut TcpStream,
     id: &str,
     body: &[u8],
     keep_alive: bool,
-    budget_ms: u64,
+    budget: &Budget,
 ) {
     let request = match std::str::from_utf8(body)
         .map_err(|_| ServeError::bad_request("request body is not UTF-8"))
@@ -1058,278 +905,127 @@ fn handle_stream_batch(
     {
         Ok(r) => r,
         Err(err) => {
-            respond_error(shared, stream, &err, keep_alive, &[]);
+            respond_error(shared, stream, &err, keep_alive);
             return;
         }
     };
-    let Some(entry) = sticky_entry(shared, id) else {
+    let Some(entry) = lock(&shared.sticky).get(id).cloned() else {
         respond_no_session(shared, stream, id, keep_alive);
         return;
     };
     let mut sess = lock(&entry);
-    let t0 = Instant::now();
-    let budget = Duration::from_millis(budget_ms);
-    let batch_path = format!("/stream/{id}/batch");
-    let batch_body = request.to_json();
-
-    // Two tries: the pinned shard, then (after one migration) the new
-    // home. A second failure answers 503 — the batch is retryable from
-    // the client's side because a failed attempt never advanced state.
-    for attempt in 0..2 {
-        let remaining = budget.saturating_sub(t0.elapsed());
-        if remaining < Duration::from_millis(1) {
-            respond_deadline_expired(shared, stream, budget_ms, keep_alive);
-            return;
+    let path = format!("/stream/{id}/batch");
+    let idem = Idempotency::RebuildThenRetry {
+        id,
+        sess: &mut sess,
+    };
+    match proxy(shared, &path, &request.to_json(), budget, idem) {
+        Ok((index, resp)) => {
+            let backend = &shared.backends[index];
+            sess.batches.push(request.count);
+            backend.count_served();
+            shared.stream_batches.fetch_add(1, Ordering::SeqCst);
+            record_stream_witness(shared, &sess, id, backend.shard_id(), &resp.body);
+            let extra = [("X-RI-Shard", backend.shard_id())];
+            let _ = write_response_opts(stream, 200, keep_alive, &extra, &resp.body);
         }
-        // A dirty session's shard-side state is unknown (a previous
-        // batch's response was lost in transit and may have executed):
-        // rebuilding from the recorded history is the only safe way to
-        // serve another batch, so migration is mandatory — not optional —
-        // before proxying anything.
-        if (sess.dirty || !shared.backends[sess.shard].routable())
-            && !migrate_session(shared, id, &mut sess)
-        {
-            let err = ServeError::new(
-                ServeErrorKind::Overloaded,
-                format!("session `{id}` has no routable shard; retry later"),
-            );
-            respond_error(shared, stream, &err, keep_alive, &[]);
-            return;
-        }
-        let backend = &shared.backends[sess.shard];
-        let attempt_timeout = remaining.min(Duration::from_millis(
-            shared.cfg.request_timeout_ms.max(100),
-        ));
-        let deadline_hdr = (remaining.as_millis().min(u64::MAX as u128) as u64).to_string();
-        backend.begin_request();
-        let outcome = proxy_request_opts(
-            backend,
-            "POST",
-            &batch_path,
-            Some(&batch_body),
-            attempt_timeout,
-            &[(DEADLINE_HEADER, &deadline_hdr)],
-            false, // non-idempotent: never blind-retry a stale connection
-        );
-        backend.end_request();
-        match outcome {
-            Ok(resp) if resp.status == 200 => {
-                backend.breaker().record(true);
-                sess.batches.push(request.count);
-                backend.count_served();
-                shared.stream_batches.fetch_add(1, Ordering::SeqCst);
-                record_stream_witness(shared, &sess, id, backend.shard_id(), &resp.body);
-                let shard = backend.shard_id().to_string();
-                let _ = write_response_opts(
-                    stream,
-                    200,
-                    keep_alive,
-                    &[("X-RI-Shard", &shard)],
-                    &resp.body,
-                );
-                return;
-            }
-            Ok(resp) if attempt == 0 && retryable_response(&resp) => {
-                // The shard shed the batch without running it (draining
-                // or overloaded): session state did not advance, so
-                // close-and-replay on another shard is safe.
-                backend.breaker().record(false);
-                backend.count_failed();
-                shared.retries.fetch_add(1, Ordering::SeqCst);
-                if migrate_session(shared, id, &mut sess) {
-                    continue;
-                }
-                let err = ServeError::new(
-                    ServeErrorKind::Overloaded,
-                    format!("session `{id}` has no routable shard; retry later"),
-                );
-                respond_error(shared, stream, &err, keep_alive, &[]);
-                return;
-            }
-            Ok(resp) if resp.status == 404 => {
-                // The shard is responsive but has no such session: it was
-                // evicted there (TTL sweep, a restart, or a migration
-                // whose close outlived its reopen). The router still holds
-                // the full history, so rebuild instead of forwarding a
-                // terminal 404 for a session that is recoverable.
-                backend.breaker().record(true);
-                if attempt == 0 {
-                    shared.retries.fetch_add(1, Ordering::SeqCst);
-                    if migrate_session(shared, id, &mut sess) {
-                        continue;
-                    }
-                }
-                let err = ServeError::new(
-                    ServeErrorKind::Overloaded,
-                    format!("session `{id}` was evicted and could not be rebuilt; retry later"),
-                );
-                respond_error(shared, stream, &err, keep_alive, &[]);
-                return;
-            }
-            Ok(resp) => {
-                // The shard answered: a structured error the client must
-                // see (bad count, overfeed, ...). Never migrate on these —
-                // the session is alive and its state did not advance.
-                backend.breaker().record(true);
-                forward_response(shared, stream, sess.shard, &resp, keep_alive);
-                return;
-            }
-            Err(_) => {
-                // The batch was sent but no response came back: it may or
-                // may not have executed, so the shard-side state is now
-                // unknown. Mark the session dirty — if migration fails
-                // here, the flag forces a rebuild before any later client
-                // retry can touch the (possibly advanced) old state.
-                sess.dirty = true;
-                backend.breaker().record(false);
-                backend.observe(false);
-                backend.count_failed();
-                if attempt == 0 {
-                    shared.retries.fetch_add(1, Ordering::SeqCst);
-                    if migrate_session(shared, id, &mut sess) {
-                        continue;
-                    }
-                }
-                let err = ServeError::new(
-                    ServeErrorKind::Overloaded,
-                    format!("session `{id}` lost its shard and could not migrate; retry later"),
-                );
-                respond_error(shared, stream, &err, keep_alive, &[]);
-                return;
-            }
-        }
+        Err(failure) => respond_failure(shared, stream, failure, keep_alive, "the batch"),
     }
 }
 
-/// `GET /stream/<id>`: proxy the info read to the pinned shard.
-fn handle_stream_info(shared: &Arc<Shared>, stream: &mut TcpStream, id: &str, keep_alive: bool) {
-    let Some(entry) = sticky_entry(shared, id) else {
+/// `GET /stream/<id>` (info) and `DELETE /stream/<id>` (close): one hop
+/// to the pinned shard. A close drops the pin even when the shard is
+/// unreachable — the client wants the session gone, and the shard's own
+/// idle TTL reaps the orphan if the shard is merely slow, not dead.
+fn handle_stream_pinned(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    method: &str,
+    id: &str,
+    keep_alive: bool,
+    budget: &Budget,
+) {
+    let close = method == "DELETE";
+    let entry = if close {
+        lock(&shared.sticky).remove(id)
+    } else {
+        lock(&shared.sticky).get(id).cloned()
+    };
+    let Some(entry) = entry else {
         respond_no_session(shared, stream, id, keep_alive);
         return;
     };
     let sess = lock(&entry);
-    let timeout = Duration::from_millis(shared.cfg.request_timeout_ms.clamp(100, 10_000));
     let backend = &shared.backends[sess.shard];
-    match proxy_request(backend, "GET", &format!("/stream/{id}"), None, timeout) {
+    let extra = [("X-RI-Shard", backend.shard_id())];
+    match send(backend, method, &format!("/stream/{id}"), None, budget) {
         Ok(resp) => {
-            let shard = backend.shard_id().to_string();
-            let _ = write_response_opts(
-                stream,
-                resp.status,
-                keep_alive,
-                &[("X-RI-Shard", &shard)],
-                &resp.body,
-            );
+            let _ = write_response_opts(stream, resp.status, keep_alive, &extra, &resp.body);
         }
-        Err(_) => {
-            backend.observe(false);
-            let err = ServeError::new(
-                ServeErrorKind::Overloaded,
-                format!("session `{id}`'s shard did not answer; retry later"),
-            );
-            respond_error(shared, stream, &err, keep_alive, &[]);
-        }
-    }
-}
-
-/// `DELETE /stream/<id>`: drop the sticky pin and close on the shard.
-/// The pin is dropped even when the shard is unreachable — the client
-/// wants the session gone, and the shard's own idle TTL will reap the
-/// orphan if the shard is merely slow rather than dead.
-fn handle_stream_close(shared: &Arc<Shared>, stream: &mut TcpStream, id: &str, keep_alive: bool) {
-    let Some(entry) = lock(&shared.sticky).remove(id) else {
-        respond_no_session(shared, stream, id, keep_alive);
-        return;
-    };
-    let sess = lock(&entry);
-    let timeout = Duration::from_millis(shared.cfg.request_timeout_ms.clamp(100, 10_000));
-    let backend = &shared.backends[sess.shard];
-    let shard = backend.shard_id().to_string();
-    match proxy_request(backend, "DELETE", &format!("/stream/{id}"), None, timeout) {
-        Ok(resp) => {
-            let _ = write_response_opts(
-                stream,
-                resp.status,
-                keep_alive,
-                &[("X-RI-Shard", &shard)],
-                &resp.body,
-            );
-        }
-        Err(_) => {
-            backend.observe(false);
+        Err(_) if close => {
             let body = Value::Obj(vec![
                 ("session".into(), Value::Str(id.into())),
                 ("closed".into(), Value::Bool(true)),
                 ("shard_lost".into(), Value::Bool(true)),
             ])
             .write();
-            let _ = write_response_opts(stream, 200, keep_alive, &[("X-RI-Shard", &shard)], &body);
+            let _ = write_response_opts(stream, 200, keep_alive, &extra, &body);
+        }
+        Err(_) => {
+            let err = ServeError::new(
+                ServeErrorKind::Overloaded,
+                format!("session `{id}`'s shard did not answer; retry later"),
+            );
+            respond_error(shared, stream, &err, keep_alive);
         }
     }
 }
 
 /// Close-and-replay migration: best-effort close on the old shard, reopen
 /// under the same id on the next routable shard along the session's ring
-/// walk, and re-feed the recorded batch counts. Determinism makes the
-/// rebuilt session bit-identical to the lost one, so re-feeds are
-/// internal bookkeeping: they are neither witnessed nor counted as
-/// client-served batches. The old shard itself is the last-resort rebuild
+/// walk, and re-feed the recorded batch counts, every hop within
+/// `budget`. Determinism makes the rebuilt session bit-identical to the
+/// lost one, so re-feeds are internal bookkeeping: they are neither
+/// witnessed nor counted as client-served batches, and they stay out of
+/// breaker accounting. The old shard itself is the last-resort rebuild
 /// target (its copy was just closed, so reopening there is clean) —
 /// without it, a single-survivor fleet could strand a session forever.
 /// Returns false when no shard could take it (stickiness is kept, so a
 /// later batch retries migration); on success the rebuilt state is known
 /// exactly, so the session's dirty flag is cleared.
-fn migrate_session(shared: &Shared, id: &str, sess: &mut StickySession) -> bool {
-    let timeout = Duration::from_millis(shared.cfg.request_timeout_ms.max(100));
+fn migrate_session(shared: &Shared, id: &str, sess: &mut StickySession, budget: &Budget) -> bool {
     let old = sess.shard;
     let path = format!("/stream/{id}");
+    let batch_path = format!("{path}/batch");
     // The old shard may be draining rather than dead: free its slot.
-    let _ = proxy_request(&shared.backends[old], "DELETE", &path, None, timeout);
+    let _ = send(&shared.backends[old], "DELETE", &path, None, budget);
     let mut candidates: Vec<usize> = shared
         .ring
         .order(id)
-        .iter()
-        .copied()
+        .into_iter()
         .filter(|&index| index != old && shared.backends[index].routable())
         .collect();
     if shared.backends[old].routable() {
         candidates.push(old);
     }
+    let served = |resp: io::Result<HttpResponse>| matches!(resp, Ok(r) if r.status == 200);
     for index in candidates {
         let backend = &shared.backends[index];
         // A previous migration attempt may have left an orphan copy here
         // (its open succeeded but the response was lost): close it first
         // so the reopen never collides with a half-built ghost.
-        let _ = proxy_request(backend, "DELETE", &path, None, timeout);
-        match proxy_request(backend, "POST", "/stream", Some(&sess.open_body), timeout) {
-            Ok(resp) if resp.status == 200 => {}
-            Ok(_) => continue, // admission-full or draining mid-open: next shard
-            Err(_) => {
-                backend.observe(false);
-                continue;
-            }
+        let _ = send(backend, "DELETE", &path, None, budget);
+        let opened = send(backend, "POST", "/stream", Some(&sess.open_body), budget);
+        if !served(opened) {
+            continue; // admission-full, draining mid-open, or gone: next shard
         }
-        // Re-feeds advance session state and are therefore proxied
-        // without the stale-connection retry, like client batches.
         let refed = sess.batches.iter().all(|&count| {
             let body = format!("{{\"count\":{count}}}");
-            matches!(
-                proxy_request_opts(
-                    backend,
-                    "POST",
-                    &format!("{path}/batch"),
-                    Some(&body),
-                    timeout,
-                    &[],
-                    false,
-                ),
-                Ok(r) if r.status == 200
-            )
+            served(send(backend, "POST", &batch_path, Some(&body), budget))
         });
         if !refed {
             // Leave the half-rebuilt session to the shard's TTL sweep.
-            let _ = proxy_request(backend, "DELETE", &path, None, timeout);
-            backend.observe(false);
+            let _ = send(backend, "DELETE", &path, None, budget);
             continue;
         }
         sess.shard = index;
@@ -1350,7 +1046,9 @@ fn migrate_shard_sessions(shared: &Shared, index: usize) {
     for (id, entry) in pinned {
         let mut sess = lock(&entry);
         if sess.shard == index {
-            let _ = migrate_session(shared, &id, &mut sess);
+            // No client request is waiting: a fresh budget per session.
+            let budget = Budget::new(shared.cfg.request_timeout_ms);
+            let _ = migrate_session(shared, &id, &mut sess, &budget);
         }
     }
 }
@@ -1383,16 +1081,6 @@ fn record_stream_witness(
     });
 }
 
-/// Whether a backend's non-200 answer means "never ran, try elsewhere".
-/// Trust the envelope's `retryable` field when the body parses; fall
-/// back to the status code (503/504) when it does not.
-fn retryable_response(resp: &HttpResponse) -> bool {
-    match ServeError::from_json(&resp.body) {
-        Ok(err) => err.retryable,
-        Err(_) => matches!(resp.status, 503 | 504),
-    }
-}
-
 /// Persist a routed 200 to the witness log (when enabled) and the cache.
 /// A body the router cannot parse is a backend bug; it is still returned
 /// to the client verbatim but never witnessed or cached.
@@ -1407,22 +1095,15 @@ fn record_witness(shared: &Shared, shard_id: &str, key: &str, body: &str) {
 
 /// `GET /problems`: proxied from the first shard that answers — the
 /// registry is identical across the fleet by construction.
-fn handle_problems(shared: &Shared, stream: &mut TcpStream, keep_alive: bool) {
-    let timeout = Duration::from_millis(shared.cfg.request_timeout_ms.clamp(100, 10_000));
-    for backend in &shared.backends {
-        if !backend.routable() {
-            continue;
-        }
-        let mut conn = backend.checkout(timeout);
-        if let Ok(resp) = conn.request("GET", "/problems", None) {
-            backend.checkin(conn);
+fn handle_problems(shared: &Shared, stream: &mut TcpStream, keep_alive: bool, budget: &Budget) {
+    for backend in shared.backends.iter().filter(|b| b.routable()) {
+        if let Ok(resp) = send(backend, "GET", "/problems", None, budget) {
             let _ = write_response_opts(stream, resp.status, keep_alive, &[], &resp.body);
             return;
         }
-        backend.observe(false);
     }
     let err = ServeError::new(ServeErrorKind::Overloaded, "no shard answered /problems");
-    respond_error(shared, stream, &err, keep_alive, &[]);
+    respond_error(shared, stream, &err, keep_alive);
 }
 
 /// `POST /admin/drain {"shard_id": "..."}`: stop routing to the shard,
@@ -1439,7 +1120,7 @@ fn handle_drain(shared: &Arc<Shared>, stream: &mut TcpStream, body: &[u8], keep_
         Some(id) => id.to_string(),
         None => {
             let err = ServeError::bad_request("drain body must be {\"shard_id\": \"...\"}");
-            respond_error(shared, stream, &err, keep_alive, &[]);
+            respond_error(shared, stream, &err, keep_alive);
             return;
         }
     };
@@ -1452,7 +1133,7 @@ fn handle_drain(shared: &Arc<Shared>, stream: &mut TcpStream, body: &[u8], keep_
             ServeErrorKind::NotFound,
             format!("no shard named `{shard_id}`"),
         );
-        respond_error(shared, stream, &err, keep_alive, &[]);
+        respond_error(shared, stream, &err, keep_alive);
         return;
     };
 
@@ -1486,29 +1167,18 @@ fn handle_drain(shared: &Arc<Shared>, stream: &mut TcpStream, body: &[u8], keep_
     let _ = write_response_opts(stream, 200, keep_alive, &[], &body);
 }
 
-fn respond_error(
-    shared: &Shared,
-    stream: &mut impl io::Write,
-    err: &ServeError,
-    keep_alive: bool,
-    extra: &[(&str, &str)],
-) {
+fn respond_error(shared: &Shared, stream: &mut impl io::Write, err: &ServeError, keep_alive: bool) {
     shared.errored.fetch_add(1, Ordering::SeqCst);
     if err.kind == ServeErrorKind::DeadlineExceeded {
         shared.deadline_expired.fetch_add(1, Ordering::SeqCst);
     }
     let status = err.http_status();
-    let mut headers: Vec<(&str, &str)> = extra.to_vec();
-    // Callers with a real pressure hint pass their own Retry-After via
-    // `extra`; the constant is only the fallback.
-    if status == 503
-        && !headers
-            .iter()
-            .any(|(k, _)| k.eq_ignore_ascii_case("retry-after"))
-    {
-        headers.push(("Retry-After", "1"));
-    }
-    let _ = write_response_opts(stream, status, keep_alive, &headers, &err.to_json());
+    let extra: &[(&str, &str)] = if status == 503 {
+        &[("Retry-After", "1")]
+    } else {
+        &[]
+    };
+    let _ = write_response_opts(stream, status, keep_alive, extra, &err.to_json());
 }
 
 /// The router's `/healthz`: the cluster view. `status` is `ok` when every
@@ -1557,7 +1227,7 @@ fn health_value(shared: &Shared) -> Value {
             ),
         ]));
     }
-    let status = if shared.draining.load(Ordering::SeqCst) {
+    let status = if shared.front.draining() {
         "draining"
     } else if healthy == routable && routable > 0 {
         "ok"
@@ -1648,53 +1318,6 @@ fn health_value(shared: &Shared) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn resp(status: u16, headers: &[(&str, &str)], body: &str) -> HttpResponse {
-        HttpResponse {
-            status,
-            headers: headers
-                .iter()
-                .map(|(k, v)| (k.to_ascii_lowercase(), v.to_string()))
-                .collect(),
-            body: body.to_string(),
-        }
-    }
-
-    #[test]
-    fn retryable_classification_trusts_the_envelope() {
-        // A parseable envelope decides retryability regardless of status.
-        let shed = ServeError::new(ServeErrorKind::Overloaded, "queue full");
-        assert!(retryable_response(&resp(503, &[], &shed.to_json())));
-        let expired = ServeError::new(ServeErrorKind::DeadlineExceeded, "too slow");
-        assert!(retryable_response(&resp(504, &[], &expired.to_json())));
-        // An envelope explicitly marked non-retryable wins even on 503.
-        let pinned = ServeError::new(ServeErrorKind::Overloaded, "nope").retryable(false);
-        assert!(!retryable_response(&resp(503, &[], &pinned.to_json())));
-        // A non-retryable kind stays non-retryable.
-        let bad = ServeError::bad_request("unknown problem");
-        assert!(!retryable_response(&resp(400, &[], &bad.to_json())));
-    }
-
-    #[test]
-    fn retryable_classification_falls_back_to_the_status_code() {
-        assert!(retryable_response(&resp(503, &[], "not json at all")));
-        assert!(retryable_response(&resp(504, &[], "")));
-        assert!(!retryable_response(&resp(500, &[], "not json")));
-        assert!(!retryable_response(&resp(200, &[], "{}")));
-    }
-
-    #[test]
-    fn retry_hints_prefer_the_ms_header() {
-        let both = resp(
-            503,
-            &[("Retry-After", "2"), (RETRY_AFTER_MS_HEADER, "350")],
-            "{}",
-        );
-        assert_eq!(retry_hint_ms(&both), Some(350));
-        let secs_only = resp(503, &[("Retry-After", "2")], "{}");
-        assert_eq!(retry_hint_ms(&secs_only), Some(2_000));
-        assert_eq!(retry_hint_ms(&resp(503, &[], "{}")), None);
-    }
 
     #[test]
     fn backoff_is_deterministic_exponential_and_hint_floored() {

@@ -313,13 +313,15 @@ fn drain_redirects_load_and_detaches_the_shard() {
 
 /// (d) The router validates requests itself: malformed bodies are
 /// rejected with the shared envelope shape without burning a backend
-/// attempt, and unknown paths 404.
+/// attempt, unknown paths 404, and an oversized upload written in full
+/// gets its 413 envelope instead of a connection reset.
 #[test]
 fn router_rejects_malformed_requests_itself() {
     let b0 = start_backend();
     let router = Router::start(
         RouterConfig {
             health_interval_ms: 100,
+            max_body_bytes: 4096,
             ..RouterConfig::default()
         },
         vec![attach_spec("s0", b0.local_addr())],
@@ -337,9 +339,21 @@ fn router_rejects_malformed_requests_itself() {
     let resp = conn.request("GET", "/nope", None).expect("404 path");
     assert_eq!(resp.status, 404);
 
+    // 4 MB against a 4 KiB limit, within the 4 MiB drain bound: the
+    // whole body is written and the 413 envelope is read back.
+    let oversized = format!(
+        "{{\"problem\":\"sort\",\"pad\":\"{}\"}}",
+        "x".repeat(4_000_000)
+    );
+    let resp = conn
+        .request("POST", "/solve", Some(&oversized))
+        .expect("the 413 arrives instead of a reset");
+    assert_eq!(resp.status, 413, "{}", resp.body);
+    assert!(resp.body.contains("\"body-too-large\""), "{}", resp.body);
+
     let health = healthz(&router);
     assert_eq!(shard_field(&health, "s0", "served").as_f64(), Some(0.0));
-    assert_eq!(health.get("errored").and_then(Value::as_f64), Some(2.0));
+    assert_eq!(health.get("errored").and_then(Value::as_f64), Some(3.0));
 
     router.shutdown();
     b0.shutdown();

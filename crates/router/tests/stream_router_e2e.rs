@@ -392,3 +392,85 @@ fn single_shard_loss_is_retryable_and_errors_are_structured() {
     );
     router.shutdown();
 }
+
+/// A shard that lost a session the router still pins (TTL eviction, a
+/// restart) answers its next batch with 404. The router rebuilds the
+/// session by close-and-replay and serves the batch instead of
+/// forwarding the 404: the client sees the next batch index and the same
+/// delta as an undisturbed session, and the witness log still replays.
+#[test]
+fn shard_side_eviction_is_rebuilt_and_served() {
+    let b0 = start_backend();
+    let witness = temp_witness("evicted");
+    let router = Router::start(
+        RouterConfig {
+            witness_path: Some(witness.clone()),
+            health_interval_ms: 100,
+            ..RouterConfig::default()
+        },
+        vec![attach_spec("s0", b0.local_addr())],
+    )
+    .expect("router starts");
+    let mut conn = ClientConn::new(router.local_addr(), Duration::from_secs(120));
+    let migrated = |conn: &mut ClientConn| {
+        parse(&conn.request("GET", "/healthz", None).expect("healthz").body)
+            .get("sessions")
+            .and_then(|s| s.get("migrated"))
+            .and_then(Value::as_f64)
+            .expect("sessions.migrated in healthz")
+    };
+    let batch = |conn: &mut ClientConn| {
+        let resp = conn
+            .request("POST", "/stream/evicted-0/batch", Some("{\"count\":8}"))
+            .expect("batch transports");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        BatchDelta::from_value(&parse(&resp.body)).unwrap()
+    };
+
+    let body = open_body(24, 11, "evicted-0");
+    let resp = conn
+        .request("POST", "/stream", Some(&body))
+        .expect("open transports");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let mut deltas = vec![batch(&mut conn)];
+    let before = migrated(&mut conn);
+
+    // Close the session on its shard, behind the router's back.
+    let mut direct = ClientConn::new(b0.local_addr(), Duration::from_secs(120));
+    let resp = direct
+        .request("DELETE", "/stream/evicted-0", None)
+        .expect("direct close transports");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+
+    deltas.push(batch(&mut conn));
+    assert_eq!(deltas[1].batch, 1, "the sequence continues unbroken");
+    assert_eq!(migrated(&mut conn), before + 1.0, "exactly one rebuild");
+
+    // An undisturbed single-shard session yields the same deltas.
+    let reference = start_backend();
+    let mut ref_conn = ClientConn::new(reference.local_addr(), Duration::from_secs(120));
+    let resp = ref_conn.request("POST", "/stream", Some(&body)).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    for want in &deltas {
+        let resp = ref_conn
+            .request("POST", "/stream/evicted-0/batch", Some("{\"count\":8}"))
+            .unwrap();
+        let got = BatchDelta::from_value(&parse(&resp.body)).unwrap();
+        assert_eq!(&got, want, "batch {} diverged", want.batch);
+    }
+    reference.shutdown();
+    router.shutdown();
+    b0.shutdown();
+
+    let records: Vec<StreamBatchRecord> = read_any_log(&witness)
+        .expect("witness log loads")
+        .into_iter()
+        .filter_map(|entry| match entry {
+            LogEntry::Stream(record) => Some(record),
+            LogEntry::Solve(_) => None,
+        })
+        .collect();
+    assert_eq!(records.len(), 2, "one record per client-served batch");
+    replay_stream(&registry(), &records).expect("bit-identical replay after the rebuild");
+    let _ = std::fs::remove_file(&witness);
+}

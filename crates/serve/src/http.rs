@@ -9,14 +9,24 @@
 //! being dropped, and responses advertise `Connection: keep-alive`
 //! whenever the request allows it. Responses are always JSON.
 //!
+//! Server side: [`spawn_acceptor`] runs the one accept loop and
+//! keep-alive request loop that both `ri-serve` and `ri-router` use; each
+//! plugs in only its route table and error writer as a [`Service`].
+//!
 //! Client side: [`request`] performs a one-shot request (connect, send
 //! with `Connection: close`, read, close) and [`ClientConn`] holds one
 //! keep-alive connection open across requests — what the router's
 //! backend proxying uses so a proxied solve does not pay a TCP connect.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use ri_core::engine::envelope::{ServeError, ServeErrorKind};
+use ri_core::engine::faults::RETRY_AFTER_MS_HEADER;
 
 /// Hard cap on the request head (request line + headers): a head this
 /// large is never legitimate for this API.
@@ -238,6 +248,207 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
+/// Upper bound on the bytes of an oversized upload read and discarded
+/// before answering its `413`.
+const MAX_DRAIN_BYTES: usize = 4 << 20;
+
+/// Connection-level state of a keep-alive front end: the connection cap,
+/// the body limit, socket timeouts, and the draining flag.
+#[derive(Debug)]
+pub struct Front {
+    max_connections: usize,
+    max_body_bytes: usize,
+    io_timeout: Duration,
+    draining: AtomicBool,
+    connections: AtomicUsize,
+}
+
+impl Front {
+    /// A front end's limits; `io_timeout` bounds each socket read and
+    /// write (including the idle wait between keep-alive requests).
+    pub fn new(max_connections: usize, max_body_bytes: usize, io_timeout: Duration) -> Front {
+        Front {
+            max_connections,
+            max_body_bytes,
+            io_timeout,
+            draining: AtomicBool::new(false),
+            connections: AtomicUsize::new(0),
+        }
+    }
+
+    /// Whether shutdown has begun.
+    pub fn draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
+    }
+
+    /// Stop accepting: flag draining, wake the acceptor's blocking accept
+    /// with a throwaway connection (answered with a quick `503`), and
+    /// join it. Only join if a wake attempt landed — otherwise the
+    /// acceptor may still be parked in accept() and joining would hang;
+    /// left detached, it exits on the next connection.
+    pub fn stop(&self, addr: SocketAddr, acceptor: JoinHandle<()>) {
+        self.draining.store(true, Ordering::SeqCst);
+        let woken =
+            (0..3).any(|_| TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok());
+        if woken {
+            let _ = acceptor.join();
+        }
+    }
+
+    /// Give open connections (e.g. a client still reading its response)
+    /// up to 5 s to finish.
+    pub fn wait_idle(&self) {
+        let t0 = Instant::now();
+        while self.connections.load(Ordering::SeqCst) > 0 && t0.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+}
+
+/// What a server plugs into the shared connection loop: its route table
+/// and its error writer.
+pub trait Service: Send + Sync + 'static {
+    /// The connection-level state this service runs under.
+    fn front(&self) -> &Front;
+
+    /// Answer one request. Returns false when the connection must close
+    /// even though keep-alive would allow another request (a fault
+    /// severed it).
+    fn handle(
+        self: &Arc<Self>,
+        stream: &mut TcpStream,
+        request: &HttpRequest,
+        keep_alive: bool,
+    ) -> bool;
+
+    /// Write (and count) `err` as a connection-closing error envelope:
+    /// the answer to a rejected connection or an unframeable request.
+    fn reject(&self, stream: &mut TcpStream, err: &ServeError);
+}
+
+/// Start the accept loop on a `{name}-accept` thread: one `{name}-conn`
+/// thread per connection up to the cap, and a quick `503` envelope —
+/// never a silent drop — for connections past the cap or arriving while
+/// draining (the shutdown wake-up included, after which the loop exits).
+pub fn spawn_acceptor<S: Service>(
+    name: &str,
+    listener: TcpListener,
+    service: Arc<S>,
+) -> io::Result<JoinHandle<()>> {
+    let conn_name = format!("{name}-conn");
+    std::thread::Builder::new()
+        .name(format!("{name}-accept"))
+        .spawn(move || accept_loop(&service, listener, &conn_name))
+}
+
+fn accept_loop<S: Service>(service: &Arc<S>, listener: TcpListener, conn_name: &str) {
+    let front = service.front();
+    for stream in listener.incoming() {
+        let Ok(mut stream) = stream else {
+            if front.draining() {
+                break;
+            }
+            continue;
+        };
+        // Whether this is the shutdown wake-up or a real client that raced
+        // the drain flag, answer rather than drop. The cap exists because
+        // admission gates cannot protect thread and memory budgets from
+        // connections that never send a request.
+        let draining = front.draining();
+        if draining || front.connections.load(Ordering::SeqCst) >= front.max_connections {
+            let why = if draining {
+                "draining; retry later"
+            } else {
+                "connection limit reached; retry later"
+            };
+            // A short write timeout: the acceptor must never block on a
+            // slow peer.
+            let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+            service.reject(
+                &mut stream,
+                &ServeError::new(ServeErrorKind::Overloaded, why),
+            );
+            if draining {
+                break;
+            }
+            continue;
+        }
+        front.connections.fetch_add(1, Ordering::SeqCst);
+        let conn_service = Arc::clone(service);
+        let spawned = std::thread::Builder::new()
+            .name(conn_name.to_string())
+            .spawn(move || {
+                serve_connection(&conn_service, stream);
+                conn_service
+                    .front()
+                    .connections
+                    .fetch_sub(1, Ordering::SeqCst);
+            });
+        if spawned.is_err() {
+            // Thread exhaustion: shed the connection instead of dying.
+            front.connections.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Per-connection protocol: read requests for as long as the client keeps
+/// the connection alive (the carry buffer keeps pipelined bytes between
+/// reads) and hand each to the service. A framing error is answered with
+/// a structured envelope — never a silent drop — and closes the
+/// connection, since framing beyond a malformed request is unknowable.
+fn serve_connection<S: Service>(service: &Arc<S>, mut stream: TcpStream) {
+    let front = service.front();
+    let _ = stream.set_read_timeout(Some(front.io_timeout));
+    let _ = stream.set_write_timeout(Some(front.io_timeout));
+    let _ = stream.set_nodelay(true);
+    let mut carry = Vec::new();
+    let err = loop {
+        match read_request_buffered(&mut stream, &mut carry, front.max_body_bytes) {
+            Ok(request) => {
+                // Honor the client's keep-alive preference, but a draining
+                // front closes after this response.
+                let keep_alive = request.keep_alive() && !front.draining();
+                if !service.handle(&mut stream, &request, keep_alive) || !keep_alive {
+                    return;
+                }
+            }
+            // A clean close between requests, or a socket error (the idle
+            // keep-alive timeout included): no client left to answer.
+            Err(ReadError::Closed | ReadError::Io(_)) => return,
+            Err(ReadError::BodyTooLarge {
+                declared,
+                limit,
+                buffered,
+            }) => {
+                // Drain (bounded) what the client is still sending, so the
+                // 413 is not lost to a connection reset mid-upload. Body
+                // bytes that arrived with the head are already consumed.
+                let unread = declared.saturating_sub(buffered);
+                drain(&mut stream, unread.min(MAX_DRAIN_BYTES));
+                break ServeError::new(
+                    ServeErrorKind::BodyTooLarge,
+                    format!("body of {declared} bytes exceeds the {limit}-byte limit"),
+                );
+            }
+            Err(ReadError::BadRequest(msg)) => break ServeError::bad_request(msg),
+        }
+    };
+    service.reject(&mut stream, &err);
+}
+
+/// Read and discard up to `limit` bytes (stops on error or EOF).
+fn drain(stream: &mut impl Read, limit: usize) {
+    let mut remaining = limit;
+    let mut buf = [0u8; 8192];
+    while remaining > 0 {
+        let take = remaining.min(buf.len());
+        match stream.read(&mut buf[..take]) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => remaining -= n,
+        }
+    }
+}
+
 /// The standard reason phrase for the statuses this server emits.
 pub fn reason(status: u16) -> &'static str {
     match status {
@@ -313,6 +524,24 @@ impl HttpResponse {
     pub fn keep_alive(&self) -> bool {
         self.header("connection")
             .is_some_and(|c| c.eq_ignore_ascii_case("keep-alive"))
+    }
+
+    /// Whether this non-200 answer means "never ran, safe to re-send":
+    /// the envelope's `retryable` field when the body parses, else the
+    /// status code (503/504).
+    pub fn retryable(&self) -> bool {
+        match ServeError::from_json(&self.body) {
+            Ok(err) => err.retryable,
+            Err(_) => matches!(self.status, 503 | 504),
+        }
+    }
+
+    /// The server's retry hint in milliseconds: the ms-precision
+    /// `X-RI-Retry-After-Ms` when present, else `Retry-After` seconds.
+    pub fn retry_hint_ms(&self) -> Option<u64> {
+        let parse = |name| self.header(name).and_then(|v| v.trim().parse::<u64>().ok());
+        parse(RETRY_AFTER_MS_HEADER)
+            .or_else(|| parse("retry-after").map(|s| s.saturating_mul(1000)))
     }
 }
 
@@ -721,5 +950,52 @@ mod tests {
         let second = read_response(&mut stream, &mut carry).unwrap();
         assert_eq!(second.body, "{\"b\":2}");
         assert!(carry.is_empty());
+    }
+
+    fn resp(status: u16, headers: &[(&str, &str)], body: &str) -> HttpResponse {
+        HttpResponse {
+            status,
+            headers: headers
+                .iter()
+                .map(|(k, v)| (k.to_ascii_lowercase(), v.to_string()))
+                .collect(),
+            body: body.to_string(),
+        }
+    }
+
+    #[test]
+    fn retryable_classification_trusts_the_envelope() {
+        // A parseable envelope decides retryability regardless of status.
+        let shed = ServeError::new(ServeErrorKind::Overloaded, "queue full");
+        assert!(resp(503, &[], &shed.to_json()).retryable());
+        let expired = ServeError::new(ServeErrorKind::DeadlineExceeded, "too slow");
+        assert!(resp(504, &[], &expired.to_json()).retryable());
+        // An envelope explicitly marked non-retryable wins even on 503.
+        let pinned = ServeError::new(ServeErrorKind::Overloaded, "nope").retryable(false);
+        assert!(!resp(503, &[], &pinned.to_json()).retryable());
+        // A non-retryable kind stays non-retryable.
+        let bad = ServeError::bad_request("unknown problem");
+        assert!(!resp(400, &[], &bad.to_json()).retryable());
+    }
+
+    #[test]
+    fn retryable_classification_falls_back_to_the_status_code() {
+        assert!(resp(503, &[], "not json at all").retryable());
+        assert!(resp(504, &[], "").retryable());
+        assert!(!resp(500, &[], "not json").retryable());
+        assert!(!resp(200, &[], "{}").retryable());
+    }
+
+    #[test]
+    fn retry_hints_prefer_the_ms_header() {
+        let both = resp(
+            503,
+            &[("Retry-After", "2"), (RETRY_AFTER_MS_HEADER, "350")],
+            "{}",
+        );
+        assert_eq!(both.retry_hint_ms(), Some(350));
+        let secs_only = resp(503, &[("Retry-After", "2")], "{}");
+        assert_eq!(secs_only.retry_hint_ms(), Some(2_000));
+        assert_eq!(resp(503, &[], "{}").retry_hint_ms(), None);
     }
 }

@@ -30,7 +30,8 @@
 //! `Connection: keep-alive` (and advertises it back), serving any number
 //! of requests per connection — what lets the `ri-router` front tier and
 //! `loadgen` reuse one TCP connection per backend instead of paying a
-//! connect per solve.
+//! connect per solve. The accept and keep-alive loop lives in [`http`]
+//! and is shared with `ri-router`; this crate supplies the route table.
 //!
 //! ## The batching executor
 //!
@@ -81,7 +82,7 @@ use ri_core::engine::json::{self, Value};
 use ri_core::engine::session::{BatchRequest, StreamSpec};
 use ri_core::engine::{ExecMode, Registry, Runner};
 
-use http::{read_request_buffered, write_response_opts, ReadError};
+use http::{write_response_opts, Front, HttpRequest, Service};
 use session::{SessionConfig, SessionManager};
 
 /// Server tuning knobs. Every field has a serving-sensible default;
@@ -245,10 +246,9 @@ struct Shared {
     served: AtomicUsize,
     /// Requests answered with an error envelope.
     errored: AtomicUsize,
-    /// Set once shutdown begins (health reports `draining`).
-    draining: AtomicBool,
-    /// Open connection threads (shutdown waits for them briefly).
-    connections: AtomicUsize,
+    /// Connection cap, body limit, and the draining flag (set once
+    /// shutdown begins; health reports `draining`).
+    front: Front,
     /// The streaming session store (`/stream` endpoints).
     sessions: SessionManager,
     /// Fault-injection state (`--chaos` / `POST /admin/chaos`).
@@ -306,8 +306,14 @@ impl Server {
             inflight: AtomicUsize::new(0),
             served: AtomicUsize::new(0),
             errored: AtomicUsize::new(0),
-            draining: AtomicBool::new(false),
-            connections: AtomicUsize::new(0),
+            // Socket timeouts derive from the queue deadline: a client is
+            // given at least the full deadline window to feed or drain a
+            // request before the socket gives up on it.
+            front: Front::new(
+                cfg.max_connections,
+                cfg.max_body_bytes,
+                Duration::from_millis(cfg.deadline_ms.max(10_000)),
+            ),
             sessions,
             chaos,
             busy_ms: AtomicU64::new(0),
@@ -329,13 +335,7 @@ impl Server {
                 .collect()
         };
 
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("ri-serve-accept".into())
-                .spawn(move || acceptor_loop(&shared, listener))
-                .expect("spawning the acceptor thread")
-        };
+        let acceptor = http::spawn_acceptor("ri-serve", listener, Arc::clone(&shared))?;
 
         Ok(Server {
             shared,
@@ -367,152 +367,40 @@ impl Server {
     /// Graceful shutdown: stop accepting, answer everything already
     /// admitted (the executors drain the queue), and join all threads.
     pub fn shutdown(mut self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
         // Late /solve arrivals now get `503 overloaded`; dropping the
         // sole sender means the executors see disconnect — and exit —
         // as soon as the already-queued jobs are drained and answered.
         *lock(&self.shared.queue_tx) = None;
-        // Wake the acceptor's blocking accept with a throwaway
-        // connection (it answers a quick `503 draining` and exits). Only
-        // join if a wake attempt landed — otherwise the acceptor may
-        // still be parked in accept(), and joining would hang forever;
-        // leaving it detached is safe (it exits on the next connection).
-        let woken =
-            (0..3).any(|_| TcpStream::connect_timeout(&self.addr, Duration::from_secs(1)).is_ok());
         if let Some(acceptor) = self.acceptor.take() {
-            if woken {
-                let _ = acceptor.join();
-            }
+            self.shared.front.stop(self.addr, acceptor);
         }
         for exec in self.executors.drain(..) {
             let _ = exec.join();
         }
-        // Give open connection threads (e.g. a client still reading its
-        // response) a moment to finish.
-        let t0 = Instant::now();
-        while self.shared.connections.load(Ordering::SeqCst) > 0
-            && t0.elapsed() < Duration::from_secs(5)
-        {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        self.shared.front.wait_idle();
     }
 }
 
-fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => {
-                if shared.draining.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-        };
-        if shared.draining.load(Ordering::SeqCst) {
-            // Whether this is the shutdown wake-up or a real client that
-            // raced the drain flag: answer, don't drop.
-            reject_connection(shared, stream, "server is draining");
-            break;
-        }
-        // Cap handler threads: the /solve admission gate cannot protect
-        // thread/memory budgets from connections that never send a
-        // request, so the acceptor itself sheds beyond the limit.
-        if shared.connections.load(Ordering::SeqCst) >= shared.cfg.max_connections {
-            reject_connection(shared, stream, "connection limit reached; retry later");
-            continue;
-        }
-        shared.connections.fetch_add(1, Ordering::SeqCst);
-        let conn_shared = Arc::clone(shared);
-        let spawned = std::thread::Builder::new()
-            .name("ri-serve-conn".into())
-            .spawn(move || {
-                handle_connection(&conn_shared, stream);
-                conn_shared.connections.fetch_sub(1, Ordering::SeqCst);
-            });
-        if spawned.is_err() {
-            // Thread exhaustion: shed the connection instead of dying.
-            shared.connections.fetch_sub(1, Ordering::SeqCst);
-        }
+impl Service for Shared {
+    fn front(&self) -> &Front {
+        &self.front
     }
-}
 
-/// Answer a connection the acceptor cannot hand to a handler thread with
-/// a quick `503` envelope (short write timeout — the acceptor must never
-/// block on a slow peer).
-fn reject_connection(shared: &Shared, mut stream: TcpStream, why: &str) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    respond_error(
-        shared,
-        &mut stream,
-        &ServeError::new(ServeErrorKind::Overloaded, why),
-        false,
-    );
-}
-
-/// Per-connection protocol: read requests off the connection for as long
-/// as the client keeps it alive (HTTP/1.1 persistent connections; the
-/// carry buffer keeps pipelined bytes between reads), routing each and
-/// writing one JSON response per request. Errors become structured
-/// [`ServeError`] bodies — never silent connection drops — and close the
-/// connection afterwards, since framing beyond a malformed request is
-/// unknowable.
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
-    // Socket timeouts derive from the queue deadline, not a magic 10 s:
-    // a client is given at least the full deadline window to feed or
-    // drain a request before the socket gives up on it.
-    let io_timeout = Duration::from_millis(shared.cfg.deadline_ms.max(10_000));
-    let _ = stream.set_read_timeout(Some(io_timeout));
-    let _ = stream.set_write_timeout(Some(io_timeout));
-    let _ = stream.set_nodelay(true);
-
-    let mut carry = Vec::new();
-    loop {
+    /// Route one request, applying this request's fault (if any) first.
+    fn handle(
+        self: &Arc<Self>,
+        stream: &mut TcpStream,
+        request: &HttpRequest,
+        keep_alive: bool,
+    ) -> bool {
+        let shared = self;
         // An emulated crash (in-process `crash-after`): the shard is
         // dark — drop the connection without a byte, exactly like a dead
         // process's RSTs look to the peer.
         if shared.chaos.crashed.load(Ordering::SeqCst) {
             let _ = stream.shutdown(Shutdown::Both);
-            return;
+            return false;
         }
-        let request =
-            match read_request_buffered(&mut stream, &mut carry, shared.cfg.max_body_bytes) {
-                Ok(r) => r,
-                Err(e) => {
-                    let err = match e {
-                        // The client finished and closed between requests:
-                        // the normal end of a keep-alive connection.
-                        ReadError::Closed => return,
-                        ReadError::BodyTooLarge {
-                            declared,
-                            limit,
-                            buffered,
-                        } => {
-                            // Drain (bounded) what the client is still sending so
-                            // the 413 is not lost to a connection reset mid-write.
-                            // Body bytes that arrived with the head are already
-                            // consumed — re-requesting them would stall until the
-                            // read timeout.
-                            drain(&mut stream, declared.saturating_sub(buffered).min(4 << 20));
-                            ServeError::new(
-                                ServeErrorKind::BodyTooLarge,
-                                format!("body of {declared} bytes exceeds the {limit}-byte limit"),
-                            )
-                        }
-                        ReadError::BadRequest(msg) => ServeError::bad_request(msg),
-                        // A socket error mid-read (including the 10s idle
-                        // timeout on a quiet keep-alive connection) has no
-                        // client left to answer.
-                        ReadError::Io(_) => return,
-                    };
-                    respond_error(shared, &mut stream, &err, false);
-                    return;
-                }
-            };
-
-        // Honor the client's keep-alive preference, but force the final
-        // response of a draining server to close.
-        let keep_alive = request.keep_alive() && !shared.draining.load(Ordering::SeqCst);
 
         // The propagated end-to-end budget (router ingress sets it,
         // decrementing per hop): clamps this request's queue deadline.
@@ -542,7 +430,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                     std::process::exit(3);
                 }
                 let _ = stream.shutdown(Shutdown::Both);
-                return;
+                return false;
             }
             Some(FaultKind::Latency { ms }) => std::thread::sleep(Duration::from_millis(ms)),
             Some(FaultKind::Err503) => {
@@ -550,16 +438,8 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                     ServeErrorKind::Overloaded,
                     "chaos: injected spurious 503; retry elsewhere",
                 );
-                respond_error(
-                    shared,
-                    &mut ChaosWriter::new(&stream, None),
-                    &err,
-                    keep_alive,
-                );
-                if !keep_alive {
-                    return;
-                }
-                continue;
+                respond_error(shared, stream, &err, keep_alive);
+                return true;
             }
             Some(f @ (FaultKind::Stall { .. } | FaultKind::DropMidResponse)) => {
                 write_fault = Some(f);
@@ -570,7 +450,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
         // All responses for this request flow through one chaos-aware
         // writer, so stall/drop faults apply uniformly wherever the
         // handler answers from.
-        let mut out = ChaosWriter::new(&stream, write_fault);
+        let mut out = ChaosWriter::new(stream, write_fault);
         match (method, path) {
             ("POST", "/solve") => {
                 handle_solve(shared, &mut out, &request.body, keep_alive, budget_ms)
@@ -601,7 +481,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             | (_, "/admin/chaos") => {
                 let err = ServeError::new(
                     ServeErrorKind::MethodNotAllowed,
-                    format!("{} is not supported on {}", request.method, request.path),
+                    format!("{method} is not supported on {path}"),
                 );
                 respond_error(shared, &mut out, &err, keep_alive);
             }
@@ -616,9 +496,11 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 respond_error(shared, &mut out, &err, keep_alive);
             }
         }
-        if out.severed() || !keep_alive {
-            return;
-        }
+        !out.severed()
+    }
+
+    fn reject(&self, stream: &mut TcpStream, err: &ServeError) {
+        respond_error(self, stream, err, false);
     }
 }
 
@@ -873,7 +755,7 @@ fn handle_stream_open(
     // A draining server sheds state-advancing stream requests with a
     // retryable error, so a router reopens the session elsewhere instead
     // of parking new state on a shard about to disappear.
-    if shared.draining.load(Ordering::SeqCst) {
+    if shared.front.draining() {
         let err = ServeError::new(ServeErrorKind::Overloaded, "server is draining");
         respond_error(shared, stream, &err, keep_alive);
         return;
@@ -930,7 +812,7 @@ fn handle_stream_session(
         // retryably (reads and closes below still work — closing frees
         // state, which is exactly what a drain wants). The batch never
         // ran, so a router can safely replay the session elsewhere.
-        ("POST", "batch") if shared.draining.load(Ordering::SeqCst) => Err(ServeError::new(
+        ("POST", "batch") if shared.front.draining() => Err(ServeError::new(
             ServeErrorKind::Overloaded,
             "server is draining",
         )),
@@ -1045,19 +927,6 @@ fn run_job(shared: &Shared, job: &Job) -> Result<ServeResponse, ServeError> {
     }
 }
 
-/// Read and discard up to `limit` bytes (stops on error or EOF).
-fn drain(stream: &mut impl std::io::Read, limit: usize) {
-    let mut remaining = limit;
-    let mut buf = [0u8; 8192];
-    while remaining > 0 {
-        let take = remaining.min(8192);
-        match stream.read(&mut buf[..take]) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => remaining -= n,
-        }
-    }
-}
-
 /// Estimated wait (in milliseconds) until an executor frees up: queue
 /// depth × mean service time ÷ executor width, clamped to a sane band.
 /// This is what `Retry-After` on a `503` reports — actual queue
@@ -1109,7 +978,7 @@ fn respond_error(shared: &Shared, stream: &mut impl Write, err: &ServeError, kee
 /// session-map lock (never held across a solve or a batch), so health
 /// stays responsive under full load.
 fn health_value(shared: &Shared) -> Value {
-    let status = if shared.draining.load(Ordering::SeqCst) {
+    let status = if shared.front.draining() {
         "draining"
     } else {
         "ok"
