@@ -12,6 +12,7 @@
 //! ri --problem delaunay --n 1000 --seed 7 --shape uniform-disk --mode parallel --threads 4
 //! ri --list                         # registered problem names + descriptions
 //! ri witness replay <file>          # re-execute a witness log, assert bit-identity
+//! ri report <claim> [arg]           # one of the paper's claims as a table
 //! ```
 //!
 //! `witness replay` loads an `ri-router` witness log (one JSON record per
@@ -21,6 +22,9 @@
 //! deltas **and** the deterministic round traces come back bit-identical:
 //! the cross-shard determinism gate. Prints a one-line JSON summary;
 //! exits nonzero if any record diverges.
+//!
+//! `report` prints one of the paper's quantitative claims as a table (see
+//! [`ri_bench::report`]); `ri report` alone lists the claims.
 //!
 //! `workload.seed` seeds the input generator; `config.seed` seeds run-time
 //! randomness (processing orders). Omitted fields take their defaults
@@ -32,6 +36,7 @@
 use std::io::Read;
 
 use parallel_ri::registry;
+use ri_bench::report;
 use ri_core::engine::envelope::check_seed;
 use ri_core::engine::json::Value;
 use ri_core::engine::registry::Registry;
@@ -50,6 +55,7 @@ fn usage_text() -> &'static str {
      \x20         [--mode sequential|parallel|relaxed:k] [--run-seed S] [--threads K] [--no-instrument]\n\
      \x20      ri --list\n\
      \x20      ri witness replay <file>\n\
+     \x20      ri report <claim> [arg]\n\
      \n\
      The request JSON shape is {\"problem\": <name>, \"workload\": {n, seed, shape?, param?},\n\
      \"config\": {seed, mode, threads?, instrument?}}; the response echoes\n\
@@ -59,7 +65,9 @@ fn usage_text() -> &'static str {
      (one-shot solves and streamed session batches alike) and exits nonzero\n\
      unless all answers, per-batch deltas and round traces reproduce\n\
      bit-identically; relaxed-mode records gate on answer equality only\n\
-     (their round traces follow the relaxed schedule by design)."
+     (their round traces follow the relaxed schedule by design).\n\
+     `report` prints one of the paper's claims as a table; `ri report`\n\
+     alone lists them."
 }
 
 fn usage() -> ! {
@@ -200,6 +208,18 @@ fn witness_command(reg: &Registry, args: &[String]) {
     }
 }
 
+/// `ri report <claim> [arg]`: print one claim's table; `ri report` alone
+/// lists the claims with their arguments.
+fn report_command(reg: &Registry, args: &[String]) {
+    match args.first() {
+        Some(claim) => print!(
+            "{}",
+            report::run(reg, claim, &args[1..]).unwrap_or_else(|e| fail(e))
+        ),
+        None => print!("{}", report::CLAIMS),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -219,6 +239,10 @@ fn main() {
     }
     if args[0] == "witness" {
         witness_command(&reg, &args[1..]);
+        return;
+    }
+    if args[0] == "report" {
+        report_command(&reg, &args[1..]);
         return;
     }
 

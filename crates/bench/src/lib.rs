@@ -1,69 +1,25 @@
 //! # `ri-bench` — the experiment harness and the `ri` CLI driver
 //!
-//! Regenerates every table, figure, and quantitative theorem claim of the
-//! paper (the experiment index lives in `DESIGN.md` §4; results are
-//! recorded in `EXPERIMENTS.md`).
+//! Regenerates every table and quantitative theorem claim of the paper
+//! through one command, `ri report <claim> [arg]` (the [`report`] module;
+//! run with `cargo run -p ri-bench --release --bin ri -- report <claim>`):
 //!
-//! Report binaries (run with `cargo run -p ri-bench --release --bin <name>`):
-//!
-//! | Binary | Experiment | Paper artifact |
+//! | Claim | Argument (default) | Paper artifact |
 //! |---|---|---|
-//! | `ri` | — | the registry-driven CLI: any problem by name, JSON in/out |
-//! | `table1` | E1–E8 | Table 1 (all seven rows) |
-//! | `depth_scaling` | E1, E2, E14 | Thm 2.1/4.3, Lemma 3.1 depth growth |
-//! | `incircle_constant` | E3 | Thm 4.5 (`24 n ln n`, 36 ablation) |
-//! | `special_iterations` | E4–E6, E13 | Thm 2.2/5.1–5.3 special counts |
-//! | `lelist_lengths` | E7 | Thm 6.2 / Cohen list lengths |
-//! | `scc_visits` | E8 | Thm 6.4 per-vertex visit bound |
-//! | `dependence_counts` | E9 | Corollary 2.4 (`2 n ln n`) |
-//! | `dependence_histogram` | E10 | Lemma 2.5 geometric tail |
+//! | `table1` | `log2_n` (14), `--json` | Table 1 (all seven rows) |
+//! | `depth_scaling` | seeds (5) | Thm 2.1/4.3, Lemma 3.1 depth growth |
+//! | `incircle_constant` | seeds (5) | Thm 4.5 (`24 n ln n`, 36 ablation) |
+//! | `special_iterations` | seeds (10) | Thm 2.2/5.1–5.3 special counts |
+//! | `lelist_lengths` | seeds (3) | Thm 6.2 / Cohen list lengths |
+//! | `scc_visits` | seeds (3) | Thm 6.4 per-vertex visit bound |
+//! | `dependence_counts` | seeds (5) | Corollary 2.4 (`2 n ln n`) |
+//! | `dependence_histogram` | `log2_n` (16) | Lemma 2.5 geometric tail |
 //!
-//! Every binary drives the algorithms through the unified engine
-//! (`*Problem::solve(&RunConfig)` or the [`parallel_ri::registry`]);
-//! the pre-engine entry points are gone. Point workload generation lives
-//! in [`ri_geometry::point_workload`].
-//!
-//! Criterion wall-clock benches (`cargo bench -p ri-bench`) compare the
-//! sequential and parallel implementations of each Table 1 row on this
-//! machine.
+//! The crate's three binaries: `ri` (the registry-driven CLI: any problem
+//! by name, JSON in/out, witness replay, and the reports above),
+//! `speedup` (seq / par / relaxed wall time per width) and `loadgen` (the
+//! serving-tier load generator). Criterion wall-clock benches
+//! (`cargo bench -p ri-bench`) compare the sequential and parallel
+//! implementations of each Table 1 row on this machine.
 
-/// Geometric size sweep `2^lo ..= 2^hi`.
-pub fn sizes(lo: u32, hi: u32) -> Vec<usize> {
-    (lo..=hi).map(|k| 1usize << k).collect()
-}
-
-/// Print a horizontal rule sized to a header line.
-pub fn rule(header: &str) {
-    println!("{}", "-".repeat(header.len()));
-}
-
-/// Mean of a slice.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
-/// Max of a slice.
-pub fn fmax(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sizes_sweep() {
-        assert_eq!(sizes(3, 5), vec![8, 16, 32]);
-    }
-
-    #[test]
-    fn stats_helpers() {
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(fmax(&[1.0, 5.0, 3.0]), 5.0);
-        assert_eq!(mean(&[]), 0.0);
-    }
-}
+pub mod report;

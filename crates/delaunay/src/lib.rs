@@ -19,9 +19,8 @@
 //!   number of rounds is the triangle-dependence depth, `O(log n)` whp
 //!   (Theorem 4.3).
 //!
-//! **Substitution note (documented in `DESIGN.md`):** instead of a huge
-//! finite bounding triangle, the triangulation is seeded with the first
-//! non-collinear triple of the insertion order plus one *symbolic point at
+//! **Substitution note:** instead of a huge finite bounding triangle, the
+//! triangulation is seeded with the first non-collinear triple of the insertion order plus one *symbolic point at
 //! infinity* `ω`; the conflict region of a hull triangle `(a, b, ω)` is the
 //! closed half-plane left of the directed hull edge `(a → b)`
 //! (`orient2d(a,b,x) ≥ 0`). Fact 4.1 extends to these triangles (the
@@ -65,10 +64,4 @@ pub struct DtResult {
     /// Parallel runs: per-round log (`rounds()` = dependence depth).
     /// `None` for sequential runs.
     pub rounds: Option<ri_pram::RoundLog>,
-    /// Relaxed runs: out-of-priority-order pops of the scheduler
-    /// (0 otherwise).
-    pub rank_inversions: u64,
-    /// Relaxed runs: popped tasks that had gone stale by fire time and
-    /// were re-enqueued for the next round (0 otherwise).
-    pub wasted_retries: u64,
 }

@@ -25,7 +25,6 @@ use crate::seq::{build_seed, merge_conflicts};
 use crate::{DtResult, DtStats};
 
 /// One scheduled `ReplaceBoundary` call.
-#[derive(PartialEq, Eq)]
 struct Task {
     key: u64,
     /// The side being replaced (the triangle `min(E(t))` conflicts with).
@@ -227,158 +226,6 @@ pub(crate) fn delaunay_parallel_impl(points: &[Point2]) -> DtResult {
         mesh,
         stats,
         rounds: Some(log),
-        rank_inversions: 0,
-        wasted_retries: 0,
-    }
-}
-
-/// Algorithm 5 under a k-relaxed scheduler. Each round classifies the
-/// candidate faces exactly as [`delaunay_parallel_impl`], but fires them
-/// in [`MultiQueue`] pop order (priority = the point being inserted),
-/// committing sub-batches of `k` and revalidating every popped task
-/// against the *current* mesh: a task an earlier sub-batch invalidated
-/// (its face was rewired) is deferred to the next round and counted as a
-/// wasted retry. Lemma 4.2 licenses firing any subset of currently-active
-/// faces, so the final triangulation is identical to the exact runs —
-/// only the work counters (and the round log) are schedule-dependent.
-pub(crate) fn delaunay_relaxed_impl(points: &[Point2], k: usize, seed: u64) -> DtResult {
-    let order = seed_order(points);
-    let points_in_order: Vec<Point2> = order.iter().map(|&i| points[i]).collect();
-    let n = points_in_order.len();
-
-    let mut stats = DtStats::default();
-    let (mut mesh, seed_tris) = build_seed(points_in_order, &mut stats);
-
-    let mut face_map = ConcurrentPairMap::with_capacity(8 * n + 64);
-    let mut candidates: Vec<u64> = scratch::take_vec();
-    let mut next: Vec<u64> = scratch::take_vec();
-    let mut tasks: Vec<Task> = Vec::new();
-    for tri in seed_tris {
-        let id = mesh.triangles.len() as u32;
-        for (u, w) in tri.directed_faces() {
-            let key = face_key(u, w);
-            face_map.insert(key, id as u64);
-            candidates.push(key);
-        }
-        mesh.triangles.push(tri);
-        stats.triangles_created += 1;
-    }
-    candidates.sort_unstable();
-    candidates.dedup();
-
-    let mq: ri_pram::MultiQueue<Task> = ri_pram::MultiQueue::new(k, seed);
-    let mut batch: Vec<(u64, Task)> = Vec::new();
-    let mut valid: Vec<Task> = Vec::new();
-    let mut wasted = 0u64;
-    let mut log = RoundLog::new();
-    while !candidates.is_empty() {
-        tasks.clear();
-        if grain::parallel_round(candidates.len()) {
-            let chunk = candidates.len().div_ceil(rayon::recommended_splits());
-            let parts: Vec<Vec<Task>> = candidates
-                .par_chunks(chunk)
-                .map(|keys| {
-                    keys.iter()
-                        .filter_map(|&key| classify_face(&face_map, &mesh, key))
-                        .collect()
-                })
-                .collect();
-            for p in parts {
-                tasks.extend(p);
-            }
-        } else {
-            tasks.extend(
-                candidates
-                    .iter()
-                    .filter_map(|&key| classify_face(&face_map, &mesh, key)),
-            );
-        }
-        if tasks.is_empty() {
-            break;
-        }
-
-        // Refill the (reused) relaxed queue: priorities restart each
-        // round, so each refill is its own inversion epoch.
-        mq.begin_epoch();
-        for task in tasks.drain(..) {
-            mq.push(task.v as u64, task);
-        }
-        next.clear();
-        let mut round_tasks = 0usize;
-        let mut round_work = 0u64;
-        loop {
-            batch.clear();
-            if mq.pop_batch(k, &mut batch) == 0 {
-                break;
-            }
-            // Revalidate against the current mesh: the first sub-batch of
-            // a round is always intact (nothing fired since it was
-            // classified), so every round commits at least one task.
-            valid.clear();
-            for (_, task) in batch.drain(..) {
-                match classify_face(&face_map, &mesh, task.key) {
-                    Some(now) if now == task => valid.push(task),
-                    _ => {
-                        wasted += 1;
-                        next.push(task.key);
-                    }
-                }
-            }
-            if valid.is_empty() {
-                continue;
-            }
-            let new_tris = fire_tasks(&mesh, &valid);
-            let base = mesh.triangles.len() as u32;
-            for nt in &new_tris {
-                stats.incircle_tests += nt.stats.incircle_tests;
-                stats.orient_tests += nt.stats.orient_tests;
-                stats.skipped_tests += nt.stats.skipped_tests;
-                round_work += nt.stats.incircle_tests + nt.stats.orient_tests;
-            }
-            stats.triangles_created += new_tris.len();
-            round_tasks += new_tris.len();
-            next.reserve(3 * new_tris.len());
-            for (off, nt) in new_tris.into_iter().enumerate() {
-                let id = base + off as u32;
-                mesh.triangles.push(Triangle {
-                    v: nt.verts,
-                    conflicts: nt.conflicts,
-                });
-                let replaced = face_map.replace(nt.key, nt.dead as u64, id as u64);
-                assert!(replaced, "face map lost the dead side of {:?}", nt.verts);
-                next.push(nt.key);
-                for (u, w) in mesh.triangles[id as usize].directed_faces() {
-                    let k = face_key(u, w);
-                    if k != nt.key {
-                        face_map.insert(k, id as u64);
-                        next.push(k);
-                    }
-                }
-            }
-            if face_map.should_grow() {
-                face_map.grow();
-            }
-        }
-        next.sort_unstable();
-        next.dedup();
-        std::mem::swap(&mut candidates, &mut next);
-        log.record(round_tasks, round_work);
-    }
-    scratch::put_vec(candidates);
-    scratch::put_vec(next);
-
-    debug_assert!(
-        mesh.triangles
-            .iter()
-            .all(|t| t.conflicts.is_empty() || t.min_conflict() != NO_CONFLICT),
-        "sanity"
-    );
-    DtResult {
-        mesh,
-        stats,
-        rounds: Some(log),
-        rank_inversions: mq.rank_inversions(),
-        wasted_retries: wasted,
     }
 }
 
@@ -423,23 +270,6 @@ mod tests {
                 "triangulations differ at seed {seed}"
             );
             assert_eq!(seq.stats, par.stats, "work counters differ at seed {seed}");
-        }
-    }
-
-    #[test]
-    fn relaxed_matches_sequential_mesh() {
-        for seed in 0..4 {
-            let pts = workload(200, seed, PointDistribution::UniformSquare);
-            let seq = delaunay_sequential_impl(&pts);
-            for k in [1usize, 4, 64] {
-                let rel = delaunay_relaxed_impl(&pts, k, seed ^ 0x99);
-                rel.mesh.validate().unwrap();
-                assert_eq!(
-                    sorted_tris(&seq.mesh),
-                    sorted_tris(&rel.mesh),
-                    "k={k} seed={seed}: relaxed firing must preserve the mesh"
-                );
-            }
         }
     }
 

@@ -64,15 +64,17 @@ impl Executable for DtExec<'_> {
             ExecMode::Parallel => report.phase("solve", cfg.instrument, |_| {
                 crate::par::delaunay_parallel_impl(self.points)
             }),
-            // Native relaxed loop: Lemma 4.2 admits firing any subset of
-            // active faces, so the k-relaxed schedule reproduces the same
-            // triangulation with schedule-dependent work counters.
-            ExecMode::Relaxed { k } => report.phase("solve", cfg.instrument, |_| {
-                crate::par::delaunay_relaxed_impl(self.points, k, cfg.seed)
-            }),
+            // No native relaxed loop: k-relaxed face firing lost to exact
+            // parallel at every measured width, so relaxed requests run
+            // the exact parallel path and say so in the report.
+            ExecMode::Relaxed { .. } => {
+                report.relaxed_fallback =
+                    Some("delaunay has no native relaxed loop; ran exact parallel".into());
+                report.phase("solve", cfg.instrument, |_| {
+                    crate::par::delaunay_parallel_impl(self.points)
+                })
+            }
         };
-        report.rank_inversions = result.rank_inversions;
-        report.wasted_retries = result.wasted_retries;
         let work = result.stats.incircle_tests + result.stats.orient_tests;
         match result.rounds {
             Some(log) => {

@@ -252,8 +252,6 @@ pub(crate) fn delaunay_sequential_impl(points: &[Point2]) -> DtResult {
         mesh: st.mesh,
         stats: st.stats,
         rounds: None,
-        rank_inversions: 0,
-        wasted_retries: 0,
     }
 }
 

@@ -99,9 +99,10 @@ impl Executable for LeExec<'_> {
             ExecMode::Parallel => report.phase("solve", cfg.instrument, |_| {
                 le_lists_parallel_impl(self.g, order)
             }),
-            // No native relaxed loop: the hand-rolled doubling rounds here
-            // bypass `execute_type3`, so relaxed requests run the exact
-            // parallel path and say so in the report.
+            // No native relaxed loop: the parallel path runs
+            // `execute_type3` under its own fixed parallel config, not
+            // `cfg`, so relaxed requests run the exact parallel path and
+            // say so in the report.
             ExecMode::Relaxed { .. } => {
                 report.relaxed_fallback =
                     Some("le-lists has no native relaxed loop; ran exact parallel".into());

@@ -15,9 +15,8 @@
 //! (d−1)-dimensional sub-problem. The base case `d = 1` is interval
 //! clipping.
 //!
-//! Scope note (documented in DESIGN.md): the top level runs through the
-//! Type 2 executor (parallel violation checks); the recursive sub-solves
-//! are sequential, so this demonstrates the *work* structure (`O(d!·n)`
+//! Scope note: the top level runs through the Type 2 executor (parallel
+//! violation checks); the recursive sub-solves are sequential, so this demonstrates the *work* structure (`O(d!·n)`
 //! expected, `O(d·H_n)` expected specials at the top level) rather than
 //! the paper's full `O(d! log^{d-1} n)` depth bound, which would need the
 //! prefix-doubling executor at every recursion level.

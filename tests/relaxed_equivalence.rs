@@ -1,7 +1,7 @@
 //! The relaxed-execution gate: for **every** registered problem, a
 //! `relaxed:k` run must produce the same answer as the exact parallel
 //! schedule — natively where the problem has a k-relaxed loop (sort,
-//! closest-pair, delaunay, scc), via the reported exact-parallel fallback
+//! closest-pair, scc), via the reported exact-parallel fallback
 //! everywhere else — at every relaxation factor and pool width.
 
 use parallel_ri::registry;
@@ -22,7 +22,7 @@ const ALL_PROBLEMS: [&str; 9] = [
 ];
 
 /// The problems with a first-class relaxed loop (no fallback).
-const NATIVE_RELAXED: [&str; 4] = ["sort", "closest-pair", "delaunay", "scc"];
+const NATIVE_RELAXED: [&str; 3] = ["sort", "closest-pair", "scc"];
 
 /// A small but non-trivial instance per problem.
 fn small_spec(name: &str) -> WorkloadSpec {
