@@ -2,15 +2,8 @@
 //! prefix-doubling parallel executor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ri_core::engine::{Problem, RunConfig};
-
-fn seq_cfg() -> RunConfig {
-    RunConfig::new().sequential().instrument(false)
-}
-
-fn par_cfg() -> RunConfig {
-    RunConfig::new().parallel().instrument(false)
-}
+use ri_bench::{par_cfg, seq_cfg};
+use ri_core::engine::Problem;
 
 fn bench_lp(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp");

@@ -66,8 +66,8 @@ fn usage_text() -> &'static str {
      unless all answers, per-batch deltas and round traces reproduce\n\
      bit-identically; relaxed-mode records gate on answer equality only\n\
      (their round traces follow the relaxed schedule by design).\n\
-     `report` prints one of the paper's claims as a table; `ri report`\n\
-     alone lists them."
+     `report` prints one of the paper's claims as a table (`table1 --json`\n\
+     adds each run's report as a JSON line); `ri report` alone lists them."
 }
 
 fn usage() -> ! {
@@ -208,18 +208,6 @@ fn witness_command(reg: &Registry, args: &[String]) {
     }
 }
 
-/// `ri report <claim> [arg]`: print one claim's table; `ri report` alone
-/// lists the claims with their arguments.
-fn report_command(reg: &Registry, args: &[String]) {
-    match args.first() {
-        Some(claim) => print!(
-            "{}",
-            report::run(reg, claim, &args[1..]).unwrap_or_else(|e| fail(e))
-        ),
-        None => print!("{}", report::CLAIMS),
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -242,7 +230,10 @@ fn main() {
         return;
     }
     if args[0] == "report" {
-        report_command(&reg, &args[1..]);
+        print!(
+            "{}",
+            report::run(&reg, &args[1..]).unwrap_or_else(|e| fail(e))
+        );
         return;
     }
 

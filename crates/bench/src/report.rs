@@ -8,6 +8,7 @@
 //! has no matching instance (the unscattered LE-list grid). Each table
 //! ends with its shape check: what the paper predicts its columns show.
 
+use crate::{par_cfg, seq_cfg};
 use ri_core::engine::{OutputSummary, Problem, Registry, RunConfig, RunReport, WorkloadSpec};
 use ri_core::harmonic;
 use ri_geometry::PointDistribution;
@@ -15,38 +16,45 @@ use ri_graph::generators::{gnm, planted_sccs, random_dag, rmat};
 use ri_graph::CsrGraph;
 use ri_pram::random_permutation;
 
-/// `ri report`'s listing: each claim, its one optional argument (with its
-/// default), and what it reproduces.
-pub const CLAIMS: &str = "\
-table1                [log2_n=14] [--json]  Table 1: work ratio and depth, all seven problems
-depth_scaling         [seeds=5]             Lemma 3.1, Thm 4.3: Θ(log n) dependence depth
-incircle_constant     [seeds=5]             Thm 4.5: InCircle tests vs 24 n ln n (36 w/o Fact 4.1)
-special_iterations    [seeds=10]            Thm 2.2, 5.1–5.3: specials vs 2H_n / 3H_n
-lelist_lengths        [seeds=3]             Thm 6.2: LE-list lengths and Type 3 work
-scc_visits            [seeds=3]             Thm 6.4: O(log n) searches visit each vertex
-dependence_counts     [seeds=5]             Cor. 2.4: at most 2 n ln n dependences
-dependence_histogram  [log2_n=16]           Lemma 2.5: 2^-l left-dependence tail
-";
+/// A claim's table, built from its one argument.
+type Build = fn(&Registry, u64) -> Table;
 
-/// Run `claim` with its arguments and return the rendered table.
-pub fn run(reg: &Registry, claim: &str, args: &[String]) -> Result<String, String> {
-    // The one optional positional argument; absent or unparsable, the
-    // claim's default.
-    fn arg<T: std::str::FromStr>(args: &[String], default: T) -> T {
-        let arg = args.iter().find(|a| !a.starts_with("--"));
-        arg.and_then(|s| s.parse().ok()).unwrap_or(default)
-    }
-    let table = match claim {
-        "table1" => table1(reg, arg(args, 14), args.iter().any(|a| a == "--json")),
-        "depth_scaling" => depth_scaling(reg, arg(args, 5)),
-        "incircle_constant" => incircle_constant(reg, arg(args, 5)),
-        "special_iterations" => special_iterations(reg, arg(args, 10)),
-        "lelist_lengths" => lelist_lengths(reg, arg(args, 3)),
-        "scc_visits" => scc_visits(arg(args, 3)),
-        "dependence_counts" => dependence_counts(reg, arg(args, 5)),
-        "dependence_histogram" => dependence_histogram(arg(args, 16)),
-        _ => return Err(format!("unknown claim `{claim}`; claims:\n{CLAIMS}")),
+/// `ri report`'s claims: name, the one optional argument, that argument's
+/// default, and the table. Each table's doc says what it reproduces.
+const CLAIMS: [(&str, &str, u64, Build); 8] = [
+    ("table1", "log2_n", 14, table1),
+    ("depth_scaling", "seeds", 5, depth_scaling),
+    ("incircle_constant", "seeds", 5, incircle_constant),
+    ("special_iterations", "seeds", 10, special_iterations),
+    ("lelist_lengths", "seeds", 3, lelist_lengths),
+    ("scc_visits", "seeds", 3, scc_visits),
+    ("dependence_counts", "seeds", 5, dependence_counts),
+    ("dependence_histogram", "log2_n", 16, dependence_histogram),
+];
+
+/// Each claim on a line with its argument and that argument's default.
+fn listing() -> String {
+    let line = |(name, arg, default, _): &(&str, &str, u64, Build)| {
+        format!("{name:<21} [{arg}={default}]\n")
     };
+    CLAIMS.iter().map(line).collect()
+}
+
+/// `ri report <claim> [arg] [--json]`: the claim's table, with its appendix
+/// under `--json`; no claim, the listing. An absent or unparsable argument
+/// takes the claim's default.
+pub fn run(reg: &Registry, args: &[String]) -> Result<String, String> {
+    let Some((claim, args)) = args.split_first() else {
+        return Ok(listing());
+    };
+    let Some(&(_, _, default, build)) = CLAIMS.iter().find(|c| c.0 == claim) else {
+        return Err(format!("unknown claim `{claim}`; claims:\n{}", listing()));
+    };
+    let arg = args.iter().find(|a| !a.starts_with("--"));
+    let mut table = build(reg, arg.and_then(|s| s.parse().ok()).unwrap_or(default));
+    if !args.iter().any(|a| a == "--json") {
+        table.appendix.clear();
+    }
     Ok(table.render())
 }
 
@@ -56,7 +64,7 @@ struct Table {
     columns: Vec<&'static str>,
     rows: Vec<Vec<String>>,
     footer: &'static str,
-    /// Lines printed after the footer (`table1 --json`'s reports).
+    /// Lines printed after the footer under `--json` (`table1`'s reports).
     appendix: Vec<String>,
 }
 
@@ -187,11 +195,14 @@ fn bst_height(n: usize) -> f64 {
     4.311 * (n as f64).ln()
 }
 
+/// How a `table1` row reads a run's work.
+type Work = fn(&Run) -> u64;
+
 /// Table 1: for each of the seven problems, the *work ratio* (parallel /
 /// sequential work: 1 for Types 1–2, a constant for Type 3) and the
-/// measured depth (rounds) against the theorem's prediction. `json` adds
-/// one report JSON line per run.
-fn table1(reg: &Registry, log2n: u32, json: bool) -> Table {
+/// measured depth (rounds) against the theorem's prediction, and each
+/// run's report as a JSON line in the appendix.
+fn table1(reg: &Registry, log2n: u64) -> Table {
     let n = 1usize << log2n;
     let seed = 7u64;
     let hn = harmonic(n);
@@ -206,39 +217,83 @@ fn table1(reg: &Registry, log2n: u32, json: bool) -> Table {
          rounds — the machine-independent quantity the theorems bound\n\
          (wall-clock comparisons live in `cargo bench`).",
     );
-    // (row, problem, work: a summary metric or the report's `checks`)
-    for (label, name, measure) in [
-        ("sorting (1)", "sort", "comparisons"),
-        ("delaunay (1, nested)", "delaunay", "incircle_tests"),
-        ("2d linear program (2)", "lp", "checks"),
-        ("closest pair (2)", "closest-pair", "checks"),
-        ("smallest disk (2)", "enclosing", "contains_tests"),
-        ("le-lists (3)", "le-lists", "checks"),
-        ("scc (3)", "scc", "checks"),
-    ] {
-        // LE-lists and SCC draw their processing orders from the run seed.
-        let (spec, run_seed) = match name {
-            "le-lists" => (WorkloadSpec::new(n, seed).param(8.0), seed ^ 1),
-            "scc" => (WorkloadSpec::new(n, seed), seed ^ 2),
-            _ => (WorkloadSpec::new(n, seed), seed),
-        };
+    let spec = WorkloadSpec::new(n, seed);
+    let specials = |k: f64| format!("specials ≤ {k}H_n = {:.1}", k * hn);
+    let rounds = format!("⌈log₂ n⌉+1 = {}", log2n + 1);
+    // (row, problem, workload, run seed, Type 1?, work, prediction). LE-lists
+    // and SCC draw their processing orders from the run seed.
+    let rows: [(_, _, _, _, _, Work, _); 7] = [
+        (
+            "sorting (1)",
+            "sort",
+            spec.clone(),
+            seed,
+            true,
+            |r| field(&r.0, "comparisons") as u64,
+            format!("4.311·ln n = {:.0}", bst_height(n)),
+        ),
+        (
+            "delaunay (1, nested)",
+            "delaunay",
+            spec.clone(),
+            seed,
+            true,
+            |r| field(&r.0, "incircle_tests") as u64,
+            format!("O(log n), 24nlnn={:.1e}", 24.0 * n as f64 * (n as f64).ln()),
+        ),
+        (
+            "2d linear program (2)",
+            "lp",
+            spec.clone(),
+            seed,
+            false,
+            |r| r.1.checks,
+            specials(2.0),
+        ),
+        (
+            "closest pair (2)",
+            "closest-pair",
+            spec.clone(),
+            seed,
+            false,
+            |r| r.1.checks,
+            specials(2.0),
+        ),
+        (
+            "smallest disk (2)",
+            "enclosing",
+            spec.clone(),
+            seed,
+            false,
+            |r| field(&r.0, "contains_tests") as u64,
+            specials(3.0),
+        ),
+        (
+            "le-lists (3)",
+            "le-lists",
+            spec.clone().param(8.0),
+            seed ^ 1,
+            false,
+            |r| r.1.checks,
+            rounds.clone(),
+        ),
+        (
+            "scc (3)",
+            "scc",
+            spec,
+            seed ^ 2,
+            false,
+            |r| r.1.checks,
+            rounds,
+        ),
+    ];
+    for (label, name, spec, run_seed, type1, work, predicted) in rows {
         let [seq, par] = seq_par(reg, name, &spec, RunConfig::new().seed(run_seed));
-        if matches!(name, "sort" | "delaunay") {
+        if type1 {
             // Type 1 makes the sequential calls, reordered: equal work too.
             assert_eq!(seq.0, par.0, "{name}: Type 1 work differs");
         }
-        let work = |run: &Run| match measure {
-            "checks" => run.1.checks,
-            key => field(&run.0, key) as u64,
-        };
         let (seq_work, par_work) = (work(&seq), work(&par));
-        let predicted = match name {
-            "sort" => format!("4.311·ln n = {:.0}", bst_height(n)),
-            "delaunay" => format!("O(log n), 24nlnn={:.1e}", 24.0 * n as f64 * (n as f64).ln()),
-            "lp" | "closest-pair" => format!("specials ≤ 2H_n = {:.1}", 2.0 * hn),
-            "enclosing" => format!("specials ≤ 3H_n = {:.1}", 3.0 * hn),
-            _ => format!("⌈log₂ n⌉+1 = {}", log2n + 1),
-        };
         t.row(vec![
             label.into(),
             seq_work.to_string(),
@@ -247,9 +302,7 @@ fn table1(reg: &Registry, log2n: u32, json: bool) -> Table {
             par.1.depth.to_string(),
             predicted,
         ]);
-        if json {
-            t.appendix.extend([seq.1.to_json(), par.1.to_json()]);
-        }
+        t.appendix.extend([seq.1.to_json(), par.1.to_json()]);
     }
     t
 }
@@ -266,7 +319,7 @@ fn depth_scaling(reg: &Registry, seeds: u64) -> Table {
          bounds it by σ·H_n); Delaunay rounds/log₂n → constant (Theorem 4.3);\n\
          batch (Type 3) rounds = ⌈log₂ n⌉ + 1 exactly.",
     );
-    let par = RunConfig::new().parallel().instrument(false);
+    let par = par_cfg();
     for n in sizes(10, 16) {
         let log2n = (n as f64).log2();
         let mut rounds_equal_height = true;
@@ -306,7 +359,7 @@ fn incircle_constant(reg: &Registry, seeds: u64) -> Table {
          the worst-case 24 (the analysis charges 4 possible creators per\n\
          boundary edge — an over-count on average inputs).",
     );
-    let seq = RunConfig::new().sequential().instrument(false);
+    let seq = seq_cfg();
     for dist in [
         PointDistribution::UniformSquare,
         PointDistribution::UniformDisk,
@@ -354,7 +407,7 @@ fn special_iterations(reg: &Registry, seeds: u64) -> Table {
          per prefix is a small constant (Theorem 2.2's O(1) expected\n\
          sub-rounds); total checks are O(n) (the 'checks/n' column is flat).",
     );
-    let par = RunConfig::new().parallel().instrument(false);
+    let par = par_cfg();
     for n in sizes(10, 15) {
         let hn = harmonic(n);
         for (name, bound) in [("lp", 2.0), ("closest-pair", 2.0), ("enclosing", 3.0)] {
@@ -427,8 +480,8 @@ fn lelist_lengths(reg: &Registry, seeds: u64) -> Table {
         let g = ri_graph::generators::grid2d((n as f64).sqrt() as usize);
         let nn = g.num_vertices();
         let problem = ri_le_lists::LeListsProblem::new(&g).with_order(random_permutation(nn, 5));
-        let (seq, _) = problem.solve(&RunConfig::new().sequential().instrument(false));
-        let (par, _) = problem.solve(&RunConfig::new().parallel().instrument(false));
+        let (seq, _) = problem.solve(&seq_cfg());
+        let (par, _) = problem.solve(&par_cfg());
         assert_eq!(seq.lists, par.lists, "parallel must equal sequential");
         t.row(vec![
             "grid (unw.)".into(),
@@ -448,7 +501,7 @@ fn lelist_lengths(reg: &Registry, seeds: u64) -> Table {
 /// `O(log n)` reachability searches whp, across graph families with very
 /// different SCC structure. Typed: the summary carries the maximum visits
 /// per vertex but not their mean.
-fn scc_visits(seeds: u64) -> Table {
+fn scc_visits(_: &Registry, seeds: u64) -> Table {
     let mut t = Table::new(
         format!("SCC visit bounds ({seeds} seeds per config)"),
         "graph | n | log2 n | avg v/v | max v/v | queries | par/seq wk | rounds",
@@ -467,8 +520,6 @@ fn scc_visits(seeds: u64) -> Table {
             planted_sccs(&[n / 64; 64], 2 * n, n, s).0
         }),
     ];
-    let seq_cfg = RunConfig::new().sequential().instrument(false);
-    let par_cfg = RunConfig::new().parallel().instrument(false);
     for n in sizes(11, 14) {
         for (name, make) in families {
             let [avg_vv, max_vv, queries, ratio, rounds] = sweep(seeds, |seed| {
@@ -481,8 +532,8 @@ fn scc_visits(seeds: u64) -> Table {
                 // the Type 3 worst case, not a random order).
                 let order = random_permutation(nn, seed.wrapping_mul(0x9e37_79b9).wrapping_add(71));
                 let problem = ri_scc::SccProblem::new(&g).with_order(order);
-                let (seq, seq_report) = problem.solve(&seq_cfg);
-                let (par, par_report) = problem.solve(&par_cfg);
+                let (seq, seq_report) = problem.solve(&seq_cfg());
+                let (par, par_report) = problem.solve(&par_cfg());
                 assert_eq!(
                     ri_scc::canonical_labels(&seq.comp),
                     ri_scc::canonical_labels(&par.comp)
@@ -525,7 +576,7 @@ fn dependence_counts(reg: &Registry, seeds: u64) -> Table {
          2 n ln n; LE-list visits equal total list entries ≈ n·H_n = n ln n,\n\
          half the bound, since each visit is one dependence endpoint).",
     );
-    let seq = RunConfig::new().sequential().instrument(false);
+    let seq = seq_cfg();
     for n in sizes(10, 16) {
         let bound = 2.0 * n as f64 * (n as f64).ln();
         let [comps, visits] = sweep(seeds, |seed| {
@@ -555,10 +606,10 @@ fn dependence_counts(reg: &Registry, seeds: u64) -> Table {
 /// iterations of one round have a left dependence to a given later
 /// iteration is at most `2^{-l}`. Typed: the batched BST sort's histogram
 /// is not in its summary.
-fn dependence_histogram(log2n: u32) -> Table {
+fn dependence_histogram(_: &Registry, log2n: u64) -> Table {
     let n = 1usize << log2n;
     let seeds = 5u64;
-    let par = RunConfig::new().parallel().instrument(false);
+    let par = par_cfg();
     let mut hist: Vec<u64> = Vec::new();
     for seed in 0..seeds {
         let keys = random_permutation(n, seed);
@@ -637,25 +688,33 @@ mod tests {
     }
 
     #[test]
+    fn sizes_sweep() {
+        assert_eq!(sizes(3, 5).collect::<Vec<_>>(), vec![8, 16, 32]);
+    }
+
+    #[test]
     fn every_listed_claim_runs_and_unknown_ones_are_errors() {
         let reg = registry();
-        let err = run(&reg, "table2", &[]).unwrap_err();
-        assert!(err.ends_with(CLAIMS), "{err}");
-        for line in CLAIMS.lines() {
-            let claim = line.split_whitespace().next().unwrap();
+        let listing = run(&reg, &[]).unwrap();
+        let err = run(&reg, &["table2".into()]).unwrap_err();
+        assert!(err.ends_with(&listing), "{err}");
+        for (claim, arg, default, _) in CLAIMS {
+            assert!(listing.contains(&format!("{claim:<21} [{arg}={default}]")));
             // Sized claims run at n = 2^6; seeded ones with no seeds.
-            let arg = if line.contains("log2_n") { "6" } else { "0" };
-            let table = run(&reg, claim, &[arg.into()]).unwrap();
+            let arg = if arg == "log2_n" { "6" } else { "0" };
+            let table = run(&reg, &[claim.into(), arg.into()]).unwrap();
             assert!(table.contains("\n---"), "{claim}: {table}");
         }
     }
 
     #[test]
     fn table1_json_adds_one_report_per_run() {
-        let args = ["6".into(), "--json".into()];
-        let table1 = run(&registry(), "table1", &args).unwrap();
+        let args = ["table1".into(), "6".into(), "--json".into()];
+        let table1 = run(&registry(), &args).unwrap();
         assert!(table1.contains("n = 2^6 = 64 (seed 7)"));
         assert!(table1.contains(&format!("4.311·ln n = {:.0}", bst_height(64))));
         assert_eq!(table1.lines().filter(|l| l.starts_with('{')).count(), 14);
+        let plain = run(&registry(), &args[..2]).unwrap();
+        assert!(!plain.contains('{'), "{plain}");
     }
 }

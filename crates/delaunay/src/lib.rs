@@ -20,12 +20,13 @@
 //!   (Theorem 4.3).
 //!
 //! **Substitution note:** instead of a huge finite bounding triangle, the
-//! triangulation is seeded with the first non-collinear triple of the insertion order plus one *symbolic point at
-//! infinity* `ω`; the conflict region of a hull triangle `(a, b, ω)` is the
-//! closed half-plane left of the directed hull edge `(a → b)`
-//! (`orient2d(a,b,x) ≥ 0`). Fact 4.1 extends to these triangles (the
-//! half-plane/disk cap arguments in `mesh.rs`), so the work accounting is
-//! unchanged, and correctness never depends on a bounding-box scale factor.
+//! triangulation is seeded with the first non-collinear triple of the
+//! insertion order plus one *symbolic point at infinity* `ω`; the conflict
+//! region of a hull triangle `(a, b, ω)` is the closed half-plane left of
+//! the directed hull edge `(a → b)` (`orient2d(a,b,x) ≥ 0`). Fact 4.1
+//! extends to these triangles (the half-plane/disk cap arguments in
+//! `mesh.rs`), so the work accounting is unchanged, and correctness never
+//! depends on a bounding-box scale factor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,10 +16,11 @@
 //! clipping.
 //!
 //! Scope note: the top level runs through the Type 2 executor (parallel
-//! violation checks); the recursive sub-solves are sequential, so this demonstrates the *work* structure (`O(d!·n)`
-//! expected, `O(d·H_n)` expected specials at the top level) rather than
-//! the paper's full `O(d! log^{d-1} n)` depth bound, which would need the
-//! prefix-doubling executor at every recursion level.
+//! violation checks); the recursive sub-solves are sequential, so this
+//! demonstrates the *work* structure (`O(d!·n)` expected, `O(d·H_n)`
+//! expected specials at the top level) rather than the paper's full
+//! `O(d! log^{d-1} n)` depth bound, which would need the prefix-doubling
+//! executor at every recursion level.
 
 use ri_core::engine::{execute_type2, ExecMode, RunConfig, RunReport};
 use ri_core::Type2Algorithm;
