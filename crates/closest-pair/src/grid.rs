@@ -153,8 +153,7 @@ pub struct ClosestPairOutput {
 pub(crate) fn run_with(points: &[Point2], cfg: &RunConfig) -> (ClosestPairOutput, RunReport) {
     assert!(points.len() >= 2, "need at least two points");
     let mut st = GridState::new(points);
-    let mut report = execute_type2(&mut st, cfg);
-    report.algorithm = "closest-pair".to_string();
+    let report = execute_type2(&mut st, cfg);
     (
         ClosestPairOutput {
             pair: st.pair,

@@ -1,7 +1,7 @@
 //! The problem-level API: [`ClosestPairProblem`], solving through the
 //! unified engine to `(ClosestPairOutput, RunReport)`.
 
-use ri_core::engine::{Executable, Problem, RunConfig, RunReport, Runner};
+use ri_core::engine::{Problem, RunConfig, RunReport, Runner};
 use ri_geometry::Point2;
 
 pub use crate::grid::ClosestPairOutput;
@@ -36,32 +36,13 @@ impl<'a> ClosestPairProblem<'a> {
     }
 }
 
-struct CpExec<'a> {
-    points: &'a [Point2],
-    out: Option<ClosestPairOutput>,
-}
-
-impl Executable for CpExec<'_> {
-    fn name(&self) -> &str {
-        "closest-pair"
-    }
-    fn execute(&mut self, cfg: &RunConfig) -> RunReport {
-        let (out, report) = crate::grid::run_with(self.points, cfg);
-        self.out = Some(out);
-        report
-    }
-}
-
 impl Problem for ClosestPairProblem<'_> {
     type Output = ClosestPairOutput;
 
     fn solve(&self, cfg: &RunConfig) -> (ClosestPairOutput, RunReport) {
-        let mut exec = CpExec {
-            points: self.points,
-            out: None,
-        };
-        let report = Runner::new(cfg.clone()).run(&mut exec);
-        (exec.out.expect("execute always produces output"), report)
+        Runner::new(cfg.clone()).solve("closest-pair", |cfg| {
+            crate::grid::run_with(self.points, cfg)
+        })
     }
 }
 

@@ -6,48 +6,43 @@
 //! prefixes.
 
 use ri_core::engine::json::Value;
-use ri_core::engine::registry::{ErasedIncremental, ErasedProblem, OutputSummary, Registry};
-use ri_core::engine::session::{BatchDelta, FeedState};
+use ri_core::engine::registry::{
+    OutputSummary, PrefixSolution, PrefixStream, Registry, WorkloadSpec,
+};
 use ri_core::engine::{Problem, RunConfig, RunReport};
 use ri_geometry::{named_point_workload, Point2};
 
 use crate::ClosestPairProblem;
+
+/// The workload's points: the one generator call of the one-shot
+/// instance and the stream, so the final streamed prefix is the one-shot
+/// instance bit for bit.
+fn spec_points(spec: &WorkloadSpec) -> Result<Vec<Point2>, String> {
+    named_point_workload(
+        "closest-pair",
+        spec.n,
+        spec.seed,
+        spec.shape_or("uniform-square"),
+        2,
+    )
+}
 
 /// Register this crate's problem.
 pub fn register(reg: &mut Registry) {
     reg.register(
         "closest-pair",
         "grid-sieve incremental closest pair of a point workload (§5.2, Type 2)",
-        |spec| {
-            let points = named_point_workload(
-                "closest-pair",
-                spec.n,
-                spec.seed,
-                spec.shape_or("uniform-square"),
-                2,
-            )?;
-            Ok(Box::new(ClosestPairWorkload { points }))
+        spec_points,
+        |points, cfg| {
+            let (s, report, _, _) = summarize(points, cfg);
+            (s, report)
         },
     );
     reg.register_incremental("closest-pair", |spec| {
-        // Same generator call as the one-shot constructor, so the final
-        // streamed prefix is the one-shot instance bit for bit.
-        let points = named_point_workload(
-            "closest-pair",
-            spec.n,
-            spec.seed,
-            spec.shape_or("uniform-square"),
-            2,
-        )?;
-        // Capacity is the *deduplicated* point count, not spec.n: a
-        // duplicate-heavy shape shrinks the instance, and feeding past
-        // points.len() would index out of bounds.
-        let capacity = points.len();
-        Ok(Box::new(ClosestPairStream {
-            points,
-            state: FeedState::new(capacity),
+        Ok(ClosestPairStream {
+            points: spec_points(spec)?,
             prev_dist: None,
-        }))
+        })
     });
 }
 
@@ -61,59 +56,33 @@ fn summarize(points: &[Point2], cfg: &RunConfig) -> (OutputSummary, RunReport, (
     (s, report, out.pair, out.dist)
 }
 
-struct ClosestPairWorkload {
-    points: Vec<Point2>,
-}
-
-impl ErasedProblem for ClosestPairWorkload {
-    fn name(&self) -> &str {
-        "closest-pair"
-    }
-
-    fn solve_erased(&self, cfg: &RunConfig) -> (OutputSummary, RunReport) {
-        let (s, report, _, _) = summarize(&self.points, cfg);
-        (s, report)
-    }
-}
-
 /// The native streaming adapter: the delta is the running closest pair
 /// of the absorbed prefix, flagged `improved` when a batch tightened the
-/// distance. Prefixes of fewer than two points are pending.
+/// distance. Prefixes of fewer than two points are pending. Capacity is
+/// the *deduplicated* point count, not `spec.n`: a duplicate-heavy shape
+/// shrinks the instance.
 struct ClosestPairStream {
     points: Vec<Point2>,
-    state: FeedState,
     prev_dist: Option<f64>,
 }
 
-impl ErasedIncremental for ClosestPairStream {
-    fn name(&self) -> &str {
-        "closest-pair"
-    }
-
+impl PrefixStream for ClosestPairStream {
     fn capacity(&self) -> usize {
-        self.state.capacity()
-    }
-
-    fn absorbed(&self) -> usize {
-        self.state.absorbed()
-    }
-
-    fn native(&self) -> bool {
-        true
+        self.points.len()
     }
 
     fn approx_bytes(&self) -> usize {
         self.points.len() * std::mem::size_of::<Point2>() + 128
     }
 
-    fn feed(&mut self, count: usize, cfg: &RunConfig) -> Result<(BatchDelta, RunReport), String> {
-        let (batch, _lo, hi) = self.state.advance(count)?;
-        let capacity = self.state.capacity();
+    fn solve_prefix(
+        &mut self,
+        _lo: usize,
+        hi: usize,
+        cfg: &RunConfig,
+    ) -> Result<Option<PrefixSolution>, String> {
         if hi < 2 {
-            return Ok((
-                BatchDelta::pending(batch, count, hi, capacity),
-                RunReport::new("closest-pair"),
-            ));
+            return Ok(None);
         }
         let (summary, report, pair, dist) = summarize(&self.points[..hi], cfg);
         let improved = self.prev_dist.is_none_or(|prev| dist < prev);
@@ -124,10 +93,7 @@ impl ErasedIncremental for ClosestPairStream {
             ("dist".into(), Value::Num(dist)),
             ("improved".into(), Value::Bool(improved)),
         ]);
-        Ok((
-            BatchDelta::solved(batch, count, hi, capacity, delta, &summary, &report),
-            report,
-        ))
+        Ok(Some((delta, summary, report)))
     }
 }
 

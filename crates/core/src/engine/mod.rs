@@ -4,11 +4,14 @@
 //! algorithms, and a single execution record:
 //!
 //! * [`RunConfig`] — seed, [`ExecMode`], worker threads, instrumentation;
-//! * [`Runner`] — executes any [`Executable`] under a config inside a
-//!   scoped thread pool;
-//! * [`Type1Adapter`] / [`Type2Adapter`] / [`Type3Adapter`] — make every
-//!   algorithm written against the `Type1Algorithm` / `Type2Algorithm` /
-//!   `Type3Algorithm` traits executable through `Runner::run`;
+//! * [`Runner`] — [`Runner::solve`] runs one solve under a config at its
+//!   width and stamps the report: the one path every problem and every
+//!   trait algorithm runs through;
+//! * [`execute_type1`] / [`execute_type2`] / [`execute_type3`] — the
+//!   paper's three executors over the `Type1Algorithm` /
+//!   `Type2Algorithm` / `Type3Algorithm` traits; problems without a
+//!   native relaxed loop run relaxed configs as exact parallel through
+//!   [`RunConfig::relaxed_as_parallel`];
 //! * [`RunReport`] — the unified per-run record (rounds, work, measured
 //!   dependence depth, special-iteration trace, phase wall times, JSON);
 //! * [`Problem`] — the uniform problem-level trait the algorithm crates
@@ -16,9 +19,10 @@
 //!   `ClosestPairProblem`, `EnclosingProblem`, `LeListsProblem`,
 //!   `SccProblem`, ...), each solving to `(Output, RunReport)`;
 //! * [`registry`] — the object-safe layer over all of it: a [`Registry`]
-//!   of named [`ErasedProblem`] constructors taking a [`WorkloadSpec`]
-//!   and solving to `(OutputSummary, RunReport)` — what the `ri` CLI
-//!   driver and any serving layer program against;
+//!   of named problems, each registered as a build function (from a
+//!   [`WorkloadSpec`]) and a solve-and-digest function to
+//!   `(OutputSummary, RunReport)`, plus optional native [`PrefixStream`]s —
+//!   what the `ri` CLI driver and any serving layer program against;
 //! * [`scratch`] — the round-scoped scratch workspace
 //!   ([`RoundScratch`]): per-thread, capacity-preserving buffer reuse so
 //!   steady-state executor rounds allocate nothing, with reuse counters
@@ -39,7 +43,7 @@
 //! * [`session`] — the streaming-session envelope
 //!   ([`StreamSpec`] / [`BatchRequest`] / [`BatchDelta`]): open a
 //!   session over a fixed instance and reveal it batch by batch through
-//!   the registry's object-safe [`ErasedIncremental`] trait, each batch
+//!   the registry's object-safe [`ErasedIncremental`] session, each batch
 //!   returning a deterministic delta + per-batch trace;
 //! * [`witness`] — deterministic witness records
 //!   ([`WitnessRecord`] / [`WitnessLog`] / [`witness::replay`]): persist
@@ -49,7 +53,7 @@
 //!   `ri witness replay` CLI mode are built on.
 //!
 //! ```
-//! use ri_core::engine::{ExecMode, RunConfig, Runner, Type1Adapter};
+//! use ri_core::engine::{execute_type1, ExecMode, RunConfig, Runner};
 //! use ri_core::Type1Algorithm;
 //!
 //! // A 4-iteration chain 0 -> 1 -> 2 plus an independent iteration 3.
@@ -69,7 +73,8 @@
 //! }
 //!
 //! let mut algo = Chain { done: (0..4).map(|_| Default::default()).collect() };
-//! let report = Runner::new(RunConfig::new()).run(&mut Type1Adapter(&mut algo));
+//! let runner = Runner::new(RunConfig::new());
+//! let (_, report) = runner.solve("chain", |cfg| ((), execute_type1(&mut algo, cfg)));
 //! assert_eq!(report.depth, 3); // the dependence depth of the chain
 //! assert_eq!(report.mode, ExecMode::Parallel);
 //! assert_eq!(report.total_items(), 4);
@@ -89,12 +94,13 @@ pub mod witness;
 pub use envelope::{ServeError, ServeErrorKind, ServeRequest, ServeResponse};
 pub use faults::{FaultKind, FaultPlan};
 pub use registry::{
-    ErasedIncremental, ErasedProblem, OutputSummary, Registry, RegistryError, WorkloadSpec,
+    ErasedIncremental, ErasedProblem, OutputSummary, PrefixSolution, PrefixStream, Registry,
+    RegistryError, WorkloadSpec,
 };
 pub use report::{Phase, RunReport};
 pub use runner::{
-    execute_type1, execute_type2, execute_type3, ExecMode, Executable, ParseExecModeError, Problem,
-    RunConfig, Runner, Type1Adapter, Type2Adapter, Type3Adapter,
+    execute_type1, execute_type2, execute_type3, ExecMode, ParseExecModeError, Problem, RunConfig,
+    Runner,
 };
 pub use scratch::RoundScratch;
 pub use session::{BatchDelta, BatchRequest, FeedState, StreamSpec};

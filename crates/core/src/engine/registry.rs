@@ -14,33 +14,30 @@
 //!   returns an [`OutputSummary`] (a small JSON-able digest of the
 //!   algorithm's answer) plus the unified [`RunReport`];
 //! * [`Registry`] — an ordered name → constructor map. Each algorithm
-//!   crate contributes a `register(&mut Registry)` function; the root
+//!   crate contributes a `register(&mut Registry)` function that names,
+//!   per problem, how to build an instance from a spec and how to solve
+//!   and digest it (plus, for native streams, a [`PrefixStream`]); the root
 //!   `parallel-ri` crate assembles them all into `parallel_ri::registry()`
 //!   (a crate that cannot depend on the algorithm crates cannot construct
 //!   their problems, so the fully-populated registry lives one layer up).
 //!
 //! ```
-//! use ri_core::engine::registry::{
-//!     ErasedProblem, OutputSummary, Registry, WorkloadSpec,
-//! };
+//! use ri_core::engine::registry::{OutputSummary, Registry, WorkloadSpec};
 //! use ri_core::engine::{RunConfig, RunReport};
 //!
-//! struct CountUp(usize);
-//! impl ErasedProblem for CountUp {
-//!     fn name(&self) -> &str {
-//!         "count-up"
-//!     }
-//!     fn solve_erased(&self, cfg: &RunConfig) -> (OutputSummary, RunReport) {
-//!         let mut report = RunReport::new("count-up");
-//!         report.items = self.0;
-//!         let mut summary = OutputSummary::new();
-//!         summary.answer_num("sum", (0..self.0).sum::<usize>() as f64);
-//!         (summary, report)
-//!     }
-//! }
-//!
 //! let mut reg = Registry::new();
-//! reg.register("count-up", "sums 0..n", |spec| Ok(Box::new(CountUp(spec.n))));
+//! reg.register(
+//!     "count-up",
+//!     "sums 0..n",
+//!     |spec| Ok(spec.n),
+//!     |&n, _cfg| {
+//!         let mut report = RunReport::new("count-up");
+//!         report.items = n;
+//!         let mut summary = OutputSummary::new();
+//!         summary.answer_num("sum", (0..n).sum::<usize>() as f64);
+//!         (summary, report)
+//!     },
+//! );
 //! let spec = WorkloadSpec::new(10, 1);
 //! let (summary, report) = reg.solve("count-up", &spec, &RunConfig::new()).unwrap();
 //! assert_eq!(report.items, 10);
@@ -269,10 +266,9 @@ impl OutputSummary {
 }
 
 /// The object-safe problem trait: what the registry, the `ri` CLI driver,
-/// and any serving layer program against. Implementations own their input
-/// (they are constructed from a [`WorkloadSpec`]) and typically delegate
-/// `solve_erased` to the crate's typed [`Problem`](super::Problem),
-/// digesting its output into an [`OutputSummary`].
+/// and any serving layer program against. [`Registry::register`]
+/// implements it for every problem: the built instance plus the
+/// problem's solve-and-digest function.
 pub trait ErasedProblem: Send + Sync {
     /// The registered problem name (`"sort"`, `"delaunay"`, ...).
     fn name(&self) -> &str;
@@ -300,9 +296,6 @@ pub trait ErasedProblem: Send + Sync {
 /// serving layer holds one instance behind a mutex), so implementations
 /// keep plain mutable state.
 pub trait ErasedIncremental: Send {
-    /// The registered problem name (`"sort"`, `"delaunay"`, ...).
-    fn name(&self) -> &str;
-
     /// The full instance size fixed at construction.
     fn capacity(&self) -> usize;
 
@@ -324,6 +317,32 @@ pub trait ErasedIncremental: Send {
     /// problem's minimum instance size yield a
     /// [`pending`](BatchDelta::pending) delta, not an error.
     fn feed(&mut self, count: usize, cfg: &RunConfig) -> Result<(BatchDelta, RunReport), String>;
+}
+
+/// A solved prefix: the problem-specific delta against the previous
+/// prefix, the prefix's answer digest and its run report.
+pub type PrefixSolution = (Value, OutputSummary, RunReport);
+
+/// What a problem supplies to stream: its fixed instance, a solve of
+/// each revealed prefix and that prefix's delta. The registry wraps it in
+/// the one [`ErasedIncremental`] session, which owns the batch
+/// bookkeeping ([`FeedState`]).
+pub trait PrefixStream: Send {
+    /// The full instance size (the session capacity).
+    fn capacity(&self) -> usize;
+
+    /// A conservative estimate of the stream's resident bytes.
+    fn approx_bytes(&self) -> usize;
+
+    /// Solve the prefix `..hi`, whose last batch revealed `lo..hi`, and
+    /// describe what changed since the previous prefix. `Ok(None)` while
+    /// the prefix is below the problem's minimum instance size.
+    fn solve_prefix(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        cfg: &RunConfig,
+    ) -> Result<Option<PrefixSolution>, String>;
 }
 
 /// Why a registry lookup or construction failed.
@@ -362,23 +381,19 @@ impl std::fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
-/// Shorthand for a constructor's result.
-pub type ConstructResult = Result<Box<dyn ErasedProblem>, String>;
-
-/// Shorthand for an incremental constructor's result.
-pub type IncrementalResult = Result<Box<dyn ErasedIncremental>, String>;
-
 // `Arc` rather than `Box` so the generic fallback can carry a clone of
 // the one-shot constructor into its re-solve loop.
-type Constructor = Arc<dyn Fn(&WorkloadSpec) -> ConstructResult + Send + Sync>;
+type Constructor =
+    Arc<dyn Fn(&WorkloadSpec) -> Result<Box<dyn ErasedProblem>, String> + Send + Sync>;
 
-type IncrementalCtor = Arc<dyn Fn(&WorkloadSpec) -> IncrementalResult + Send + Sync>;
+type StreamOpener =
+    Box<dyn Fn(&WorkloadSpec) -> Result<Box<dyn PrefixStream>, String> + Send + Sync>;
 
 struct RegistryEntry {
     name: &'static str,
     description: &'static str,
     ctor: Constructor,
-    incremental: Option<IncrementalCtor>,
+    incremental: Option<StreamOpener>,
 }
 
 /// An ordered problem-name → constructor map. Names are unique;
@@ -403,40 +418,51 @@ impl Registry {
         Self::default()
     }
 
-    /// Register `name` with a workload constructor.
+    /// Register `name`: `build` turns a workload spec into the problem's
+    /// instance (or rejects the spec), and `solve` solves an instance
+    /// under a config and digests the answer.
     ///
     /// Panics on a duplicate name — registrations are static per-crate
     /// lists, so a clash is a programming error, not an input error.
-    pub fn register(
+    pub fn register<T: Send + Sync + 'static>(
         &mut self,
         name: &'static str,
         description: &'static str,
-        ctor: impl Fn(&WorkloadSpec) -> ConstructResult + Send + Sync + 'static,
+        build: impl Fn(&WorkloadSpec) -> Result<T, String> + Send + Sync + 'static,
+        solve: impl Fn(&T, &RunConfig) -> (OutputSummary, RunReport) + Send + Sync + 'static,
     ) {
         assert!(
             self.entries.iter().all(|e| e.name != name),
             "problem `{name}` registered twice"
         );
+        let solve = Arc::new(solve);
+        let ctor: Constructor = Arc::new(move |spec| {
+            Ok(Box::new(Registered {
+                name,
+                instance: build(spec)?,
+                solve: Arc::clone(&solve),
+            }))
+        });
         self.entries.push(RegistryEntry {
             name,
             description,
-            ctor: Arc::new(ctor),
+            ctor,
             incremental: None,
         });
     }
 
-    /// Attach a native incremental constructor to the already-registered
-    /// `name`. Problems without one still stream through the generic
-    /// re-solve-prefix fallback of
-    /// [`construct_incremental`](Registry::construct_incremental).
+    /// Attach a native stream to the already-registered `name`: `open`
+    /// builds the full-capacity [`PrefixStream`] from a spec. Problems
+    /// without one still stream through the generic re-solve-prefix
+    /// fallback of [`construct_incremental`](Registry::construct_incremental).
     ///
     /// Panics on an unknown name or a second attachment — like
     /// [`register`](Registry::register), this is a static per-crate list
     /// and a clash is a programming error.
-    pub fn register_incremental(
+    pub fn register_incremental<S: PrefixStream + 'static>(
         &mut self,
         name: &'static str,
-        ctor: impl Fn(&WorkloadSpec) -> IncrementalResult + Send + Sync + 'static,
+        open: impl Fn(&WorkloadSpec) -> Result<S, String> + Send + Sync + 'static,
     ) {
         let entry = self
             .entries
@@ -447,7 +473,9 @@ impl Registry {
             entry.incremental.is_none(),
             "incremental ctor for `{name}` registered twice"
         );
-        entry.incremental = Some(Arc::new(ctor));
+        entry.incremental = Some(Box::new(move |spec| {
+            Ok(Box::new(open(spec)?) as Box<dyn PrefixStream>)
+        }));
     }
 
     /// Whether `name` has a native incremental adapter.
@@ -480,20 +508,23 @@ impl Registry {
         self.entries.is_empty()
     }
 
+    fn entry(&self, name: &str) -> Result<&RegistryEntry, RegistryError> {
+        self.entries
+            .iter()
+            .find(|e| e.name == name)
+            .ok_or_else(|| RegistryError::UnknownProblem {
+                name: name.to_string(),
+                known: self.names().iter().map(|s| s.to_string()).collect(),
+            })
+    }
+
     /// Construct `name`'s problem instance from `spec`.
     pub fn construct(
         &self,
         name: &str,
         spec: &WorkloadSpec,
     ) -> Result<Box<dyn ErasedProblem>, RegistryError> {
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.name == name)
-            .ok_or_else(|| RegistryError::UnknownProblem {
-                name: name.to_string(),
-                known: self.names().iter().map(|s| s.to_string()).collect(),
-            })?;
+        let entry = self.entry(name)?;
         (entry.ctor)(spec).map_err(|message| RegistryError::BadWorkload {
             name: name.to_string(),
             message,
@@ -510,30 +541,30 @@ impl Registry {
         name: &str,
         spec: &WorkloadSpec,
     ) -> Result<Box<dyn ErasedIncremental>, RegistryError> {
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.name == name)
-            .ok_or_else(|| RegistryError::UnknownProblem {
-                name: name.to_string(),
-                known: self.names().iter().map(|s| s.to_string()).collect(),
-            })?;
+        let entry = self.entry(name)?;
         let bad = |message: String| RegistryError::BadWorkload {
             name: name.to_string(),
             message,
         };
-        if let Some(inc) = &entry.incremental {
-            return inc(spec).map_err(bad);
-        }
-        // Fallback path: prove the full-capacity instance constructs, then
-        // stream by re-solving ever-longer prefixes of the same spec.
-        (entry.ctor)(spec).map_err(bad)?;
-        Ok(Box::new(PrefixResolve {
-            name: name.to_string(),
-            ctor: Arc::clone(&entry.ctor),
-            spec: spec.clone(),
-            state: FeedState::new(spec.n),
-            prev_answer: Vec::new(),
+        let stream: Box<dyn PrefixStream> = match &entry.incremental {
+            Some(open) => open(spec).map_err(bad)?,
+            None => {
+                // Fallback path: prove the full-capacity instance
+                // constructs, then stream by re-solving ever-longer
+                // prefixes of the same spec.
+                (entry.ctor)(spec).map_err(bad)?;
+                Box::new(PrefixResolve {
+                    ctor: Arc::clone(&entry.ctor),
+                    spec: spec.clone(),
+                    prev_answer: Vec::new(),
+                })
+            }
+        };
+        Ok(Box::new(Session {
+            name: entry.name,
+            native: entry.incremental.is_some(),
+            state: FeedState::new(stream.capacity()),
+            stream,
         }))
     }
 
@@ -548,31 +579,38 @@ impl Registry {
     }
 }
 
-/// The generic incremental fallback: every batch re-solves the absorbed
-/// prefix from scratch by constructing the problem at `n = cumulative`
-/// with the session's original seed/shape/param. Asymptotically wasteful
-/// next to a native adapter, but it keeps the whole registry streamable,
-/// and its **final** batch (at `cumulative == capacity`) constructs the
-/// exact one-shot instance — so the last delta's answer and trace equal
-/// the one-shot solve by construction.
-///
-/// Constructor rejections while the prefix is still short (below the
-/// problem's minimum instance size) yield a pending delta; at full
-/// capacity they are real errors (though `construct_incremental` already
-/// vetted the full spec at open time).
-struct PrefixResolve {
-    name: String,
-    ctor: Constructor,
-    spec: WorkloadSpec,
-    state: FeedState,
-    prev_answer: Vec<(String, Value)>,
+/// The one [`ErasedProblem`]: a registered problem's built instance and
+/// its solve-and-digest function.
+struct Registered<T, S> {
+    name: &'static str,
+    instance: T,
+    solve: Arc<S>,
 }
 
-impl ErasedIncremental for PrefixResolve {
+impl<T, S> ErasedProblem for Registered<T, S>
+where
+    T: Send + Sync,
+    S: Fn(&T, &RunConfig) -> (OutputSummary, RunReport) + Send + Sync,
+{
     fn name(&self) -> &str {
-        &self.name
+        self.name
     }
 
+    fn solve_erased(&self, cfg: &RunConfig) -> (OutputSummary, RunReport) {
+        (self.solve)(&self.instance, cfg)
+    }
+}
+
+/// The one [`ErasedIncremental`]: the shared batch bookkeeping around a
+/// problem's [`PrefixStream`] (native, or the re-solve fallback).
+struct Session {
+    name: &'static str,
+    native: bool,
+    state: FeedState,
+    stream: Box<dyn PrefixStream>,
+}
+
+impl ErasedIncremental for Session {
     fn capacity(&self) -> usize {
         self.state.capacity()
     }
@@ -582,29 +620,72 @@ impl ErasedIncremental for PrefixResolve {
     }
 
     fn native(&self) -> bool {
-        false
+        self.native
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.stream.approx_bytes()
+    }
+
+    fn feed(&mut self, count: usize, cfg: &RunConfig) -> Result<(BatchDelta, RunReport), String> {
+        let (batch, lo, hi) = self.state.advance(count)?;
+        let capacity = self.state.capacity();
+        Ok(match self.stream.solve_prefix(lo, hi, cfg)? {
+            None => (
+                BatchDelta::pending(batch, count, hi, capacity),
+                RunReport::new(self.name),
+            ),
+            Some((delta, summary, report)) => {
+                let delta =
+                    BatchDelta::solved(batch, count, hi, capacity, delta, &summary, &report);
+                (delta, report)
+            }
+        })
+    }
+}
+
+/// The generic incremental fallback: every batch re-solves the absorbed
+/// prefix from scratch by constructing the problem at `n = cumulative`
+/// with the session's original seed/shape/param. Asymptotically wasteful
+/// next to a native adapter, but it keeps the whole registry streamable,
+/// and its **final** batch (at `cumulative == capacity`) constructs the
+/// exact one-shot instance — so the last delta's answer and trace equal
+/// the one-shot solve by construction. The delta lists the answer keys
+/// whose values changed.
+///
+/// Constructor rejections while the prefix is still short (below the
+/// problem's minimum instance size) yield a pending delta; at full
+/// capacity they are real errors (though `construct_incremental` already
+/// vetted the full spec at open time).
+struct PrefixResolve {
+    ctor: Constructor,
+    spec: WorkloadSpec,
+    prev_answer: Vec<(String, Value)>,
+}
+
+impl PrefixStream for PrefixResolve {
+    fn capacity(&self) -> usize {
+        self.spec.n
     }
 
     fn approx_bytes(&self) -> usize {
         // The fallback holds no instance between batches; the dominant
         // transient is the re-constructed prefix. Estimate generously.
-        self.state.capacity() * 64
+        self.spec.n * 64
     }
 
-    fn feed(&mut self, count: usize, cfg: &RunConfig) -> Result<(BatchDelta, RunReport), String> {
-        let (batch, _lo, hi) = self.state.advance(count)?;
-        let capacity = self.state.capacity();
+    fn solve_prefix(
+        &mut self,
+        _lo: usize,
+        hi: usize,
+        cfg: &RunConfig,
+    ) -> Result<Option<PrefixSolution>, String> {
         let mut prefix = self.spec.clone();
         prefix.n = hi;
         let problem = match (self.ctor)(&prefix) {
             Ok(p) => p,
-            Err(_) if hi < capacity => {
-                // Prefix below the problem's minimum size: absorb quietly.
-                return Ok((
-                    BatchDelta::pending(batch, count, hi, capacity),
-                    RunReport::new(&self.name),
-                ));
-            }
+            // Prefix below the problem's minimum size: absorb quietly.
+            Err(_) if hi < self.spec.n => return Ok(None),
             Err(e) => return Err(e),
         };
         let (summary, report) = problem.solve_erased(cfg);
@@ -623,9 +704,8 @@ impl ErasedIncremental for PrefixResolve {
             ("resolve".into(), Value::Bool(true)),
             ("changed".into(), Value::Arr(changed)),
         ]);
-        let out = BatchDelta::solved(batch, count, hi, capacity, delta, &summary, &report);
         self.prev_answer = summary.answer().to_vec();
-        Ok((out, report))
+        Ok(Some((delta, summary, report)))
     }
 }
 
@@ -633,27 +713,26 @@ impl ErasedIncremental for PrefixResolve {
 mod tests {
     use super::*;
 
-    struct Fixed;
-    impl ErasedProblem for Fixed {
-        fn name(&self) -> &str {
-            "fixed"
-        }
-        fn solve_erased(&self, _cfg: &RunConfig) -> (OutputSummary, RunReport) {
-            let mut s = OutputSummary::new();
-            s.answer_num("x", 1.0).metric_num("work", 9.0);
-            (s, RunReport::new("fixed"))
-        }
+    fn fixed(_: &(), _cfg: &RunConfig) -> (OutputSummary, RunReport) {
+        let mut s = OutputSummary::new();
+        s.answer_num("x", 1.0).metric_num("work", 9.0);
+        (s, RunReport::new("fixed"))
     }
 
     fn reg() -> Registry {
         let mut r = Registry::new();
-        r.register("fixed", "a fixed answer", |spec| {
-            if spec.n == 0 {
-                Err("n must be positive".into())
-            } else {
-                Ok(Box::new(Fixed))
-            }
-        });
+        r.register(
+            "fixed",
+            "a fixed answer",
+            |spec| {
+                if spec.n == 0 {
+                    Err("n must be positive".into())
+                } else {
+                    Ok(())
+                }
+            },
+            fixed,
+        );
         r
     }
 
@@ -699,35 +778,33 @@ mod tests {
     #[should_panic(expected = "registered twice")]
     fn duplicate_registration_panics() {
         let mut r = reg();
-        r.register("fixed", "again", |_| Ok(Box::new(Fixed)));
+        r.register("fixed", "again", |_| Ok(()), fixed);
     }
 
     // A registry whose one problem needs at least 3 items, answering the
     // prefix sum — enough to exercise the fallback's pending → solved →
     // complete progression.
     fn min3_reg() -> Registry {
-        struct Sum(usize);
-        impl ErasedProblem for Sum {
-            fn name(&self) -> &str {
-                "sum"
-            }
-            fn solve_erased(&self, _cfg: &RunConfig) -> (OutputSummary, RunReport) {
-                let mut s = OutputSummary::new();
-                s.answer_num("sum", (0..self.0).sum::<usize>() as f64);
-                s.answer_num("items", self.0 as f64);
-                let mut report = RunReport::new("sum");
-                report.items = self.0;
-                (s, report)
-            }
-        }
         let mut r = Registry::new();
-        r.register("sum", "prefix sums", |spec| {
-            if spec.n < 3 {
-                Err("need at least 3 items".into())
-            } else {
-                Ok(Box::new(Sum(spec.n)))
-            }
-        });
+        r.register(
+            "sum",
+            "prefix sums",
+            |spec| {
+                if spec.n < 3 {
+                    Err("need at least 3 items".into())
+                } else {
+                    Ok(spec.n)
+                }
+            },
+            |&n, _cfg| {
+                let mut s = OutputSummary::new();
+                s.answer_num("sum", (0..n).sum::<usize>() as f64);
+                s.answer_num("items", n as f64);
+                let mut report = RunReport::new("sum");
+                report.items = n;
+                (s, report)
+            },
+        );
         r
     }
 
@@ -778,39 +855,29 @@ mod tests {
         ));
     }
 
+    // A native stream that never leaves the pending state.
+    struct Native(usize);
+    impl PrefixStream for Native {
+        fn capacity(&self) -> usize {
+            self.0
+        }
+        fn approx_bytes(&self) -> usize {
+            64
+        }
+        fn solve_prefix(
+            &mut self,
+            _lo: usize,
+            _hi: usize,
+            _cfg: &RunConfig,
+        ) -> Result<Option<PrefixSolution>, String> {
+            Ok(None)
+        }
+    }
+
     #[test]
     fn native_incremental_ctor_takes_precedence() {
-        struct Native(FeedState);
-        impl ErasedIncremental for Native {
-            fn name(&self) -> &str {
-                "sum"
-            }
-            fn capacity(&self) -> usize {
-                self.0.capacity()
-            }
-            fn absorbed(&self) -> usize {
-                self.0.absorbed()
-            }
-            fn native(&self) -> bool {
-                true
-            }
-            fn approx_bytes(&self) -> usize {
-                64
-            }
-            fn feed(
-                &mut self,
-                count: usize,
-                _cfg: &RunConfig,
-            ) -> Result<(BatchDelta, RunReport), String> {
-                let (batch, _, hi) = self.0.advance(count)?;
-                Ok((
-                    BatchDelta::pending(batch, count, hi, self.0.capacity()),
-                    RunReport::new("sum"),
-                ))
-            }
-        }
         let mut r = min3_reg();
-        r.register_incremental("sum", |spec| Ok(Box::new(Native(FeedState::new(spec.n)))));
+        r.register_incremental("sum", |spec| Ok(Native(spec.n)));
         assert!(r.has_incremental("sum"));
         let inc = r
             .construct_incremental("sum", &WorkloadSpec::new(4, 0))
@@ -822,7 +889,7 @@ mod tests {
     #[should_panic(expected = "unregistered problem")]
     fn incremental_for_unknown_name_panics() {
         let mut r = min3_reg();
-        r.register_incremental("nope", |_| Err("unused".into()));
+        r.register_incremental("nope", |_| Err::<Native, _>("unused".into()));
     }
 
     #[test]

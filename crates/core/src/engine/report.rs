@@ -115,6 +115,24 @@ impl RunReport {
         self.rounds.record(items, work);
     }
 
+    /// Stamp a finished run's rounds and depth: a parallel run's round
+    /// `log` (depth = its round count), or for a sequential run (`None`)
+    /// one summary round of all `items` with `work`, depth = `items`.
+    pub fn stamp_rounds(&mut self, log: Option<RoundLog>, work: u64) {
+        match log {
+            Some(log) => {
+                self.depth = log.rounds();
+                self.rounds = log;
+            }
+            None => {
+                if self.items > 0 {
+                    self.record_round(self.items, work);
+                }
+                self.depth = self.items;
+            }
+        }
+    }
+
     /// Total work across rounds.
     pub fn total_work(&self) -> u64 {
         self.rounds.total_work()
@@ -142,32 +160,6 @@ impl RunReport {
             seconds: t0.elapsed().as_secs_f64(),
         });
         out
-    }
-
-    /// Fold another report into this one (for runs assembled from several
-    /// stages): round entries append in order, traces concatenate,
-    /// counters add, and depth accumulates (stages execute back-to-back,
-    /// so their dependence chains compose).
-    pub fn merge(&mut self, other: &RunReport) {
-        self.items += other.items;
-        for &(items, work) in other.rounds.entries() {
-            self.rounds.record(items, work);
-        }
-        self.depth += other.depth;
-        self.specials.extend_from_slice(&other.specials);
-        self.sub_rounds.extend_from_slice(&other.sub_rounds);
-        self.checks += other.checks;
-        self.phases.extend_from_slice(&other.phases);
-        self.wall_seconds += other.wall_seconds;
-        self.scratch_hits += other.scratch_hits;
-        self.scratch_misses += other.scratch_misses;
-        self.regions += other.regions;
-        self.helper_spawns += other.helper_spawns;
-        self.rank_inversions += other.rank_inversions;
-        self.wasted_retries += other.wasted_retries;
-        if self.relaxed_fallback.is_none() {
-            self.relaxed_fallback = other.relaxed_fallback.clone();
-        }
     }
 
     /// Serialize to a single-line JSON object.
@@ -376,26 +368,6 @@ mod tests {
         assert_eq!(r.total_work(), 155);
         assert_eq!(r.rounds.rounds(), 3);
         assert_eq!(r.total_sub_rounds(), 5);
-    }
-
-    #[test]
-    fn merge_appends_rounds_and_accumulates_depth() {
-        let mut a = sample();
-        let mut b = RunReport::new("demo");
-        b.items = 7;
-        b.record_round(7, 70);
-        b.depth = 2;
-        b.specials = vec![3];
-        b.checks = 70;
-        b.wall_seconds = 0.5;
-        a.merge(&b);
-        assert_eq!(a.items, 42);
-        assert_eq!(a.rounds.rounds(), 4);
-        assert_eq!(a.total_work(), 225);
-        assert_eq!(a.depth, 5);
-        assert_eq!(a.specials, vec![0, 7, 19, 3]);
-        assert_eq!(a.checks, 225);
-        assert!((a.wall_seconds - 0.75).abs() < 1e-12);
     }
 
     #[test]

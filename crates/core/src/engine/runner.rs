@@ -2,19 +2,20 @@
 //!
 //! [`RunConfig`] fixes everything that varies between runs — RNG seed,
 //! [`ExecMode`], worker-thread count, instrumentation — and
-//! [`Runner::run`] executes any [`Executable`] under it inside a
-//! **persistent, process-wide cached thread pool** keyed by the resolved
-//! thread count: the first run at a given width spawns the pool's workers,
-//! every later run (and every round inside a run) reuses them, so a batch
-//! of `ri` requests pays for thread creation once. Sequential-mode runs
-//! and `threads == 1` configs bypass the pool entirely and execute inline
-//! on the caller with ambient parallelism pinned to 1 — their reports
-//! carry zero scheduler overhead. The three per-class adapters
-//! ([`Type1Adapter`], [`Type2Adapter`], [`Type3Adapter`]) make every
-//! algorithm written against the paper's `Type1Algorithm` /
-//! `Type2Algorithm` / `Type3Algorithm` traits executable through this one
-//! path; the algorithm crates' `*Problem` types build on the same engine
-//! for their specialised (non-trait) implementations.
+//! [`Runner::solve`] runs any solve closure under it: each problem's
+//! typed [`Problem::solve`], and any algorithm written against the
+//! paper's `Type1Algorithm` / `Type2Algorithm` / `Type3Algorithm` traits
+//! through [`execute_type1`] / [`execute_type2`] / [`execute_type3`].
+//!
+//! A parallel run executes on the calling thread with its ambient width
+//! set by the process-wide pool cached for the resolved thread count.
+//! The pool fixes that width; it does not lend its workers. Under
+//! `#![forbid(unsafe_code)]` borrowed data can only cross threads through
+//! `std::thread::scope`, so every crew region and every `join` spawns its
+//! own scoped helper threads (the report's `regions` and `helper_spawns`
+//! count them). Sequential-mode runs and `threads == 1` configs set width
+//! 1 and execute inline on the caller — their reports carry zero
+//! scheduler overhead.
 
 use rayon::prelude::*;
 
@@ -291,22 +292,24 @@ impl RunConfig {
                 .max(1),
         }
     }
-}
 
-/// Something the engine can execute: the per-class adapters implement this
-/// over the paper's algorithm traits, and specialised algorithms implement
-/// it directly.
-pub trait Executable {
-    /// Report label; [`Runner::run`] stamps it onto the report's
-    /// `algorithm` field.
-    fn name(&self) -> &str {
-        "algorithm"
+    /// Run `solve` for `problem`, which has no native relaxed loop: a
+    /// relaxed config runs as exact parallel and the report's
+    /// `relaxed_fallback` says so. Other modes run unchanged.
+    pub fn relaxed_as_parallel<T>(
+        &self,
+        problem: &str,
+        solve: impl FnOnce(&RunConfig) -> (T, RunReport),
+    ) -> (T, RunReport) {
+        if !matches!(self.mode, ExecMode::Relaxed { .. }) {
+            return solve(self);
+        }
+        let (out, mut report) = solve(&self.clone().parallel());
+        report.relaxed_fallback = Some(format!(
+            "{problem} has no native relaxed loop; ran exact parallel"
+        ));
+        (out, report)
     }
-
-    /// Execute under `cfg` (already inside the runner's thread pool) and
-    /// fill a report. Implementations should honour `cfg.mode` and
-    /// `cfg.instrument`; threads and wall time are stamped by the runner.
-    fn execute(&mut self, cfg: &RunConfig) -> RunReport;
 }
 
 /// A problem instance solvable under a [`RunConfig`]: the uniform
@@ -320,8 +323,7 @@ pub trait Problem {
     fn solve(&self, cfg: &RunConfig) -> (Self::Output, RunReport);
 }
 
-/// The engine facade: executes algorithms under a [`RunConfig`] inside a
-/// scoped thread pool.
+/// The engine facade: runs solves under a [`RunConfig`] at its width.
 #[derive(Debug, Clone)]
 pub struct Runner {
     cfg: RunConfig,
@@ -356,11 +358,11 @@ impl Runner {
         &self.cfg
     }
 
-    /// Run `op` under this runner's parallelism (for specialised
-    /// algorithms that drive their own parallelism): inside the cached
-    /// persistent pool for its thread count, or strictly inline when the
-    /// config resolves to one worker (sequential mode or `threads == 1`),
-    /// so sequential reports carry zero scheduler overhead.
+    /// Run `op` on the calling thread under this runner's parallelism: at
+    /// the width of the cached pool for its thread count, or strictly
+    /// inline when the config resolves to one worker (sequential mode or
+    /// `threads == 1`), so sequential reports carry zero scheduler
+    /// overhead.
     pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
         let threads = self.cfg.resolved_threads();
         if threads <= 1 {
@@ -369,18 +371,23 @@ impl Runner {
         rayon::cached_pool(threads).install(op)
     }
 
-    /// Execute `algo` under this runner's config: scope the thread pool,
-    /// run, and stamp name/mode/threads/wall time — plus the scratch and
+    /// Run `solve` under this runner's config — at the config's width,
+    /// or inline at width 1 — and stamp the report with `algorithm`, the
+    /// mode, the thread count and the wall time, plus the scratch and
     /// region counters measured by the runner's [`RoundScratch`]
-    /// workspace — on the report. The scratch/region deltas are measured
-    /// on the calling thread, which is where the executors' round loops
-    /// (and their reused buffers) live.
-    pub fn run<E: Executable + ?Sized>(&self, algo: &mut E) -> RunReport {
+    /// workspace. The counters are measured on the calling thread, which
+    /// is where the executors' round loops (and their reused buffers)
+    /// live.
+    pub fn solve<T>(
+        &self,
+        algorithm: &str,
+        solve: impl FnOnce(&RunConfig) -> (T, RunReport),
+    ) -> (T, RunReport) {
         let threads = self.cfg.resolved_threads();
         let workspace = RoundScratch::begin();
         let t0 = std::time::Instant::now();
-        let mut report = self.install(|| algo.execute(&self.cfg));
-        report.algorithm = algo.name().to_string();
+        let (out, mut report) = self.install(|| solve(&self.cfg));
+        report.algorithm = algorithm.to_string();
         report.mode = self.cfg.mode;
         report.threads = threads;
         if self.cfg.instrument {
@@ -391,43 +398,29 @@ impl Runner {
         report.scratch_misses = misses;
         report.regions = workspace.regions_delta();
         report.helper_spawns = workspace.helper_spawns_delta();
-        report
+        (out, report)
     }
 }
 
-/// Adapter: run a [`Type1Algorithm`] through the engine.
-pub struct Type1Adapter<'a, A: ?Sized>(pub &'a mut A);
-
-impl<A: Type1Algorithm + ?Sized> Executable for Type1Adapter<'_, A> {
-    fn name(&self) -> &str {
-        "type1"
-    }
-    fn execute(&mut self, cfg: &RunConfig) -> RunReport {
-        execute_type1(self.0, cfg)
-    }
-}
-
-/// Adapter: run a [`Type2Algorithm`] through the engine.
-pub struct Type2Adapter<'a, A: ?Sized>(pub &'a mut A);
-
-impl<A: Type2Algorithm + ?Sized> Executable for Type2Adapter<'_, A> {
-    fn name(&self) -> &str {
-        "type2"
-    }
-    fn execute(&mut self, cfg: &RunConfig) -> RunReport {
-        execute_type2(self.0, cfg)
-    }
-}
-
-/// Adapter: run a [`Type3Algorithm`] through the engine.
-pub struct Type3Adapter<'a, A: ?Sized>(pub &'a mut A);
-
-impl<A: Type3Algorithm + ?Sized> Executable for Type3Adapter<'_, A> {
-    fn name(&self) -> &str {
-        "type3"
-    }
-    fn execute(&mut self, cfg: &RunConfig) -> RunReport {
-        execute_type3(self.0, cfg)
+/// Evaluate `test` on every item into `flags` (cleared first): a round
+/// above the grain cutoff splits into a few chunks per crew member for the
+/// crew's cursor to balance; smaller rounds evaluate inline on the caller
+/// without paying region setup.
+fn fill_flags<T: Sync>(flags: &mut Vec<bool>, items: &[T], test: impl Fn(&T) -> bool + Sync) {
+    flags.clear();
+    if grain::parallel_round(items.len()) {
+        flags.resize(items.len(), false);
+        let chunk = items.len().div_ceil(rayon::recommended_splits());
+        flags
+            .par_chunks_mut(chunk)
+            .zip(items.par_chunks(chunk))
+            .for_each(|(fs, xs)| {
+                for (f, x) in fs.iter_mut().zip(xs) {
+                    *f = test(x);
+                }
+            });
+    } else {
+        flags.extend(items.iter().map(test));
     }
 }
 
@@ -454,10 +447,7 @@ pub fn execute_type1<A: Type1Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
                 );
                 algo.run(k);
             }
-            if n > 0 {
-                report.record_round(n, n as u64);
-            }
-            report.depth = n;
+            report.stamp_rounds(None, n as u64);
         }
         ExecMode::Parallel => {
             // All three per-round buffers come from (and return to) the
@@ -476,21 +466,7 @@ pub fn execute_type1<A: Type1Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
                 // independent, so any order gives the sequential
                 // algorithm's result). Small rounds — the long tail —
                 // check inline instead of paying region setup.
-                flags.clear();
-                if grain::parallel_round(remaining.len()) {
-                    flags.resize(remaining.len(), false);
-                    let chunk = remaining.len().div_ceil(rayon::recommended_splits());
-                    flags
-                        .par_chunks_mut(chunk)
-                        .zip(remaining.par_chunks(chunk))
-                        .for_each(|(fs, ks)| {
-                            for (f, &k) in fs.iter_mut().zip(ks) {
-                                *f = algo.ready(k);
-                            }
-                        });
-                } else {
-                    flags.extend(remaining.iter().map(|&k| algo.ready(k)));
-                }
+                fill_flags(&mut flags, &remaining, |&k| algo.ready(k));
                 // Run-and-compact in one pass over the reused buffers.
                 let mut ran = 0usize;
                 next.clear();
@@ -546,21 +522,7 @@ pub fn execute_type1<A: Type1Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
                     break;
                 }
                 algo.begin_round(round);
-                flags.clear();
-                if grain::parallel_round(batch.len()) {
-                    flags.resize(batch.len(), false);
-                    let chunk = batch.len().div_ceil(rayon::recommended_splits());
-                    flags
-                        .par_chunks_mut(chunk)
-                        .zip(batch.par_chunks(chunk))
-                        .for_each(|(fs, bb)| {
-                            for (f, &(_, i)) in fs.iter_mut().zip(bb) {
-                                *f = algo.ready(i);
-                            }
-                        });
-                } else {
-                    flags.extend(batch.iter().map(|&(_, i)| algo.ready(i)));
-                }
+                fill_flags(&mut flags, &batch, |&(_, i)| algo.ready(i));
                 let mut ran = 0usize;
                 for (&(prio, i), &ready) in batch.iter().zip(flags.iter()) {
                     if ready {
@@ -624,10 +586,7 @@ pub fn execute_type2<A: Type2Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
                     algo.run_regular(k);
                 }
             }
-            if n > 0 {
-                report.record_round(n, report.checks);
-            }
-            report.depth = n;
+            report.stamp_rounds(None, report.checks);
         }
         ExecMode::Parallel => {
             let mut lo = 0usize;
@@ -699,21 +658,7 @@ pub fn execute_type2<A: Type2Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
                     }
                     order.clear();
                     mq.pop_batch(usize::MAX, &mut order);
-                    flags.clear();
-                    if grain::parallel_round(order.len()) {
-                        flags.resize(order.len(), false);
-                        let chunk = order.len().div_ceil(rayon::recommended_splits());
-                        flags
-                            .par_chunks_mut(chunk)
-                            .zip(order.par_chunks(chunk))
-                            .for_each(|(fs, oo)| {
-                                for (f, &(_, i)) in fs.iter_mut().zip(oo) {
-                                    *f = algo.is_special(i);
-                                }
-                            });
-                    } else {
-                        flags.extend(order.iter().map(|&(_, i)| algo.is_special(i)));
-                    }
+                    fill_flags(&mut flags, &order, |&(_, i)| algo.is_special(i));
                     let l = order
                         .iter()
                         .zip(flags.iter())
@@ -769,10 +714,7 @@ pub fn execute_type3<A: Type3Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
                 outputs.push(out);
                 total_work += algo.combine(k, &mut outputs);
             }
-            if n > 0 {
-                report.record_round(n, total_work);
-            }
-            report.depth = n;
+            report.stamp_rounds(None, total_work);
         }
         ExecMode::Parallel => {
             let rounds = prefix_rounds(n);

@@ -23,8 +23,8 @@
 //! * Return what you take. A buffer that is *not* returned is merely an
 //!   ordinary allocation — correctness never depends on pooling.
 //!
-//! [`Runner::run`](super::Runner::run) measures the pool around every
-//! execution and stamps the deltas on the report
+//! [`Runner::solve`](super::Runner::solve) measures the pool around every
+//! solve and stamps the deltas on the report
 //! (`RunReport::{scratch_hits, scratch_misses}`), alongside the region /
 //! helper-spawn counters from the scheduler, so the reuse (and the grain
 //! policy in [`super::grain`]) is observable per run.
@@ -34,7 +34,7 @@ pub use ri_pram::scratch::{put_vec, stats, take_vec, ScratchStats};
 /// Measures one run's interaction with the calling thread's scratch pool
 /// and parallel-region counters: construct before executing, read the
 /// deltas after. Owned by [`Runner`](super::Runner) for the duration of
-/// [`run`](super::Runner::run).
+/// [`solve`](super::Runner::solve).
 #[derive(Debug, Clone)]
 pub struct RoundScratch {
     base: ScratchStats,

@@ -21,12 +21,13 @@
 //!   object, the current mode-invariant answer, and the deterministic
 //!   per-batch [`RoundTrace`] — everything the witness log needs to
 //!   replay the batch bit-identically.
-//! * [`FeedState`] — the bookkeeping every incremental adapter shares
+//! * [`FeedState`] — the batch bookkeeping of every streaming session
 //!   (capacity, absorbed prefix, batch numbering, overfeed rejection).
 //!
 //! The object-safe [`ErasedIncremental`](super::registry::ErasedIncremental)
-//! trait these types feed lives in the registry module, next to its
-//! one-shot sibling [`ErasedProblem`](super::registry::ErasedProblem).
+//! session these types feed lives in the registry module, next to its
+//! one-shot sibling [`ErasedProblem`](super::registry::ErasedProblem);
+//! problems supply only a [`PrefixStream`](super::registry::PrefixStream).
 
 use super::envelope::{ServeError, ServeRequest};
 use super::json::{self, Value};
@@ -299,8 +300,8 @@ impl BatchDelta {
     }
 }
 
-/// The prefix bookkeeping every incremental adapter shares: capacity,
-/// elements absorbed so far, and batch numbering — with the overfeed and
+/// The prefix bookkeeping of every streaming session: capacity, elements
+/// absorbed so far, and batch numbering — with the overfeed and
 /// empty-batch rejections standardized in one place.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeedState {

@@ -699,7 +699,7 @@ pub fn replay_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::registry::{ErasedProblem, OutputSummary};
+    use crate::engine::registry::OutputSummary;
     use crate::engine::ExecMode;
 
     /// A deterministic toy problem: the "answer" and the trace are pure
@@ -710,11 +710,8 @@ mod tests {
         wseed: u64,
     }
 
-    impl ErasedProblem for Toy {
-        fn name(&self) -> &str {
-            "toy"
-        }
-        fn solve_erased(&self, cfg: &RunConfig) -> (OutputSummary, RunReport) {
+    impl Toy {
+        fn solve(&self, cfg: &RunConfig) -> (OutputSummary, RunReport) {
             let mut report = RunReport::new("toy");
             report.mode = cfg.mode;
             report.items = self.n;
@@ -753,12 +750,17 @@ mod tests {
 
     fn toy_registry() -> Registry {
         let mut reg = Registry::new();
-        reg.register("toy", "deterministic toy", |spec| {
-            Ok(Box::new(Toy {
-                n: spec.n,
-                wseed: spec.seed,
-            }))
-        });
+        reg.register(
+            "toy",
+            "deterministic toy",
+            |spec| {
+                Ok(Toy {
+                    n: spec.n,
+                    wseed: spec.seed,
+                })
+            },
+            Toy::solve,
+        );
         reg
     }
 

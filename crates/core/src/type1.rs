@@ -49,7 +49,7 @@ pub trait Type1Algorithm: Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{execute_type1, RunConfig, Runner, Type1Adapter};
+    use crate::engine::{execute_type1, RunConfig, Runner};
 
     /// Toy Type 1 algorithm: iteration k is ready once all of its listed
     /// predecessors ran. Records the round in which each iteration ran
@@ -92,7 +92,9 @@ mod tests {
     }
 
     fn run_parallel(toy: &mut Toy) -> crate::engine::RunReport {
-        Runner::new(RunConfig::new()).run(&mut Type1Adapter(toy))
+        Runner::new(RunConfig::new())
+            .solve("toy", |cfg| ((), execute_type1(toy, cfg)))
+            .1
     }
 
     #[test]
@@ -153,7 +155,7 @@ mod tests {
         }
         run_parallel_never(&mut Never);
         fn run_parallel_never(algo: &mut Never) {
-            Runner::new(RunConfig::new()).run(&mut Type1Adapter(algo));
+            Runner::new(RunConfig::new()).solve("never", |cfg| ((), execute_type1(algo, cfg)));
         }
     }
 

@@ -191,12 +191,13 @@ fn one_thread_runs_are_always_inline() {
 
 #[test]
 fn runner_reports_regions_and_scratch_counters() {
-    use ri_core::engine::{Runner, Type1Adapter};
+    use ri_core::engine::Runner;
     let cfg = RunConfig::new().parallel().threads(2);
 
     // First run on this thread warms the scratch pool...
     let mut algo = Independent::new(1000);
-    let first = Runner::new(cfg.clone()).run(&mut Type1Adapter(&mut algo));
+    let (_, first) =
+        Runner::new(cfg.clone()).solve("independent", |cfg| ((), execute_type1(&mut algo, cfg)));
     assert_eq!(first.regions, 0, "1000-item round is far below the cutoff");
     assert_eq!(first.helper_spawns, 0);
 
@@ -204,7 +205,8 @@ fn runner_reports_regions_and_scratch_counters() {
     // grow capacity here — `next` stays empty in an all-ready single
     // round and capacity-0 buffers are not pooled.)
     let mut algo = Independent::new(1000);
-    let second = Runner::new(cfg).run(&mut Type1Adapter(&mut algo));
+    let (_, second) =
+        Runner::new(cfg).solve("independent", |cfg| ((), execute_type1(&mut algo, cfg)));
     assert!(
         second.scratch_hits >= 2,
         "remaining/flags buffers must be reused, got {} hits",

@@ -1,7 +1,7 @@
 //! The problem-level API: [`DelaunayProblem`], solving through the
 //! unified engine to `(DtOutput, RunReport)`.
 
-use ri_core::engine::{ExecMode, Executable, Problem, RunConfig, RunReport, Runner};
+use ri_core::engine::{ExecMode, Problem, RunConfig, RunReport, Runner};
 use ri_geometry::Point2;
 
 use crate::mesh::Mesh;
@@ -45,68 +45,32 @@ impl<'a> DelaunayProblem<'a> {
     }
 }
 
-struct DtExec<'a> {
-    points: &'a [Point2],
-    out: Option<DtOutput>,
-}
-
-impl Executable for DtExec<'_> {
-    fn name(&self) -> &str {
-        "delaunay"
-    }
-    fn execute(&mut self, cfg: &RunConfig) -> RunReport {
-        let mut report = RunReport::new("delaunay");
-        report.items = self.points.len();
-        let result: DtResult = match cfg.mode {
-            ExecMode::Sequential => report.phase("solve", cfg.instrument, |_| {
-                crate::seq::delaunay_sequential_impl(self.points)
-            }),
-            ExecMode::Parallel => report.phase("solve", cfg.instrument, |_| {
-                crate::par::delaunay_parallel_impl(self.points)
-            }),
-            // No native relaxed loop: k-relaxed face firing lost to exact
-            // parallel at every measured width, so relaxed requests run
-            // the exact parallel path and say so in the report.
-            ExecMode::Relaxed { .. } => {
-                report.relaxed_fallback =
-                    Some("delaunay has no native relaxed loop; ran exact parallel".into());
-                report.phase("solve", cfg.instrument, |_| {
-                    crate::par::delaunay_parallel_impl(self.points)
-                })
-            }
-        };
-        let work = result.stats.incircle_tests + result.stats.orient_tests;
-        match result.rounds {
-            Some(log) => {
-                report.depth = log.rounds();
-                report.rounds = log;
-            }
-            None => {
-                if !self.points.is_empty() {
-                    report.record_round(self.points.len(), work);
-                }
-                report.depth = self.points.len();
-            }
-        }
-        report.checks = work;
-        self.out = Some(DtOutput {
-            mesh: result.mesh,
-            stats: result.stats,
-        });
-        report
-    }
-}
-
 impl Problem for DelaunayProblem<'_> {
     type Output = DtOutput;
 
     fn solve(&self, cfg: &RunConfig) -> (DtOutput, RunReport) {
-        let mut exec = DtExec {
-            points: self.points,
-            out: None,
-        };
-        let report = Runner::new(cfg.clone()).run(&mut exec);
-        (exec.out.expect("execute always produces output"), report)
+        // No native relaxed loop: k-relaxed face firing lost to exact
+        // parallel at every measured width.
+        Runner::new(cfg.clone()).solve("delaunay", |cfg| {
+            cfg.relaxed_as_parallel("delaunay", |cfg| {
+                let mut report = RunReport::new("delaunay");
+                report.items = self.points.len();
+                let result: DtResult = report.phase("solve", cfg.instrument, |_| match cfg.mode {
+                    ExecMode::Sequential => crate::seq::delaunay_sequential_impl(self.points),
+                    ExecMode::Parallel | ExecMode::Relaxed { .. } => {
+                        crate::par::delaunay_parallel_impl(self.points)
+                    }
+                });
+                let work = result.stats.incircle_tests + result.stats.orient_tests;
+                report.stamp_rounds(result.rounds, work);
+                report.checks = work;
+                let out = DtOutput {
+                    mesh: result.mesh,
+                    stats: result.stats,
+                };
+                (out, report)
+            })
+        })
     }
 }
 

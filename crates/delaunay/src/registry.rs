@@ -9,48 +9,43 @@
 use std::collections::HashSet;
 
 use ri_core::engine::json::Value;
-use ri_core::engine::registry::{ErasedIncremental, ErasedProblem, OutputSummary, Registry};
-use ri_core::engine::session::{BatchDelta, FeedState};
+use ri_core::engine::registry::{
+    OutputSummary, PrefixSolution, PrefixStream, Registry, WorkloadSpec,
+};
 use ri_core::engine::{Problem, RunConfig, RunReport};
 use ri_geometry::{named_point_workload, Point2};
 
 use crate::problem::DelaunayProblem;
+
+/// The workload's points: the one generator call of the one-shot
+/// instance and the stream, so the final streamed prefix is the one-shot
+/// instance bit for bit.
+fn spec_points(spec: &WorkloadSpec) -> Result<Vec<Point2>, String> {
+    named_point_workload(
+        "delaunay",
+        spec.n,
+        spec.seed,
+        spec.shape_or("uniform-square"),
+        3,
+    )
+}
 
 /// Register this crate's problem.
 pub fn register(reg: &mut Registry) {
     reg.register(
         "delaunay",
         "incremental Delaunay triangulation of a point workload (§4, Type 1 nested)",
-        |spec| {
-            let points = named_point_workload(
-                "delaunay",
-                spec.n,
-                spec.seed,
-                spec.shape_or("uniform-square"),
-                3,
-            )?;
-            Ok(Box::new(DelaunayWorkload { points }))
+        spec_points,
+        |points, cfg| {
+            let (s, report, _) = summarize(points, cfg);
+            (s, report)
         },
     );
     reg.register_incremental("delaunay", |spec| {
-        // Same generator call as the one-shot constructor, so the final
-        // streamed prefix is the one-shot instance bit for bit.
-        let points = named_point_workload(
-            "delaunay",
-            spec.n,
-            spec.seed,
-            spec.shape_or("uniform-square"),
-            3,
-        )?;
-        // Capacity is the *deduplicated* point count, not spec.n: a
-        // duplicate-heavy shape shrinks the instance, and feeding past
-        // points.len() would index out of bounds.
-        let capacity = points.len();
-        Ok(Box::new(DelaunayStream {
-            points,
+        Ok(DelaunayStream {
+            points: spec_points(spec)?,
             edges: HashSet::new(),
-            state: FeedState::new(capacity),
-        }))
+        })
     });
 }
 
@@ -89,63 +84,38 @@ fn edge_checksum(edges: &[(u32, u32)]) -> u64 {
     h & ((1 << 53) - 1)
 }
 
-struct DelaunayWorkload {
-    points: Vec<Point2>,
-}
-
-impl ErasedProblem for DelaunayWorkload {
-    fn name(&self) -> &str {
-        "delaunay"
-    }
-
-    fn solve_erased(&self, cfg: &RunConfig) -> (OutputSummary, RunReport) {
-        let (s, report, _) = summarize(&self.points, cfg);
-        (s, report)
-    }
-}
-
 /// The native streaming adapter: the delta counts the undirected
 /// triangulation edges a batch added and removed relative to the
 /// previous prefix, plus a checksum of the current sorted edge list —
 /// compact enough to log per batch, strong enough that replay catches
 /// any divergence in the mesh itself. Prefixes of fewer than three
 /// points are pending.
+///
+/// Capacity is the *deduplicated* point count, not `spec.n`: a
+/// duplicate-heavy shape shrinks the instance.
 struct DelaunayStream {
     points: Vec<Point2>,
     /// Undirected edges `(min, max)` of the previous prefix's mesh.
     edges: HashSet<(u32, u32)>,
-    state: FeedState,
 }
 
-impl ErasedIncremental for DelaunayStream {
-    fn name(&self) -> &str {
-        "delaunay"
-    }
-
+impl PrefixStream for DelaunayStream {
     fn capacity(&self) -> usize {
-        self.state.capacity()
-    }
-
-    fn absorbed(&self) -> usize {
-        self.state.absorbed()
-    }
-
-    fn native(&self) -> bool {
-        true
+        self.points.len()
     }
 
     fn approx_bytes(&self) -> usize {
         self.points.len() * std::mem::size_of::<Point2>() + self.edges.len() * 16 + 256
     }
 
-    fn feed(&mut self, count: usize, cfg: &RunConfig) -> Result<(BatchDelta, RunReport), String> {
-        let (batch, _lo, hi) = self.state.advance(count)?;
-        let capacity = self.state.capacity();
+    fn solve_prefix(
+        &mut self,
+        _lo: usize,
+        hi: usize,
+        cfg: &RunConfig,
+    ) -> Result<Option<PrefixSolution>, String> {
         if hi < 3 {
-            return Ok((
-                BatchDelta::pending(batch, count, hi, capacity),
-                RunReport::new("delaunay"),
-            ));
+            return Ok(None);
         }
         let (summary, report, edges) = summarize(&self.points[..hi], cfg);
         let added = edges.iter().filter(|e| !self.edges.contains(e)).count();
@@ -158,10 +128,7 @@ impl ErasedIncremental for DelaunayStream {
             ("checksum".into(), Value::Num(edge_checksum(&edges) as f64)),
         ]);
         self.edges = edges.into_iter().collect();
-        Ok((
-            BatchDelta::solved(batch, count, hi, capacity, delta, &summary, &report),
-            report,
-        ))
+        Ok(Some((delta, summary, report)))
     }
 }
 

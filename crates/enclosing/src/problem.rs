@@ -1,7 +1,7 @@
 //! The problem-level API: [`EnclosingProblem`], solving through the
 //! unified engine to `(SedOutput, RunReport)`.
 
-use ri_core::engine::{Executable, Problem, RunConfig, RunReport, Runner};
+use ri_core::engine::{Problem, RunConfig, RunReport, Runner};
 use ri_geometry::Point2;
 
 pub use crate::welzl::SedOutput;
@@ -36,32 +36,13 @@ impl<'a> EnclosingProblem<'a> {
     }
 }
 
-struct SedExec<'a> {
-    points: &'a [Point2],
-    out: Option<SedOutput>,
-}
-
-impl Executable for SedExec<'_> {
-    fn name(&self) -> &str {
-        "enclosing-disk"
-    }
-    fn execute(&mut self, cfg: &RunConfig) -> RunReport {
-        let (out, report) = crate::welzl::run_with(self.points, cfg);
-        self.out = Some(out);
-        report
-    }
-}
-
 impl Problem for EnclosingProblem<'_> {
     type Output = SedOutput;
 
     fn solve(&self, cfg: &RunConfig) -> (SedOutput, RunReport) {
-        let mut exec = SedExec {
-            points: self.points,
-            out: None,
-        };
-        let report = Runner::new(cfg.clone()).run(&mut exec);
-        (exec.out.expect("execute always produces output"), report)
+        Runner::new(cfg.clone()).solve("enclosing-disk", |cfg| {
+            crate::welzl::run_with(self.points, cfg)
+        })
     }
 }
 

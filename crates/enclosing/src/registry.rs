@@ -2,7 +2,7 @@
 //! seeded point workload (§5.3, Type 2). The workload shape is a
 //! point-distribution name (default `"uniform-disk"`).
 
-use ri_core::engine::registry::{ErasedProblem, OutputSummary, Registry};
+use ri_core::engine::registry::{OutputSummary, Registry};
 use ri_core::engine::{Problem, RunConfig, RunReport};
 use ri_geometry::{named_point_workload, Point2};
 
@@ -14,38 +14,28 @@ pub fn register(reg: &mut Registry) {
         "enclosing",
         "Welzl's smallest enclosing disk of a point workload (§5.3, Type 2)",
         |spec| {
-            let points = named_point_workload(
+            named_point_workload(
                 "enclosing",
                 spec.n,
                 spec.seed,
                 spec.shape_or("uniform-disk"),
                 2,
-            )?;
-            Ok(Box::new(EnclosingWorkload { points }))
+            )
         },
+        |points, cfg| solve(points, cfg),
     );
 }
 
-struct EnclosingWorkload {
-    points: Vec<Point2>,
-}
-
-impl ErasedProblem for EnclosingWorkload {
-    fn name(&self) -> &str {
-        "enclosing"
-    }
-
-    fn solve_erased(&self, cfg: &RunConfig) -> (OutputSummary, RunReport) {
-        let (out, report) = EnclosingProblem::new(&self.points).solve(cfg);
-        let mut s = OutputSummary::new();
-        s.answer_num("points", self.points.len() as f64)
-            .answer_num("center_x", out.disk.center.x)
-            .answer_num("center_y", out.disk.center.y)
-            .answer_num("radius", out.disk.radius())
-            .answer_num("update2_calls", out.update2_calls as f64)
-            .metric_num("contains_tests", out.contains_tests as f64);
-        (s, report)
-    }
+fn solve(points: &[Point2], cfg: &RunConfig) -> (OutputSummary, RunReport) {
+    let (out, report) = EnclosingProblem::new(points).solve(cfg);
+    let mut s = OutputSummary::new();
+    s.answer_num("points", points.len() as f64)
+        .answer_num("center_x", out.disk.center.x)
+        .answer_num("center_y", out.disk.center.y)
+        .answer_num("radius", out.disk.radius())
+        .answer_num("update2_calls", out.update2_calls as f64)
+        .metric_num("contains_tests", out.contains_tests as f64);
+    (s, report)
 }
 
 #[cfg(test)]

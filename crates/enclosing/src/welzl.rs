@@ -119,31 +119,17 @@ pub struct SedOutput {
 pub(crate) fn run_with(points: &[Point2], cfg: &RunConfig) -> (SedOutput, RunReport) {
     assert!(points.len() >= 2, "need at least two points");
     // No native relaxed loop: Welzl's nested Update1/Update2 rebuilds
-    // leave no slack for a relaxed order, so relaxed requests run the
-    // exact parallel schedule and say so in the report.
-    let fallback = matches!(cfg.mode, ExecMode::Relaxed { .. });
-    let exact;
-    let cfg = if fallback {
-        exact = cfg.clone().parallel();
-        &exact
-    } else {
-        cfg
-    };
-    let mut st = WelzlState::new(points, cfg.mode == ExecMode::Parallel);
-    let mut report = execute_type2(&mut st, cfg);
-    if fallback {
-        report.relaxed_fallback =
-            Some("enclosing has no native relaxed loop; ran exact parallel".into());
-    }
-    report.algorithm = "enclosing-disk".to_string();
-    (
-        SedOutput {
+    // leave no slack for a relaxed order.
+    cfg.relaxed_as_parallel("enclosing", |cfg| {
+        let mut st = WelzlState::new(points, cfg.mode == ExecMode::Parallel);
+        let report = execute_type2(&mut st, cfg);
+        let out = SedOutput {
             disk: st.disk.expect("n >= 2 guarantees a disk"),
             update2_calls: st.update2_calls,
             contains_tests: st.contains_tests.into_inner(),
-        },
-        report,
-    )
+        };
+        (out, report)
+    })
 }
 
 /// Brute-force reference: the best disk among all diametral pairs and all

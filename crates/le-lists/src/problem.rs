@@ -1,7 +1,7 @@
 //! The problem-level API: [`LeListsProblem`], solving through the unified
 //! engine to `(LeListsOutput, RunReport)`.
 
-use ri_core::engine::{ExecMode, Executable, Problem, RunConfig, RunReport, Runner};
+use ri_core::engine::{ExecMode, Problem, RunConfig, RunReport, Runner};
 use ri_graph::CsrGraph;
 use ri_pram::random_permutation;
 
@@ -71,81 +71,42 @@ impl<'a> LeListsProblem<'a> {
     }
 }
 
-struct LeExec<'a> {
-    g: &'a CsrGraph,
-    order: Option<&'a [usize]>,
-    out: Option<LeListsOutput>,
-}
-
-impl Executable for LeExec<'_> {
-    fn name(&self) -> &str {
-        "le-lists"
-    }
-    fn execute(&mut self, cfg: &RunConfig) -> RunReport {
-        let drawn;
-        let order: &[usize] = match self.order {
-            Some(order) => order,
-            None => {
-                drawn = random_permutation(self.g.num_vertices(), cfg.seed);
-                &drawn
-            }
-        };
-        let mut report = RunReport::new("le-lists");
-        report.items = order.len();
-        let result = match cfg.mode {
-            ExecMode::Sequential => report.phase("solve", cfg.instrument, |_| {
-                le_lists_sequential_impl(self.g, order)
-            }),
-            ExecMode::Parallel => report.phase("solve", cfg.instrument, |_| {
-                le_lists_parallel_impl(self.g, order)
-            }),
-            // No native relaxed loop: the parallel path runs
-            // `execute_type3` under its own fixed parallel config, not
-            // `cfg`, so relaxed requests run the exact parallel path and
-            // say so in the report.
-            ExecMode::Relaxed { .. } => {
-                report.relaxed_fallback =
-                    Some("le-lists has no native relaxed loop; ran exact parallel".into());
-                report.phase("solve", cfg.instrument, |_| {
-                    le_lists_parallel_impl(self.g, order)
-                })
-            }
-        };
-        let work = result.stats.visits + result.stats.relaxations;
-        match result.stats.rounds {
-            Some(ref log) => {
-                report.depth = log.rounds();
-                report.rounds = log.clone();
-            }
-            None => {
-                if !order.is_empty() {
-                    report.record_round(order.len(), work);
-                }
-                report.depth = order.len();
-            }
-        }
-        report.checks = work;
-        self.out = Some(LeListsOutput {
-            lists: result.lists,
-            redundant_entries: result.stats.redundant_entries,
-            visits: result.stats.visits,
-            relaxations: result.stats.relaxations,
-        });
-        report
-    }
-}
-
 impl Problem for LeListsProblem<'_> {
     type Output = LeListsOutput;
 
     fn solve(&self, cfg: &RunConfig) -> (LeListsOutput, RunReport) {
-        let mut exec = LeExec {
-            g: self.g,
-            order: self.order.as_deref(),
-            out: None,
-        };
-        let report = Runner::new(cfg.clone()).run(&mut exec);
-        (exec.out.expect("execute always produces output"), report)
+        // No native relaxed loop: the parallel path runs `execute_type3`
+        // under its own fixed parallel config, not `cfg`.
+        Runner::new(cfg.clone()).solve("le-lists", |cfg| {
+            cfg.relaxed_as_parallel("le-lists", |cfg| {
+                let drawn;
+                let order: &[usize] = match &self.order {
+                    Some(order) => order,
+                    None => {
+                        drawn = random_permutation(self.g.num_vertices(), cfg.seed);
+                        &drawn
+                    }
+                };
+                let mut report = RunReport::new("le-lists");
+                report.items = order.len();
+                let result = report.phase("solve", cfg.instrument, |_| match cfg.mode {
+                    ExecMode::Sequential => le_lists_sequential_impl(self.g, order),
+                    ExecMode::Parallel | ExecMode::Relaxed { .. } => {
+                        le_lists_parallel_impl(self.g, order)
+                    }
+                });
+                let work = result.stats.visits + result.stats.relaxations;
+                report.stamp_rounds(result.stats.rounds, work);
+                report.checks = work;
+                let out = LeListsOutput {
+                    lists: result.lists,
+                    redundant_entries: result.stats.redundant_entries,
+                    visits: result.stats.visits,
+                    relaxations: result.stats.relaxations,
+                };
+                (out, report)
+            })
+        })
     }
 }
 

@@ -8,7 +8,7 @@
 //! stress case for list lengths and search depth). The priority order
 //! is drawn from the *run* config's seed.
 
-use ri_core::engine::registry::{ErasedProblem, OutputSummary, Registry};
+use ri_core::engine::registry::{OutputSummary, Registry, WorkloadSpec};
 use ri_core::engine::{Problem, RunConfig, RunReport};
 use ri_graph::generators::degree_edges;
 use ri_graph::CsrGraph;
@@ -20,73 +20,60 @@ pub fn register(reg: &mut Registry) {
     reg.register(
         "le-lists",
         "Cohen's least-element lists on a random graph (§6.1, Type 3)",
-        |spec| {
-            // An Err (not a panic) below the minimum lets the streaming
-            // fallback report small prefixes as pending rather than die.
-            if spec.n < 2 {
-                return Err("le-lists needs at least 2 vertices to place edges".into());
-            }
-            let g = match spec.shape_or("gnm-weighted") {
-                "gnm-weighted" => ri_graph::generators::gnm_weighted(
-                    spec.n,
-                    degree_edges(spec.n, spec.param_or(4.0))?,
-                    spec.seed,
-                    true,
-                ),
-                "gnm" => ri_graph::generators::gnm(
-                    spec.n,
-                    degree_edges(spec.n, spec.param_or(4.0))?,
-                    spec.seed,
-                    true,
-                ),
-                "grid" => ri_graph::generators::grid2d_n(spec.n, spec.seed),
-                "rmat" => ri_graph::generators::rmat_n(
-                    spec.n,
-                    degree_edges(spec.n, spec.param_or(4.0))?,
-                    spec.seed,
-                    true,
-                ),
-                "deep-path" => {
-                    let m = degree_edges(spec.n, spec.param_or(4.0))?;
-                    ri_graph::generators::deep_path(
-                        spec.n,
-                        m.saturating_sub(spec.n - 1),
-                        spec.seed,
-                        true,
-                    )
-                }
-                other => {
-                    return Err(format!(
-                        "unknown le-lists graph shape `{other}` (known: gnm-weighted, \
-                         gnm, grid, rmat, deep-path)"
-                    ))
-                }
-            };
-            Ok(Box::new(LeListsWorkload { g }))
-        },
+        build_graph,
+        solve,
     );
 }
 
-struct LeListsWorkload {
-    g: CsrGraph,
+fn build_graph(spec: &WorkloadSpec) -> Result<CsrGraph, String> {
+    // An Err (not a panic) below the minimum lets the streaming
+    // fallback report small prefixes as pending rather than die.
+    if spec.n < 2 {
+        return Err("le-lists needs at least 2 vertices to place edges".into());
+    }
+    Ok(match spec.shape_or("gnm-weighted") {
+        "gnm-weighted" => ri_graph::generators::gnm_weighted(
+            spec.n,
+            degree_edges(spec.n, spec.param_or(4.0))?,
+            spec.seed,
+            true,
+        ),
+        "gnm" => ri_graph::generators::gnm(
+            spec.n,
+            degree_edges(spec.n, spec.param_or(4.0))?,
+            spec.seed,
+            true,
+        ),
+        "grid" => ri_graph::generators::grid2d_n(spec.n, spec.seed),
+        "rmat" => ri_graph::generators::rmat_n(
+            spec.n,
+            degree_edges(spec.n, spec.param_or(4.0))?,
+            spec.seed,
+            true,
+        ),
+        "deep-path" => {
+            let m = degree_edges(spec.n, spec.param_or(4.0))?;
+            ri_graph::generators::deep_path(spec.n, m.saturating_sub(spec.n - 1), spec.seed, true)
+        }
+        other => {
+            return Err(format!(
+                "unknown le-lists graph shape `{other}` (known: gnm-weighted, \
+                 gnm, grid, rmat, deep-path)"
+            ))
+        }
+    })
 }
 
-impl ErasedProblem for LeListsWorkload {
-    fn name(&self) -> &str {
-        "le-lists"
-    }
-
-    fn solve_erased(&self, cfg: &RunConfig) -> (OutputSummary, RunReport) {
-        let (out, report) = LeListsProblem::new(&self.g).solve(cfg);
-        let mut s = OutputSummary::new();
-        s.answer_num("vertices", self.g.num_vertices() as f64)
-            .answer_num("total_entries", out.total_entries() as f64)
-            .answer_num("max_list_len", out.max_list_len() as f64)
-            .metric_num("visits", out.visits as f64)
-            .metric_num("relaxations", out.relaxations as f64)
-            .metric_num("redundant_entries", out.redundant_entries as f64);
-        (s, report)
-    }
+fn solve(g: &CsrGraph, cfg: &RunConfig) -> (OutputSummary, RunReport) {
+    let (out, report) = LeListsProblem::new(g).solve(cfg);
+    let mut s = OutputSummary::new();
+    s.answer_num("vertices", g.num_vertices() as f64)
+        .answer_num("total_entries", out.total_entries() as f64)
+        .answer_num("max_list_len", out.max_list_len() as f64)
+        .metric_num("visits", out.visits as f64)
+        .metric_num("relaxations", out.relaxations as f64)
+        .metric_num("redundant_entries", out.redundant_entries as f64);
+    (s, report)
 }
 
 #[cfg(test)]

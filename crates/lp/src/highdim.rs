@@ -22,7 +22,7 @@
 //! `O(d! log^{d-1} n)` depth bound, which would need the prefix-doubling
 //! executor at every recursion level.
 
-use ri_core::engine::{execute_type2, ExecMode, RunConfig, RunReport};
+use ri_core::engine::{execute_type2, RunConfig, RunReport};
 use ri_core::Type2Algorithm;
 
 /// Numerical tolerance (the workloads are O(1)-scaled).
@@ -227,31 +227,20 @@ pub(crate) fn run_with_d(inst: &LpInstanceD, cfg: &RunConfig) -> (LpOutcomeD, Ru
         inst.constraints.iter().all(|c| c.normal.len() == d),
         "constraint dimension mismatch"
     );
-    let mut st = SeidelD {
-        inst,
-        optimum: box_optimum(&inst.objective),
-        infeasible: false,
-    };
-    let fallback = matches!(cfg.mode, ExecMode::Relaxed { .. });
-    let exact;
-    let cfg = if fallback {
-        exact = cfg.clone().parallel();
-        &exact
-    } else {
-        cfg
-    };
-    let mut report = execute_type2(&mut st, cfg);
-    if fallback {
-        report.relaxed_fallback =
-            Some("lp-d has no native relaxed loop; ran exact parallel".into());
-    }
-    report.algorithm = "lp-seidel-d".to_string();
-    let outcome = if st.infeasible {
-        LpOutcomeD::Infeasible
-    } else {
-        LpOutcomeD::Optimal(st.optimum)
-    };
-    (outcome, report)
+    cfg.relaxed_as_parallel("lp-d", |cfg| {
+        let mut st = SeidelD {
+            inst,
+            optimum: box_optimum(&inst.objective),
+            infeasible: false,
+        };
+        let report = execute_type2(&mut st, cfg);
+        let outcome = if st.infeasible {
+            LpOutcomeD::Infeasible
+        } else {
+            LpOutcomeD::Optimal(st.optimum)
+        };
+        (outcome, report)
+    })
 }
 
 /// Workload: constraints tangent to the unit d-sphere (`n̂ · x ≤ 1` for

@@ -1,7 +1,7 @@
 //! The problem-level API: [`LpProblem`] (2-D) and [`LpProblemD`] (d-D),
 //! solving through the unified engine to `(LpOutcome, RunReport)`.
 
-use ri_core::engine::{Executable, Problem, RunConfig, RunReport, Runner};
+use ri_core::engine::{Problem, RunConfig, RunReport, Runner};
 
 use crate::highdim::{run_with_d, LpInstanceD, LpOutcomeD};
 use crate::seidel::{run_with, LpInstance, LpOutcome};
@@ -31,32 +31,11 @@ impl<'a> LpProblem<'a> {
     }
 }
 
-struct LpExec<'a> {
-    inst: &'a LpInstance,
-    out: Option<LpOutcome>,
-}
-
-impl Executable for LpExec<'_> {
-    fn name(&self) -> &str {
-        "lp-seidel"
-    }
-    fn execute(&mut self, cfg: &RunConfig) -> RunReport {
-        let (outcome, report) = run_with(self.inst, cfg);
-        self.out = Some(outcome);
-        report
-    }
-}
-
 impl Problem for LpProblem<'_> {
     type Output = LpOutcome;
 
     fn solve(&self, cfg: &RunConfig) -> (LpOutcome, RunReport) {
-        let mut exec = LpExec {
-            inst: self.inst,
-            out: None,
-        };
-        let report = Runner::new(cfg.clone()).run(&mut exec);
-        (exec.out.expect("execute always produces output"), report)
+        Runner::new(cfg.clone()).solve("lp-seidel", |cfg| run_with(self.inst, cfg))
     }
 }
 
@@ -74,32 +53,11 @@ impl<'a> LpProblemD<'a> {
     }
 }
 
-struct LpExecD<'a> {
-    inst: &'a LpInstanceD,
-    out: Option<LpOutcomeD>,
-}
-
-impl Executable for LpExecD<'_> {
-    fn name(&self) -> &str {
-        "lp-seidel-d"
-    }
-    fn execute(&mut self, cfg: &RunConfig) -> RunReport {
-        let (outcome, report) = run_with_d(self.inst, cfg);
-        self.out = Some(outcome);
-        report
-    }
-}
-
 impl Problem for LpProblemD<'_> {
     type Output = LpOutcomeD;
 
     fn solve(&self, cfg: &RunConfig) -> (LpOutcomeD, RunReport) {
-        let mut exec = LpExecD {
-            inst: self.inst,
-            out: None,
-        };
-        let report = Runner::new(cfg.clone()).run(&mut exec);
-        (exec.out.expect("execute always produces output"), report)
+        Runner::new(cfg.clone()).solve("lp-seidel-d", |cfg| run_with_d(self.inst, cfg))
     }
 }
 

@@ -6,7 +6,7 @@
 //! (`"tangent"`, default) or `"degenerate"` workload with `param` as
 //! the dimension (default 3).
 
-use ri_core::engine::registry::{ErasedProblem, OutputSummary, Registry};
+use ri_core::engine::registry::{OutputSummary, Registry};
 use ri_core::engine::{Problem, RunConfig, RunReport};
 
 use crate::highdim::{degenerate_instance_d, tangent_instance_d, LpInstanceD, LpOutcomeD};
@@ -32,8 +32,9 @@ pub fn register(reg: &mut Registry) {
                     ))
                 }
             };
-            Ok(Box::new(LpWorkload { inst }))
+            Ok(inst)
         },
+        solve_2d,
     );
     reg.register(
         "lp-d",
@@ -54,70 +55,51 @@ pub fn register(reg: &mut Registry) {
                     ))
                 }
             };
-            Ok(Box::new(LpDWorkload { inst }))
+            Ok(inst)
         },
+        solve_d,
     );
 }
 
-struct LpWorkload {
-    inst: LpInstance,
-}
-
-impl ErasedProblem for LpWorkload {
-    fn name(&self) -> &str {
-        "lp"
-    }
-
-    fn solve_erased(&self, cfg: &RunConfig) -> (OutputSummary, RunReport) {
-        let (outcome, report) = LpProblem::new(&self.inst).solve(cfg);
-        let mut s = OutputSummary::new();
-        s.answer_num("constraints", self.inst.constraints.len() as f64);
-        match outcome {
-            LpOutcome::Optimal(x) => {
-                // The parallel schedule reproduces the sequential optimum
-                // exactly (min/max reductions are associative), so exact
-                // coordinates are safe answer fields.
-                s.answer_str("outcome", "optimal")
-                    .answer_num("x", x.x)
-                    .answer_num("y", x.y);
-            }
-            LpOutcome::Infeasible => {
-                s.answer_str("outcome", "infeasible");
-            }
+fn solve_2d(inst: &LpInstance, cfg: &RunConfig) -> (OutputSummary, RunReport) {
+    let (outcome, report) = LpProblem::new(inst).solve(cfg);
+    let mut s = OutputSummary::new();
+    s.answer_num("constraints", inst.constraints.len() as f64);
+    match outcome {
+        LpOutcome::Optimal(x) => {
+            // The parallel schedule reproduces the sequential optimum
+            // exactly (min/max reductions are associative), so exact
+            // coordinates are safe answer fields.
+            s.answer_str("outcome", "optimal")
+                .answer_num("x", x.x)
+                .answer_num("y", x.y);
         }
-        (s, report)
-    }
-}
-
-struct LpDWorkload {
-    inst: LpInstanceD,
-}
-
-impl ErasedProblem for LpDWorkload {
-    fn name(&self) -> &str {
-        "lp-d"
-    }
-
-    fn solve_erased(&self, cfg: &RunConfig) -> (OutputSummary, RunReport) {
-        let (outcome, report) = LpProblemD::new(&self.inst).solve(cfg);
-        let mut s = OutputSummary::new();
-        s.answer_num("constraints", self.inst.constraints.len() as f64)
-            .answer_num("dimension", self.inst.objective.len() as f64);
-        match outcome {
-            LpOutcomeD::Optimal(x) => {
-                // Recursive 1-D solves accumulate mode-dependent rounding
-                // in the last bits, so the objective value is a metric,
-                // not an answer field.
-                s.answer_str("outcome", "optimal");
-                let value: f64 = self.inst.objective.iter().zip(&x).map(|(a, b)| a * b).sum();
-                s.metric_num("objective_value", value);
-            }
-            LpOutcomeD::Infeasible => {
-                s.answer_str("outcome", "infeasible");
-            }
+        LpOutcome::Infeasible => {
+            s.answer_str("outcome", "infeasible");
         }
-        (s, report)
     }
+    (s, report)
+}
+
+fn solve_d(inst: &LpInstanceD, cfg: &RunConfig) -> (OutputSummary, RunReport) {
+    let (outcome, report) = LpProblemD::new(inst).solve(cfg);
+    let mut s = OutputSummary::new();
+    s.answer_num("constraints", inst.constraints.len() as f64)
+        .answer_num("dimension", inst.objective.len() as f64);
+    match outcome {
+        LpOutcomeD::Optimal(x) => {
+            // Recursive 1-D solves accumulate mode-dependent rounding
+            // in the last bits, so the objective value is a metric,
+            // not an answer field.
+            s.answer_str("outcome", "optimal");
+            let value: f64 = inst.objective.iter().zip(&x).map(|(a, b)| a * b).sum();
+            s.metric_num("objective_value", value);
+        }
+        LpOutcomeD::Infeasible => {
+            s.answer_str("outcome", "infeasible");
+        }
+    }
+    (s, report)
 }
 
 #[cfg(test)]

@@ -196,26 +196,16 @@ impl Type2Algorithm for SeidelState<'_> {
 /// violation checks are against a basis rebuilt at every special, leaving
 /// no useful slack for a relaxed order — and say so in the report.
 pub(crate) fn run_with(inst: &LpInstance, cfg: &RunConfig) -> (LpOutcome, RunReport) {
-    let fallback = matches!(cfg.mode, ExecMode::Relaxed { .. });
-    let exact;
-    let cfg = if fallback {
-        exact = cfg.clone().parallel();
-        &exact
-    } else {
-        cfg
-    };
-    let mut st = SeidelState::new(inst, cfg.mode == ExecMode::Parallel);
-    let mut report = execute_type2(&mut st, cfg);
-    if fallback {
-        report.relaxed_fallback = Some("lp has no native relaxed loop; ran exact parallel".into());
-    }
-    report.algorithm = "lp-seidel".to_string();
-    let outcome = if st.infeasible {
-        LpOutcome::Infeasible
-    } else {
-        LpOutcome::Optimal(st.optimum)
-    };
-    (outcome, report)
+    cfg.relaxed_as_parallel("lp", |cfg| {
+        let mut st = SeidelState::new(inst, cfg.mode == ExecMode::Parallel);
+        let report = execute_type2(&mut st, cfg);
+        let outcome = if st.infeasible {
+            LpOutcome::Infeasible
+        } else {
+            LpOutcome::Optimal(st.optimum)
+        };
+        (outcome, report)
+    })
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The problem-level API: [`SccProblem`], solving through the unified
 //! engine to `(SccOutput, RunReport)`.
 
-use ri_core::engine::{ExecMode, Executable, Problem, RunConfig, RunReport, Runner};
+use ri_core::engine::{ExecMode, Problem, RunConfig, RunReport, Runner};
 use ri_graph::CsrGraph;
 use ri_pram::random_permutation;
 
@@ -72,75 +72,42 @@ impl<'a> SccProblem<'a> {
     }
 }
 
-struct SccExec<'a> {
-    g: &'a CsrGraph,
-    order: Option<&'a [usize]>,
-    out: Option<SccOutput>,
-}
-
-impl Executable for SccExec<'_> {
-    fn name(&self) -> &str {
-        "scc"
-    }
-    fn execute(&mut self, cfg: &RunConfig) -> RunReport {
-        let drawn;
-        let order: &[usize] = match self.order {
-            Some(order) => order,
-            None => {
-                drawn = random_permutation(self.g.num_vertices(), cfg.seed);
-                &drawn
-            }
-        };
-        let mut report = RunReport::new("scc");
-        report.items = order.len();
-        let result = match cfg.mode {
-            ExecMode::Sequential => report.phase("solve", cfg.instrument, |_| {
-                scc_sequential_impl(self.g, order)
-            }),
-            // Parallel and relaxed share the Type 3 executor; the mode in
-            // `cfg` picks the round schedule (relaxed is native here — the
-            // frozen-state rounds make any within-round order equivalent).
-            ExecMode::Parallel | ExecMode::Relaxed { .. } => {
-                report.phase("solve", cfg.instrument, |_| {
-                    scc_parallel_impl(self.g, order, cfg)
-                })
-            }
-        };
-        report.rank_inversions = result.stats.rank_inversions;
-        let work = result.stats.visits + result.stats.relaxations;
-        match result.stats.rounds {
-            Some(ref log) => {
-                report.depth = log.rounds();
-                report.rounds = log.clone();
-            }
-            None => {
-                if !order.is_empty() {
-                    report.record_round(order.len(), work);
-                }
-                report.depth = order.len();
-            }
-        }
-        report.checks = work;
-        self.out = Some(SccOutput {
-            comp: result.comp,
-            visits_per_vertex: result.stats.visits_per_vertex,
-            queries: result.stats.queries,
-        });
-        report
-    }
-}
-
 impl Problem for SccProblem<'_> {
     type Output = SccOutput;
 
     fn solve(&self, cfg: &RunConfig) -> (SccOutput, RunReport) {
-        let mut exec = SccExec {
-            g: self.g,
-            order: self.order.as_deref(),
-            out: None,
-        };
-        let report = Runner::new(cfg.clone()).run(&mut exec);
-        (exec.out.expect("execute always produces output"), report)
+        Runner::new(cfg.clone()).solve("scc", |cfg| {
+            let drawn;
+            let order: &[usize] = match &self.order {
+                Some(order) => order,
+                None => {
+                    drawn = random_permutation(self.g.num_vertices(), cfg.seed);
+                    &drawn
+                }
+            };
+            let mut report = RunReport::new("scc");
+            report.items = order.len();
+            let result = report.phase("solve", cfg.instrument, |_| match cfg.mode {
+                ExecMode::Sequential => scc_sequential_impl(self.g, order),
+                // Parallel and relaxed share the Type 3 executor; the mode
+                // in `cfg` picks the round schedule (relaxed is native
+                // here — the frozen-state rounds make any within-round
+                // order equivalent).
+                ExecMode::Parallel | ExecMode::Relaxed { .. } => {
+                    scc_parallel_impl(self.g, order, cfg)
+                }
+            });
+            report.rank_inversions = result.stats.rank_inversions;
+            let work = result.stats.visits + result.stats.relaxations;
+            report.stamp_rounds(result.stats.rounds, work);
+            report.checks = work;
+            let out = SccOutput {
+                comp: result.comp,
+                visits_per_vertex: result.stats.visits_per_vertex,
+                queries: result.stats.queries,
+            };
+            (out, report)
+        })
     }
 }
 

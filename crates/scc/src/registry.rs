@@ -16,8 +16,9 @@
 //! the prefix), reporting the updated component membership as the delta.
 
 use ri_core::engine::json::Value;
-use ri_core::engine::registry::{ErasedIncremental, ErasedProblem, OutputSummary, Registry};
-use ri_core::engine::session::{BatchDelta, FeedState};
+use ri_core::engine::registry::{
+    OutputSummary, PrefixSolution, PrefixStream, Registry, WorkloadSpec,
+};
 use ri_core::engine::{Problem, RunConfig, RunReport};
 use ri_graph::generators::degree_edges;
 use ri_graph::CsrGraph;
@@ -26,7 +27,7 @@ use crate::{canonical_labels, SccProblem};
 
 /// Build the full workload digraph from `spec`: the shared path of the
 /// one-shot constructor and the streaming adapter's open.
-fn build_graph(spec: &ri_core::engine::registry::WorkloadSpec) -> Result<CsrGraph, String> {
+fn build_graph(spec: &WorkloadSpec) -> Result<CsrGraph, String> {
     if spec.n == 0 {
         return Err("scc needs at least 1 vertex".into());
     }
@@ -74,10 +75,10 @@ pub fn register(reg: &mut Registry) {
     reg.register(
         "scc",
         "incremental strongly connected components of a random digraph (§6.2, Type 3)",
-        |spec| {
-            Ok(Box::new(SccWorkload {
-                g: build_graph(spec)?,
-            }))
+        build_graph,
+        |g, cfg| {
+            let (s, report, _) = summarize(g, cfg);
+            (s, report)
         },
     );
     reg.register_incremental("scc", |spec| {
@@ -88,12 +89,11 @@ pub fn register(reg: &mut Registry) {
                 edges.push((u, v));
             }
         }
-        Ok(Box::new(SccStream {
+        Ok(SccStream {
             g,
             edges,
             labels: Vec::new(),
-            state: FeedState::new(spec.n),
-        }))
+        })
     });
 }
 
@@ -121,21 +121,6 @@ fn label_checksum(labels: &[u32]) -> u64 {
     h & ((1 << 53) - 1)
 }
 
-struct SccWorkload {
-    g: CsrGraph,
-}
-
-impl ErasedProblem for SccWorkload {
-    fn name(&self) -> &str {
-        "scc"
-    }
-
-    fn solve_erased(&self, cfg: &RunConfig) -> (OutputSummary, RunReport) {
-        let (s, report, _) = summarize(&self.g, cfg);
-        (s, report)
-    }
-}
-
 /// The native streaming adapter. Each batch solves the subgraph induced
 /// by the revealed vertex prefix; at full capacity the original graph
 /// object is solved directly, so the final streamed answer and trace are
@@ -149,35 +134,25 @@ struct SccStream {
     edges: Vec<(u32, u32)>,
     /// Canonical component labels of the previous prefix.
     labels: Vec<u32>,
-    state: FeedState,
 }
 
-impl ErasedIncremental for SccStream {
-    fn name(&self) -> &str {
-        "scc"
-    }
-
+impl PrefixStream for SccStream {
     fn capacity(&self) -> usize {
-        self.state.capacity()
-    }
-
-    fn absorbed(&self) -> usize {
-        self.state.absorbed()
-    }
-
-    fn native(&self) -> bool {
-        true
+        self.g.num_vertices()
     }
 
     fn approx_bytes(&self) -> usize {
         self.edges.len() * 8 + self.g.num_vertices() * 8 + self.labels.len() * 4 + 256
     }
 
-    fn feed(&mut self, count: usize, cfg: &RunConfig) -> Result<(BatchDelta, RunReport), String> {
-        let (batch, _lo, hi) = self.state.advance(count)?;
-        let capacity = self.state.capacity();
+    fn solve_prefix(
+        &mut self,
+        _lo: usize,
+        hi: usize,
+        cfg: &RunConfig,
+    ) -> Result<Option<PrefixSolution>, String> {
         let induced;
-        let g = if hi == capacity {
+        let g = if hi == self.g.num_vertices() {
             &self.g
         } else {
             let prefix_edges: Vec<(u32, u32)> = self
@@ -215,10 +190,7 @@ impl ErasedIncremental for SccStream {
             ),
         ]);
         self.labels = labels;
-        Ok((
-            BatchDelta::solved(batch, count, hi, capacity, delta, &summary, &report),
-            report,
-        ))
+        Ok(Some((delta, summary, report)))
     }
 }
 

@@ -287,26 +287,24 @@ impl SessionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ri_core::engine::registry::{ErasedProblem, OutputSummary, WorkloadSpec};
-    use ri_core::engine::{RunConfig, RunReport};
+    use ri_core::engine::registry::{OutputSummary, WorkloadSpec};
+    use ri_core::engine::RunReport;
 
     fn toy_registry() -> Registry {
-        struct Toy(usize);
-        impl ErasedProblem for Toy {
-            fn name(&self) -> &str {
-                "toy"
-            }
-            fn solve_erased(&self, _cfg: &RunConfig) -> (OutputSummary, RunReport) {
+        let mut reg = Registry::new();
+        reg.register(
+            "toy",
+            "toy",
+            |spec| Ok(spec.n),
+            |&n, _cfg| {
                 let mut s = OutputSummary::new();
-                s.answer_num("n", self.0 as f64);
+                s.answer_num("n", n as f64);
                 let mut report = RunReport::new("toy");
                 report.scratch_hits = 3;
                 report.scratch_misses = 1;
                 (s, report)
-            }
-        }
-        let mut reg = Registry::new();
-        reg.register("toy", "toy", |spec| Ok(Box::new(Toy(spec.n))));
+            },
+        );
         reg
     }
 

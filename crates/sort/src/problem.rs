@@ -2,7 +2,8 @@
 //! [`BatchSortProblem`] (the §2.3 Type 3 batch variant), both solving
 //! through the unified engine to `(SortOutput, RunReport)`.
 
-use ri_core::engine::{ExecMode, Executable, Problem, RunConfig, RunReport, Runner};
+use ri_core::engine::{ExecMode, Problem, RunConfig, RunReport, Runner};
+use ri_pram::RoundLog;
 
 use crate::batch::batch_bst_sort_impl;
 use crate::parallel::parallel_bst_sort_impl;
@@ -29,6 +30,25 @@ pub struct SortOutput {
 }
 
 impl SortOutput {
+    fn new(tree: Bst, sorted_indices: Vec<usize>, comparisons: u64) -> Self {
+        SortOutput {
+            tree,
+            sorted_indices,
+            comparisons,
+            left_dep_histogram: Vec::new(),
+        }
+    }
+
+    /// The classic insertion loop, shared by both problems' sequential
+    /// mode (no round log: one summary round).
+    fn sequential<T: Ord>(keys: &[T]) -> (Self, Option<RoundLog>) {
+        let r = sequential_bst_sort_impl(keys);
+        (
+            SortOutput::new(r.tree, r.sorted_indices, r.comparisons),
+            None,
+        )
+    }
+
     /// The keys in sorted order (resolving indices against the input).
     pub fn sorted<'a, T>(&self, keys: &'a [T]) -> Vec<&'a T> {
         self.sorted_indices.iter().map(|&i| &keys[i]).collect()
@@ -62,79 +82,33 @@ impl<'a, T: Ord + Sync> SortProblem<'a, T> {
     }
 }
 
-struct SortExec<'a, T> {
-    keys: &'a [T],
-    out: Option<SortOutput>,
-}
-
-impl<T: Ord + Sync> Executable for SortExec<'_, T> {
-    fn name(&self) -> &str {
-        "bst-sort"
-    }
-    fn execute(&mut self, cfg: &RunConfig) -> RunReport {
-        let mut report = RunReport::new("bst-sort");
-        report.items = self.keys.len();
-        match cfg.mode {
-            ExecMode::Sequential => {
-                let r = report.phase("solve", cfg.instrument, |_| {
-                    sequential_bst_sort_impl(self.keys)
-                });
-                if !self.keys.is_empty() {
-                    report.record_round(self.keys.len(), r.comparisons);
-                }
-                report.depth = self.keys.len();
-                self.out = Some(SortOutput {
-                    tree: r.tree,
-                    sorted_indices: r.sorted_indices,
-                    comparisons: r.comparisons,
-                    left_dep_histogram: Vec::new(),
-                });
-            }
-            ExecMode::Parallel => {
-                let r = report.phase("solve", cfg.instrument, |_| {
-                    parallel_bst_sort_impl(self.keys)
-                });
-                report.depth = r.log.rounds();
-                report.rounds = r.log;
-                self.out = Some(SortOutput {
-                    tree: r.tree,
-                    sorted_indices: r.sorted_indices,
-                    comparisons: r.comparisons,
-                    left_dep_histogram: Vec::new(),
-                });
-            }
-            // Native relaxed loop: independent slot tasks scheduled off a
-            // MultiQueue rebuild the identical tree with the identical
-            // comparison count (see `relaxed`'s module docs).
-            ExecMode::Relaxed { k } => {
-                let r = report.phase("solve", cfg.instrument, |_| {
-                    relaxed_bst_sort_impl(self.keys, k, cfg.seed)
-                });
-                report.depth = r.log.rounds();
-                report.rounds = r.log;
-                report.rank_inversions = r.rank_inversions;
-                self.out = Some(SortOutput {
-                    tree: r.tree,
-                    sorted_indices: r.sorted_indices,
-                    comparisons: r.comparisons,
-                    left_dep_histogram: Vec::new(),
-                });
-            }
-        }
-        report
-    }
-}
-
 impl<T: Ord + Sync> Problem for SortProblem<'_, T> {
     type Output = SortOutput;
 
     fn solve(&self, cfg: &RunConfig) -> (SortOutput, RunReport) {
-        let mut exec = SortExec {
-            keys: self.keys,
-            out: None,
-        };
-        let report = Runner::new(cfg.clone()).run(&mut exec);
-        (exec.out.expect("execute always produces output"), report)
+        Runner::new(cfg.clone()).solve("bst-sort", |cfg| {
+            let mut report = RunReport::new("bst-sort");
+            report.items = self.keys.len();
+            let (out, log) = report.phase("solve", cfg.instrument, |report| match cfg.mode {
+                ExecMode::Sequential => SortOutput::sequential(self.keys),
+                ExecMode::Parallel => {
+                    let r = parallel_bst_sort_impl(self.keys);
+                    let out = SortOutput::new(r.tree, r.sorted_indices, r.comparisons);
+                    (out, Some(r.log))
+                }
+                // Native relaxed loop: independent slot tasks scheduled off
+                // a MultiQueue rebuild the identical tree with the
+                // identical comparison count (see `relaxed`'s module docs).
+                ExecMode::Relaxed { k } => {
+                    let r = relaxed_bst_sort_impl(self.keys, k, cfg.seed);
+                    report.rank_inversions = r.rank_inversions;
+                    let out = SortOutput::new(r.tree, r.sorted_indices, r.comparisons);
+                    (out, Some(r.log))
+                }
+            });
+            report.stamp_rounds(log, out.comparisons);
+            (out, report)
+        })
     }
 }
 
@@ -154,70 +128,32 @@ impl<'a, T: Ord + Sync> BatchSortProblem<'a, T> {
     }
 }
 
-struct BatchSortExec<'a, T> {
-    keys: &'a [T],
-    out: Option<SortOutput>,
-}
-
-impl<T: Ord + Sync> Executable for BatchSortExec<'_, T> {
-    fn name(&self) -> &str {
-        "bst-sort-batch"
-    }
-    fn execute(&mut self, cfg: &RunConfig) -> RunReport {
-        let mut report = RunReport::new("bst-sort-batch");
-        report.items = self.keys.len();
-        match cfg.mode {
-            ExecMode::Sequential => {
-                let r = report.phase("solve", cfg.instrument, |_| {
-                    sequential_bst_sort_impl(self.keys)
-                });
-                if !self.keys.is_empty() {
-                    report.record_round(self.keys.len(), r.comparisons);
-                }
-                report.depth = self.keys.len();
-                self.out = Some(SortOutput {
-                    tree: r.tree,
-                    sorted_indices: r.sorted_indices,
-                    comparisons: r.comparisons,
-                    left_dep_histogram: Vec::new(),
-                });
-            }
-            ExecMode::Parallel | ExecMode::Relaxed { .. } => {
-                // The batch variant exists to *measure* the §2.3 doubling
-                // schedule (Lemma 2.5 histogram), so relaxing it away
-                // would defeat its purpose: relaxed requests run the
-                // exact batch schedule and report the fallback.
-                if matches!(cfg.mode, ExecMode::Relaxed { .. }) {
-                    report.relaxed_fallback = Some(
-                        "sort-batch measures the exact §2.3 doubling schedule; ran exact parallel"
-                            .into(),
-                    );
-                }
-                let r = report.phase("solve", cfg.instrument, |_| batch_bst_sort_impl(self.keys));
-                report.depth = r.log.rounds();
-                report.rounds = r.log;
-                self.out = Some(SortOutput {
-                    tree: r.tree,
-                    sorted_indices: r.sorted_indices,
-                    comparisons: r.comparisons,
-                    left_dep_histogram: r.left_dep_histogram,
-                });
-            }
-        }
-        report
-    }
-}
-
 impl<T: Ord + Sync> Problem for BatchSortProblem<'_, T> {
     type Output = SortOutput;
 
     fn solve(&self, cfg: &RunConfig) -> (SortOutput, RunReport) {
-        let mut exec = BatchSortExec {
-            keys: self.keys,
-            out: None,
-        };
-        let report = Runner::new(cfg.clone()).run(&mut exec);
-        (exec.out.expect("execute always produces output"), report)
+        // The batch variant exists to *measure* the §2.3 doubling schedule
+        // (Lemma 2.5 histogram), so relaxing it away would defeat its
+        // purpose: relaxed requests run the exact batch schedule.
+        Runner::new(cfg.clone()).solve("bst-sort-batch", |cfg| {
+            cfg.relaxed_as_parallel("sort-batch", |cfg| {
+                let mut report = RunReport::new("bst-sort-batch");
+                report.items = self.keys.len();
+                let (out, log) = report.phase("solve", cfg.instrument, |_| match cfg.mode {
+                    ExecMode::Sequential => SortOutput::sequential(self.keys),
+                    ExecMode::Parallel | ExecMode::Relaxed { .. } => {
+                        let r = batch_bst_sort_impl(self.keys);
+                        let out = SortOutput {
+                            left_dep_histogram: r.left_dep_histogram,
+                            ..SortOutput::new(r.tree, r.sorted_indices, r.comparisons)
+                        };
+                        (out, Some(r.log))
+                    }
+                });
+                report.stamp_rounds(log, out.comparisons);
+                (out, report)
+            })
+        })
     }
 }
 

@@ -8,12 +8,11 @@
 
 use ri_core::engine::json::Value;
 use ri_core::engine::registry::{
-    ErasedIncremental, ErasedProblem, OutputSummary, Registry, WorkloadSpec,
+    OutputSummary, PrefixSolution, PrefixStream, Registry, WorkloadSpec,
 };
-use ri_core::engine::session::{BatchDelta, FeedState};
 use ri_core::engine::{Problem, RunConfig, RunReport};
 
-use crate::problem::{BatchSortProblem, SortOutput, SortProblem};
+use crate::problem::{BatchSortProblem, SortProblem};
 use crate::workloads::shaped_keys;
 
 fn spec_keys(spec: &WorkloadSpec) -> Result<Vec<usize>, String> {
@@ -22,45 +21,37 @@ fn spec_keys(spec: &WorkloadSpec) -> Result<Vec<usize>, String> {
 
 /// Register this crate's problems.
 pub fn register(reg: &mut Registry) {
-    reg.register(
-        "sort",
-        "incremental BST sort of a shaped key sequence (§3, Type 1)",
-        |spec| {
-            Ok(Box::new(SortWorkload {
-                name: "sort",
+    for (name, description) in [
+        (
+            "sort",
+            "incremental BST sort of a shaped key sequence (§3, Type 1)",
+        ),
+        (
+            "sort-batch",
+            "Type 3 batch execution of BST sort (§2.3 worked example)",
+        ),
+    ] {
+        reg.register(name, description, spec_keys, move |keys, cfg| {
+            solve_keys(name, keys, cfg)
+        });
+        reg.register_incremental(name, move |spec| {
+            Ok(SortStream {
+                name,
                 keys: spec_keys(spec)?,
-            }))
-        },
-    );
-    reg.register(
-        "sort-batch",
-        "Type 3 batch execution of BST sort (§2.3 worked example)",
-        |spec| {
-            Ok(Box::new(SortWorkload {
-                name: "sort-batch",
-                keys: spec_keys(spec)?,
-            }))
-        },
-    );
-    reg.register_incremental("sort", |spec| {
-        Ok(Box::new(SortStream::open("sort", spec_keys(spec)?)))
-    });
-    reg.register_incremental("sort-batch", |spec| {
-        Ok(Box::new(SortStream::open("sort-batch", spec_keys(spec)?)))
-    });
-}
-
-/// Solve `keys` under the named variant and digest the output: the
-/// shared path of the one-shot workload and every streamed prefix.
-fn solve_keys(name: &str, keys: &[usize], cfg: &RunConfig) -> (SortOutput, RunReport) {
-    if name == "sort-batch" {
-        BatchSortProblem::new(keys).solve(cfg)
-    } else {
-        SortProblem::new(keys).solve(cfg)
+                sorted: Vec::new(),
+            })
+        });
     }
 }
 
-fn summarize(keys: &[usize], out: &SortOutput) -> OutputSummary {
+/// Solve `keys` under the named variant and digest the output: the
+/// shared path of the one-shot solve and every streamed prefix.
+fn solve_keys(name: &str, keys: &[usize], cfg: &RunConfig) -> (OutputSummary, RunReport) {
+    let (out, report) = if name == "sort-batch" {
+        BatchSortProblem::new(keys).solve(cfg)
+    } else {
+        SortProblem::new(keys).solve(cfg)
+    };
     let sorted = out
         .sorted_indices
         .windows(2)
@@ -71,23 +62,7 @@ fn summarize(keys: &[usize], out: &SortOutput) -> OutputSummary {
         .answer_bool("sorted", sorted)
         .answer_num("tree_depth", out.tree.dependence_depth() as f64)
         .metric_num("comparisons", out.comparisons as f64);
-    s
-}
-
-struct SortWorkload {
-    name: &'static str,
-    keys: Vec<usize>,
-}
-
-impl ErasedProblem for SortWorkload {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn solve_erased(&self, cfg: &RunConfig) -> (OutputSummary, RunReport) {
-        let (out, report) = solve_keys(self.name, &self.keys, cfg);
-        (summarize(&self.keys, &out), report)
-    }
+    (s, report)
 }
 
 /// At most this many `[key, rank]` insertion pairs are spelled out per
@@ -105,36 +80,42 @@ struct SortStream {
     keys: Vec<usize>,
     /// The absorbed prefix's keys in sorted order.
     sorted: Vec<usize>,
-    state: FeedState,
 }
 
-impl SortStream {
-    fn open(name: &'static str, keys: Vec<usize>) -> Self {
-        let capacity = keys.len();
-        SortStream {
-            name,
-            keys,
-            sorted: Vec::new(),
-            state: FeedState::new(capacity),
+/// Absorb `batch` (the next keys in stream order) into the sorted prefix
+/// `sorted`, returning the `(key, rank)` insertions of its first `limit`
+/// keys. A key's rank at its own insertion counts the old prefix's
+/// smaller keys (a binary search) plus the batch's earlier smaller keys;
+/// one merge then absorbs the whole batch, so a batch of b keys over an
+/// n-key prefix costs O(n + b log b) instead of b shifting inserts.
+fn absorb(sorted: &mut Vec<usize>, batch: &[usize], limit: usize) -> Vec<(usize, usize)> {
+    let ranks = batch
+        .iter()
+        .take(limit)
+        .enumerate()
+        .map(|(i, &key)| {
+            let earlier = batch[..i].iter().filter(|&&k| k < key).count();
+            (key, sorted.partition_point(|&k| k < key) + earlier)
+        })
+        .collect();
+    let mut incoming = batch.to_vec();
+    incoming.sort_unstable();
+    let mut merged = Vec::with_capacity(sorted.len() + incoming.len());
+    let mut old = sorted.iter().copied().peekable();
+    for key in incoming {
+        while let Some(smaller) = old.next_if(|&k| k < key) {
+            merged.push(smaller);
         }
+        merged.push(key);
     }
+    merged.extend(old);
+    *sorted = merged;
+    ranks
 }
 
-impl ErasedIncremental for SortStream {
-    fn name(&self) -> &str {
-        self.name
-    }
-
+impl PrefixStream for SortStream {
     fn capacity(&self) -> usize {
-        self.state.capacity()
-    }
-
-    fn absorbed(&self) -> usize {
-        self.state.absorbed()
-    }
-
-    fn native(&self) -> bool {
-        true
+        self.keys.len()
     }
 
     fn approx_bytes(&self) -> usize {
@@ -142,19 +123,17 @@ impl ErasedIncremental for SortStream {
         self.keys.len() * 16 + 128
     }
 
-    fn feed(&mut self, count: usize, cfg: &RunConfig) -> Result<(BatchDelta, RunReport), String> {
-        let (batch, lo, hi) = self.state.advance(count)?;
-        let mut insertions = Vec::new();
-        for &key in &self.keys[lo..hi] {
-            let rank = self.sorted.partition_point(|&k| k < key);
-            self.sorted.insert(rank, key);
-            if insertions.len() < MAX_DELTA_INSERTIONS {
-                insertions.push(Value::Arr(vec![
-                    Value::Num(key as f64),
-                    Value::Num(rank as f64),
-                ]));
-            }
-        }
+    fn solve_prefix(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        cfg: &RunConfig,
+    ) -> Result<Option<PrefixSolution>, String> {
+        let count = hi - lo;
+        let insertions = absorb(&mut self.sorted, &self.keys[lo..hi], MAX_DELTA_INSERTIONS)
+            .into_iter()
+            .map(|(key, rank)| Value::Arr(vec![Value::Num(key as f64), Value::Num(rank as f64)]))
+            .collect();
         let delta = Value::Obj(vec![
             ("inserted".into(), Value::Num(count as f64)),
             ("insertions".into(), Value::Arr(insertions)),
@@ -166,20 +145,8 @@ impl ErasedIncremental for SortStream {
         // The authoritative answer + trace come from solving the prefix
         // through the real executors — what keeps the final batch equal
         // to the one-shot solve bit for bit.
-        let (out, report) = solve_keys(self.name, &self.keys[..hi], cfg);
-        let summary = summarize(&self.keys[..hi], &out);
-        Ok((
-            BatchDelta::solved(
-                batch,
-                count,
-                hi,
-                self.state.capacity(),
-                delta,
-                &summary,
-                &report,
-            ),
-            report,
-        ))
+        let (summary, report) = solve_keys(self.name, &self.keys[..hi], cfg);
+        Ok(Some((delta, summary, report)))
     }
 }
 
@@ -224,6 +191,36 @@ mod tests {
                 Ok(_) => panic!("{name}: bad shape accepted by the stream ctor"),
             };
             assert!(err.to_string().contains("unknown sort shape"), "{name}");
+        }
+    }
+
+    #[test]
+    fn batched_ranks_match_naive_insertion() {
+        // Random batch splits of a random permutation: every reported
+        // rank equals the one a shifting insert into the sorted prefix
+        // finds, and the merged prefix stays sorted.
+        for seed in 0..8u64 {
+            let keys = ri_pram::random_permutation(300, seed);
+            let mut sorted = Vec::new();
+            let mut naive: Vec<usize> = Vec::new();
+            let mut lo = 0;
+            let mut step = seed;
+            while lo < keys.len() {
+                step = ri_pram::hash_u64(step);
+                let hi = (lo + 1 + (step % 70) as usize).min(keys.len());
+                let batch = &keys[lo..hi];
+                let ranks = absorb(&mut sorted, batch, MAX_DELTA_INSERTIONS);
+                assert_eq!(ranks.len(), batch.len().min(MAX_DELTA_INSERTIONS));
+                for (i, &key) in batch.iter().enumerate() {
+                    let rank = naive.partition_point(|&k| k < key);
+                    naive.insert(rank, key);
+                    if i < MAX_DELTA_INSERTIONS {
+                        assert_eq!(ranks[i], (key, rank), "seed {seed}, batch {lo}..{hi}");
+                    }
+                }
+                assert_eq!(sorted, naive, "seed {seed}, batch {lo}..{hi}");
+                lo = hi;
+            }
         }
     }
 

@@ -2,7 +2,6 @@
 //! must reproduce exactly.
 
 use crate::tree::{Bst, NONE};
-use ri_core::DependenceGraph;
 
 /// Output of the sequential sort.
 #[derive(Debug)]
@@ -13,12 +12,6 @@ pub struct SeqSortResult {
     pub sorted_indices: Vec<usize>,
     /// Number of key comparisons performed.
     pub comparisons: u64,
-    /// The iteration dependence graph: node `i`'s single recorded
-    /// dependence is its tree parent (the last — subsuming — dependence on
-    /// its search path, as §3 observes the transitive reduction is the tree
-    /// itself).
-    #[cfg_attr(not(test), allow(dead_code))] // checked by the depth tests
-    pub depgraph: DependenceGraph,
 }
 
 /// Insert `keys` into a BST in the given (iteration) order; keys must be
@@ -27,7 +20,6 @@ pub(crate) fn sequential_bst_sort_impl<T: Ord>(keys: &[T]) -> SeqSortResult {
     let n = keys.len();
     let mut tree = Bst::new(n);
     let mut comparisons = 0u64;
-    let mut depgraph = DependenceGraph::with_nodes(n);
 
     for i in 0..n {
         if tree.root == NONE {
@@ -44,7 +36,6 @@ pub(crate) fn sequential_bst_sort_impl<T: Ord>(keys: &[T]) -> SeqSortResult {
             };
             if *slot == NONE {
                 *slot = i as u64;
-                depgraph.add_dep(cur as usize, i);
                 break;
             }
             cur = *slot;
@@ -56,7 +47,6 @@ pub(crate) fn sequential_bst_sort_impl<T: Ord>(keys: &[T]) -> SeqSortResult {
         tree,
         sorted_indices,
         comparisons,
-        depgraph,
     }
 }
 
@@ -112,8 +102,19 @@ mod tests {
             d < 6 * 14,
             "tree depth {d} suspiciously large for random order"
         );
-        // depgraph depth (in nodes) == tree height.
-        assert_eq!(r.depgraph.depth(), d);
+        // The iteration dependence graph records each node's tree parent
+        // (the last — subsuming — dependence on its search path, as §3
+        // observes the transitive reduction is the tree itself); its depth
+        // (in nodes) is the tree height.
+        let mut depgraph = ri_core::DependenceGraph::with_nodes(n);
+        for side in [&r.tree.left, &r.tree.right] {
+            for (parent, &child) in side.iter().enumerate() {
+                if child != NONE {
+                    depgraph.add_dep(parent, child as usize);
+                }
+            }
+        }
+        assert_eq!(depgraph.depth(), d);
     }
 
     #[test]

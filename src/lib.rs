@@ -131,16 +131,17 @@ pub mod scc {
 
 /// One-stop imports for examples and applications.
 ///
-/// The engine API (`RunConfig` + per-algorithm `*Problem` types, plus the
-/// object-safe [`registry()`](crate::registry) layer for name-driven
-/// dispatch) is the supported surface; the pre-engine free functions are
-/// gone.
+/// The engine API (`RunConfig` + per-algorithm `*Problem` types, the
+/// `execute_type{1,2,3}` executors that `Runner::solve` runs custom
+/// algorithms through, plus the object-safe [`registry()`](crate::registry)
+/// layer for name-driven dispatch) is the supported surface; the
+/// pre-engine free functions are gone.
 pub mod prelude {
     pub use crate::registry;
     pub use ri_closest_pair::{ClosestPairOutput, ClosestPairProblem};
     pub use ri_core::engine::{
-        ErasedProblem, ExecMode, Executable, OutputSummary, Phase, Problem, Registry, RunConfig,
-        RunReport, Runner, Type1Adapter, Type2Adapter, Type3Adapter, WorkloadSpec,
+        execute_type1, execute_type2, execute_type3, ErasedProblem, ExecMode, OutputSummary, Phase,
+        Problem, Registry, RunConfig, RunReport, Runner, WorkloadSpec,
     };
     pub use ri_core::{harmonic, DependenceGraph, Permutation};
     pub use ri_delaunay::{DelaunayProblem, DtOutput};

@@ -105,7 +105,8 @@ fn reports_serialize_across_algorithms() {
     assert_eq!(quiet.depth, reports[0].depth);
 }
 
-/// The generic adapters run through the same Runner path as the Problems.
+/// Trait algorithms run through the same `Runner::solve` path as the
+/// Problems.
 #[test]
 fn adapters_share_the_runner_path() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -129,7 +130,7 @@ fn adapters_share_the_runner_path() {
         done: (0..64).map(|_| AtomicBool::default()).collect(),
     };
     let runner = Runner::new(RunConfig::new().threads(2));
-    let report = runner.run(&mut Type1Adapter(&mut chain));
+    let (_, report) = runner.solve("chain", |cfg| ((), execute_type1(&mut chain, cfg)));
     assert_eq!(report.depth, 64, "a chain has linear dependence depth");
     assert_eq!(report.threads, 2);
     assert_eq!(report.mode, ExecMode::Parallel);

@@ -61,7 +61,7 @@ fn generic_type1_scheduler_matches_specialised_sort_depth() {
         let keys = random_permutation(4000, seed);
         let mut generic = GenericBstSort::new(&keys);
         let depth_tree = generic.seq_tree.dependence_depth();
-        let report = runner.run(&mut Type1Adapter(&mut generic));
+        let (_, report) = runner.solve("generic", |cfg| ((), execute_type1(&mut generic, cfg)));
         let (_, par_report) = SortProblem::new(&keys).solve(&RunConfig::new());
         assert_eq!(report.depth, depth_tree, "generic scheduler rounds");
         assert_eq!(par_report.depth, depth_tree, "specialised sort rounds");

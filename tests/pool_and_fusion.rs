@@ -1,5 +1,5 @@
 //! Integration tests for the persistent thread pool underneath the engine:
-//! pool reuse across `Runner::run` calls, nested parallelism staying
+//! pool reuse across `Runner::solve` calls, nested parallelism staying
 //! on-pool, panic propagation, spawn accounting, and property-based
 //! sequential-equivalence of every combinator under randomized stealing at
 //! 1–8 threads.

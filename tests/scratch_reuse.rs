@@ -50,7 +50,7 @@ fn solve_fingerprint(name: &str, n: usize, workload_seed: u64, cfg: &RunConfig) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Repeated `Runner::run`s on one thread (scratch pool warm, buffers
+    /// Repeated `Runner::solve`s on one thread (scratch pool warm, buffers
     /// reused across runs) answer byte-identically to a fresh-state run
     /// (new thread, empty pool) for every registered problem at 1–8
     /// threads.
