@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! speedup [--quick] [--out PATH] [--threads 1,2,4,8] [--repeat N]
-//!         [--scale X] [--relax-k K] [--gate-par1]
+//!         [--scale X] [--relax-k K] [--gate-par1] [--gate-scaling]
 //! ```
 //!
 //! `--quick` shrinks instances for CI smoke runs; `--scale` divides the
@@ -20,10 +20,15 @@
 //! when a problem's `par1_overhead` exceeds its committed budget
 //! ([`PAR1_BUDGETS`]); instances whose sequential time is below
 //! [`GATE_MIN_SEQ_SECONDS`] are skipped by that gate (their ratios are
-//! timer noise), so give the gate real sizes (`--scale 1` or `2`). On a
-//! single-core host the relaxed-vs-exact *scaling* comparison is
-//! meaningless, so the relaxed column keeps only the width-1 answer gate
-//! and carries an explicit `"scaling": "skipped: 1 core"` marker.
+//! timer noise), so give the gate real sizes (`--scale 1` or `2`).
+//! `--gate-scaling` fails the run when a problem's best-of-repeat par@w
+//! exceeds [`SCALING_BOUND`] × par@1 at any width `w` up to the host's core
+//! count (same skip rule; `--threads` must include 1): parallel mode must
+//! never lose to its own width-1 run, which is what the scheduler's
+//! per-item cost constants promise. On a single-core host the
+//! relaxed-vs-exact *scaling* comparison is meaningless, so the relaxed
+//! column keeps only the width-1 answer gate and carries an explicit
+//! `"scaling": "skipped: 1 core"` marker.
 
 use std::time::Instant;
 
@@ -67,6 +72,10 @@ const PAR1_BUDGETS: &[(&str, f64)] = &[
 /// scheduling hiccup would swamp the ratio.
 const GATE_MIN_SEQ_SECONDS: f64 = 0.005;
 
+/// `--gate-scaling` bound on par@w / par@1 for every width up to the
+/// core count.
+const SCALING_BOUND: f64 = 1.1;
+
 struct Args {
     out: String,
     threads: Vec<usize>,
@@ -74,6 +83,7 @@ struct Args {
     scale: usize,
     relax_k: usize,
     gate_par1: bool,
+    gate_scaling: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -84,6 +94,7 @@ fn parse_args() -> Result<Args, String> {
         scale: 1,
         relax_k: 8,
         gate_par1: false,
+        gate_scaling: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
@@ -100,6 +111,7 @@ fn parse_args() -> Result<Args, String> {
                 args.repeat = 1;
             }
             "--gate-par1" => args.gate_par1 = true,
+            "--gate-scaling" => args.gate_scaling = true,
             "--out" => args.out = value("--out")?,
             "--repeat" => {
                 args.repeat = value("--repeat")?
@@ -128,6 +140,9 @@ fn parse_args() -> Result<Args, String> {
     if args.repeat == 0 || args.scale == 0 || args.relax_k == 0 || args.threads.is_empty() {
         return Err("--repeat, --scale, --relax-k and --threads must be nonzero/nonempty".into());
     }
+    if args.gate_scaling && !args.threads.contains(&1) {
+        return Err("--gate-scaling compares against par@1: --threads must include 1".into());
+    }
     Ok(args)
 }
 
@@ -137,28 +152,38 @@ fn answer_fingerprint(summary: &OutputSummary) -> String {
     Value::Obj(summary.answer().to_vec()).write()
 }
 
-/// Best-of-`repeat` wall time and the last summary + report for one
-/// configuration.
-fn time_solve(
+/// Best-of-`repeat` wall time and the last summary + report for each of
+/// `cfgs`. The repeats interleave the configurations, so every one's best
+/// is drawn from the same stretch of host time: run back to back, a host
+/// whose speed drifts would favour whichever configuration ran first.
+fn time_solves(
     reg: &Registry,
     name: &str,
     spec: &WorkloadSpec,
-    cfg: &RunConfig,
+    cfgs: &[RunConfig],
     repeat: usize,
-) -> Result<(f64, OutputSummary, RunReport), String> {
-    let problem = reg
-        .construct(name, spec)
-        .map_err(|e| format!("{name}: {e}"))?;
-    let mut best = f64::INFINITY;
-    let mut last = None;
+) -> Vec<(f64, OutputSummary, RunReport)> {
+    let problem = reg.construct(name, spec).unwrap_or_else(|e| {
+        eprintln!("speedup: {name}: {e}");
+        std::process::exit(2);
+    });
+    let mut best = vec![f64::INFINITY; cfgs.len()];
+    let mut last: Vec<Option<(OutputSummary, RunReport)>> = cfgs.iter().map(|_| None).collect();
     for _ in 0..repeat {
-        let t0 = Instant::now();
-        let (summary, report) = problem.solve_erased(cfg);
-        best = best.min(t0.elapsed().as_secs_f64());
-        last = Some((summary, report));
+        for (i, cfg) in cfgs.iter().enumerate() {
+            let t0 = Instant::now();
+            let solved = problem.solve_erased(cfg);
+            best[i] = best[i].min(t0.elapsed().as_secs_f64());
+            last[i] = Some(solved);
+        }
     }
-    let (summary, report) = last.expect("repeat >= 1");
-    Ok((best, summary, report))
+    best.into_iter()
+        .zip(last)
+        .map(|(secs, solved)| {
+            let (summary, report) = solved.expect("repeat >= 1");
+            (secs, summary, report)
+        })
+        .collect()
 }
 
 fn main() {
@@ -175,17 +200,16 @@ fn main() {
     let mut divergent: Vec<String> = Vec::new();
     let mut winners_at_4plus: Vec<String> = Vec::new();
     let mut over_budget: Vec<String> = Vec::new();
+    let mut anti_scaling: Vec<String> = Vec::new();
 
     for &(name, full_n) in SIZES {
         let n = (full_n / args.scale).max(64);
         let spec = WorkloadSpec::new(n, 1);
         let seq_cfg = RunConfig::new().seed(7).sequential().instrument(false);
         eprintln!("speedup: {name} n={n} sequential...");
-        let (seq_secs, seq_summary, _) = time_solve(&reg, name, &spec, &seq_cfg, args.repeat)
-            .unwrap_or_else(|e| {
-                eprintln!("speedup: {e}");
-                std::process::exit(2);
-            });
+        let (seq_secs, seq_summary, _) = time_solves(&reg, name, &spec, &[seq_cfg], args.repeat)
+            .pop()
+            .expect("one config");
         let seq_answer = answer_fingerprint(&seq_summary);
 
         let mut par_entries: Vec<(String, Value)> = Vec::new();
@@ -193,18 +217,21 @@ fn main() {
         let mut matches = true;
         let mut best_speedup_at_4plus = 0.0f64;
         let mut par1_secs: Option<f64> = None;
-        for &t in &args.threads {
-            let par_cfg = RunConfig::new()
-                .seed(7)
-                .parallel()
-                .threads(t)
-                .instrument(false);
-            eprintln!("speedup: {name} n={n} parallel t={t}...");
-            let (par_secs, par_summary, _) = time_solve(&reg, name, &spec, &par_cfg, args.repeat)
-                .unwrap_or_else(|e| {
-                    eprintln!("speedup: {e}");
-                    std::process::exit(2);
-                });
+        let mut par_secs_at: Vec<(usize, f64)> = Vec::new();
+        let par_cfgs: Vec<RunConfig> = args
+            .threads
+            .iter()
+            .map(|&t| {
+                RunConfig::new()
+                    .seed(7)
+                    .parallel()
+                    .threads(t)
+                    .instrument(false)
+            })
+            .collect();
+        eprintln!("speedup: {name} n={n} parallel t={:?}...", args.threads);
+        let par_runs = time_solves(&reg, name, &spec, &par_cfgs, args.repeat);
+        for (&t, (par_secs, par_summary, _)) in args.threads.iter().zip(par_runs) {
             if answer_fingerprint(&par_summary) != seq_answer {
                 matches = false;
                 eprintln!("speedup: DIVERGENCE on {name} at {t} threads");
@@ -213,6 +240,7 @@ fn main() {
             if t == 1 {
                 par1_secs = Some(par_secs);
             }
+            par_secs_at.push((t, par_secs));
             if t >= 4 {
                 best_speedup_at_4plus = best_speedup_at_4plus.max(speedup);
             }
@@ -231,18 +259,22 @@ fn main() {
         let mut relaxed_speedup: Vec<(String, Value)> = Vec::new();
         let mut relaxed_matches = true;
         let mut relaxed_report: Option<RunReport> = None;
-        for &t in relax_widths {
-            let rel_cfg = RunConfig::new()
-                .seed(7)
-                .relaxed(args.relax_k)
-                .threads(t)
-                .instrument(false);
-            eprintln!("speedup: {name} n={n} relaxed:{} t={t}...", args.relax_k);
-            let (rel_secs, rel_summary, rel_report) =
-                time_solve(&reg, name, &spec, &rel_cfg, args.repeat).unwrap_or_else(|e| {
-                    eprintln!("speedup: {e}");
-                    std::process::exit(2);
-                });
+        let rel_cfgs: Vec<RunConfig> = relax_widths
+            .iter()
+            .map(|&t| {
+                RunConfig::new()
+                    .seed(7)
+                    .relaxed(args.relax_k)
+                    .threads(t)
+                    .instrument(false)
+            })
+            .collect();
+        eprintln!(
+            "speedup: {name} n={n} relaxed:{} t={relax_widths:?}...",
+            args.relax_k
+        );
+        let rel_runs = time_solves(&reg, name, &spec, &rel_cfgs, args.repeat);
+        for (&t, (rel_secs, rel_summary, rel_report)) in relax_widths.iter().zip(rel_runs) {
             if answer_fingerprint(&rel_summary) != seq_answer {
                 relaxed_matches = false;
                 eprintln!("speedup: RELAXED DIVERGENCE on {name} at {t} threads");
@@ -315,6 +347,18 @@ fn main() {
                     over_budget.push(format!("{name} ({overhead:.2} > {budget})"));
                 }
             }
+            // par@w / par@1: above 1, a wider crew made the solve slower.
+            let mut scaling: Vec<(String, Value)> = Vec::new();
+            for &(t, secs) in &par_secs_at {
+                let ratio = secs / par1;
+                scaling.push((t.to_string(), Value::Num((ratio * 1000.0).round() / 1000.0)));
+                if t <= cores && ratio > SCALING_BOUND && seq_secs >= GATE_MIN_SEQ_SECONDS {
+                    anti_scaling.push(format!(
+                        "{name} at {t} threads ({ratio:.2} > {SCALING_BOUND})"
+                    ));
+                }
+            }
+            fields.push(("scaling".into(), Value::Obj(scaling)));
         }
         problems.push((name.to_string(), Value::Obj(fields)));
     }
@@ -366,6 +410,10 @@ fn main() {
                     "par1_over_budget".into(),
                     Value::Arr(over_budget.iter().map(|s| Value::Str(s.clone())).collect()),
                 ),
+                (
+                    "scaling_over_bound".into(),
+                    Value::Arr(anti_scaling.iter().map(|s| Value::Str(s.clone())).collect()),
+                ),
             ]),
         ),
     ]);
@@ -382,11 +430,21 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if args.gate_par1 && !over_budget.is_empty() {
+    let par1_failed = args.gate_par1 && !over_budget.is_empty();
+    if par1_failed {
         eprintln!(
             "speedup: par@1 overhead exceeded its committed budget for: {}",
             over_budget.join(", ")
         );
+    }
+    let scaling_failed = args.gate_scaling && !anti_scaling.is_empty();
+    if scaling_failed {
+        eprintln!(
+            "speedup: parallel mode ran slower than at width 1 for: {}",
+            anti_scaling.join(", ")
+        );
+    }
+    if par1_failed || scaling_failed {
         std::process::exit(1);
     }
 }

@@ -5,6 +5,10 @@ use ri_core::Type2Algorithm;
 use ri_geometry::Point2;
 use ri_pram::hash::FxHashMap;
 
+/// Estimated nanoseconds per specialness check: nine grid-cell lookups
+/// and a scan of the few points they hold.
+const NEIGHBORHOOD_NS: u64 = 120;
+
 struct GridState<'a> {
     points: &'a [Point2],
     /// Squared closest distance so far (`INFINITY` until two points seen).
@@ -117,6 +121,10 @@ impl Type2Algorithm for GridState<'_> {
             return k >= 1; // the second point always sets r
         }
         self.nearest_earlier(k).is_some_and(|(_, d)| d < self.r_sq)
+    }
+
+    fn item_ns(&self) -> u64 {
+        NEIGHBORHOOD_NS
     }
 
     fn run_regular(&mut self, _k: usize) {}

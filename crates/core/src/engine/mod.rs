@@ -27,9 +27,10 @@
 //!   ([`RoundScratch`]): per-thread, capacity-preserving buffer reuse so
 //!   steady-state executor rounds allocate nothing, with reuse counters
 //!   stamped on every report;
-//! * [`grain`] — adaptive grain control: the per-round sequential cutoff
-//!   (derived from the installed pool width) under which a round runs
-//!   inline on the caller with zero scheduler involvement;
+//! * [`grain`] — the one go-parallel rule: a round gets a crew only when
+//!   its item count times its per-item cost covers a multiple of the
+//!   crew's measured spawn cost; every other round runs inline on the
+//!   caller with zero scheduler involvement;
 //! * [`envelope`] — the transport-agnostic serving envelope:
 //!   [`ServeRequest`] / [`ServeResponse`] / [`ServeError`] with JSON
 //!   round-trips, shared by the `ri` CLI and the `ri-serve` HTTP server

@@ -63,8 +63,8 @@ pub struct RunReport {
     /// warms the pool; steady state should be hit-dominated).
     pub scratch_misses: u64,
     /// Multi-member parallel regions the calling thread started. 0 when
-    /// every round fell under the engine's sequential grain cutoff (and
-    /// always 0 for sequential / 1-thread runs).
+    /// the engine's go-parallel rule kept every round inline (and always
+    /// 0 for sequential / 1-thread runs).
     pub regions: u64,
     /// Scoped helper threads the calling thread spawned (crew members,
     /// join branches). Like `regions`, 0 for fully inline runs.

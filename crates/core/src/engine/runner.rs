@@ -13,9 +13,13 @@
 //! `#![forbid(unsafe_code)]` borrowed data can only cross threads through
 //! `std::thread::scope`, so every crew region and every `join` spawns its
 //! own scoped helper threads (the report's `regions` and `helper_spawns`
-//! count them). Sequential-mode runs and `threads == 1` configs set width
-//! 1 and execute inline on the caller — their reports carry zero
-//! scheduler overhead.
+//! count them). Each executor round therefore asks the one go-parallel
+//! rule ([`grain`]) with the algorithm's per-item cost (`item_ns`): a
+//! round gets a crew only when its items times that cost cover
+//! [`grain::PAYOFF`] times the crew's measured spawn cost, and otherwise
+//! runs inline. Sequential-mode runs and `threads == 1` configs set width
+//! 1 and execute inline on the caller — they never reach the rule, and
+//! their reports carry zero scheduler overhead.
 
 use rayon::prelude::*;
 
@@ -402,18 +406,24 @@ impl Runner {
     }
 }
 
-/// Evaluate `test` on every item into `flags` (cleared first): a round
-/// above the grain cutoff splits into a few chunks per crew member for the
-/// crew's cursor to balance; smaller rounds evaluate inline on the caller
-/// without paying region setup.
-fn fill_flags<T: Sync>(flags: &mut Vec<bool>, items: &[T], test: impl Fn(&T) -> bool + Sync) {
+/// Evaluate `test` (about `item_ns` each) on every item into `flags`
+/// (cleared first): a round the go-parallel rule admits splits into a few
+/// chunks per crew member for the crew's cursor to balance; other rounds
+/// evaluate inline on the caller without paying region setup.
+fn fill_flags<T: Sync>(
+    flags: &mut Vec<bool>,
+    items: &[T],
+    item_ns: u64,
+    test: impl Fn(&T) -> bool + Sync,
+) {
     flags.clear();
-    if grain::parallel_round(items.len()) {
+    if grain::goes_parallel(items.len(), item_ns) {
         flags.resize(items.len(), false);
         let chunk = items.len().div_ceil(rayon::recommended_splits());
         flags
             .par_chunks_mut(chunk)
             .zip(items.par_chunks(chunk))
+            .with_cost(item_ns)
             .for_each(|(fs, xs)| {
                 for (f, x) in fs.iter_mut().zip(xs) {
                     *f = test(x);
@@ -464,9 +474,9 @@ pub fn execute_type1<A: Type1Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
                 // round start), then run phase (sequential within the
                 // round: iterations that run together are mutually
                 // independent, so any order gives the sequential
-                // algorithm's result). Small rounds — the long tail —
-                // check inline instead of paying region setup.
-                fill_flags(&mut flags, &remaining, |&k| algo.ready(k));
+                // algorithm's result). Rounds too small to pay for a crew
+                // — the long tail — check inline.
+                fill_flags(&mut flags, &remaining, algo.item_ns(), |&k| algo.ready(k));
                 // Run-and-compact in one pass over the reused buffers.
                 let mut ran = 0usize;
                 next.clear();
@@ -522,7 +532,7 @@ pub fn execute_type1<A: Type1Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
                     break;
                 }
                 algo.begin_round(round);
-                fill_flags(&mut flags, &batch, |&(_, i)| algo.ready(i));
+                fill_flags(&mut flags, &batch, algo.item_ns(), |&(_, i)| algo.ready(i));
                 let mut ran = 0usize;
                 for (&(prio, i), &ready) in batch.iter().zip(flags.iter()) {
                     if ready {
@@ -602,12 +612,14 @@ pub fn execute_type2<A: Type2Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
                     prefix_checks += (hi - j) as u64;
                     // Check phase over the outstanding prefix tail; find
                     // the earliest special iteration (min-reduction).
-                    // Short tails — every early prefix, and every tail
-                    // after a late special — scan inline instead of
-                    // paying region setup.
-                    let l = if grain::parallel_round(hi - j) {
+                    // Tails too small to pay for a crew — every early
+                    // prefix, every tail after a late special, and every
+                    // tail of cheap checks — scan inline.
+                    let item_ns = algo.item_ns();
+                    let l = if grain::goes_parallel(hi - j, item_ns) {
                         (j..hi)
                             .into_par_iter()
+                            .with_cost(item_ns)
                             .find_first(|&k| algo.is_special(k))
                             .unwrap_or(hi)
                     } else {
@@ -658,7 +670,9 @@ pub fn execute_type2<A: Type2Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
                     }
                     order.clear();
                     mq.pop_batch(usize::MAX, &mut order);
-                    fill_flags(&mut flags, &order, |&(_, i)| algo.is_special(i));
+                    fill_flags(&mut flags, &order, algo.item_ns(), |&(_, i)| {
+                        algo.is_special(i)
+                    });
                     let l = order
                         .iter()
                         .zip(flags.iter())
@@ -720,11 +734,15 @@ pub fn execute_type3<A: Type3Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
             let rounds = prefix_rounds(n);
             report.depth = rounds.len();
             for (lo, hi) in rounds {
-                // Small rounds (the first log n of them combined hold
-                // fewer items than the last) run inline on the caller.
-                if grain::parallel_round(hi - lo) {
+                // Rounds too small to pay for a crew (the first log n of
+                // them combined hold fewer items than the last) run
+                // inline on the caller. The cost is asked per round: it
+                // may depend on the state the previous rounds built.
+                let item_ns = algo.item_ns();
+                if grain::goes_parallel(hi - lo, item_ns) {
                     (lo..hi)
                         .into_par_iter()
+                        .with_cost(item_ns)
                         .map(|k| algo.run_iteration(k))
                         .collect_into_vec(&mut outputs);
                 } else {

@@ -60,8 +60,8 @@ impl RoundScratch {
     }
 
     /// Multi-member parallel regions this thread started since
-    /// [`begin`](RoundScratch::begin) (0 for runs whose every round fell
-    /// under the [`grain`](super::grain) cutoff).
+    /// [`begin`](RoundScratch::begin) (0 for runs whose every round the
+    /// [`grain`](super::grain) rule kept inline).
     pub fn regions_delta(&self) -> u64 {
         (rayon::crew_regions() - self.regions) as u64
     }

@@ -50,7 +50,7 @@ pub use engine::{
     ErasedProblem, ExecMode, OutputSummary, Problem, Registry, RunConfig, RunReport, Runner,
     ServeError, ServeErrorKind, ServeRequest, ServeResponse, WorkloadSpec,
 };
-pub use ri_pram::{Permutation, RoundLog, WorkCounter};
+pub use ri_pram::{Permutation, RoundLog};
 pub use theory::{harmonic, log2_ceil};
 pub use type1::Type1Algorithm;
 pub use type2::Type2Algorithm;

@@ -37,6 +37,12 @@ pub trait Type1Algorithm: Sync {
     /// Are all of iteration `k`'s dependences satisfied?
     fn ready(&self, k: usize) -> bool;
 
+    /// Estimated nanoseconds per `ready` check: the executor's per-item
+    /// cost for the go-parallel rule ([`crate::engine::grain`]).
+    fn item_ns(&self) -> u64 {
+        crate::engine::grain::DEFAULT_ITEM_NS
+    }
+
     /// Round-start hook (see trait docs). Default: no-op.
     fn begin_round(&mut self, round: usize) {
         let _ = round;

@@ -1,29 +1,44 @@
-//! Adaptive grain control: rounds below the engine's sequential cutoff
-//! must execute inline on the caller — no crew regions, no helper-thread
-//! spawns — while rounds above it take the parallel path. The counters
-//! here are per-calling-thread (see `rayon::crew_regions` /
-//! `rayon::helper_threads_spawned`), so concurrently running tests cannot
-//! interfere.
+//! The go-parallel rule at the executors: a round gets a crew only when
+//! its item count times the algorithm's declared per-item cost covers
+//! `PAYOFF` measured region costs; every other round executes inline on
+//! the caller — no crew regions, no helper-thread spawns. Round sizes here
+//! are derived from the rule at the installed width, so the tests hold on
+//! any host. The counters are per-calling-thread (see
+//! `rayon::crew_regions` / `rayon::helper_threads_spawned`), so
+//! concurrently running tests cannot interfere.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use ri_core::engine::{execute_type1, execute_type2, execute_type3, grain, RunConfig};
+use ri_core::engine::grain::{self, PAYOFF};
+use ri_core::engine::{execute_type1, execute_type2, execute_type3, RunConfig};
 use ri_core::{Type1Algorithm, Type2Algorithm, Type3Algorithm};
+
+/// Declared per-item cost of the toys below (their real work is trivial;
+/// the rule only sees the declaration).
+const TOY_NS: u64 = 1_000;
 
 /// Counter snapshot on the calling thread.
 fn counters() -> (usize, usize) {
     (rayon::crew_regions(), rayon::helper_threads_spawned())
 }
 
-/// All-independent Type 1 toy: one round of `n` iterations.
+/// The smallest round of `item_ns` items that pays for a crew at `width`.
+fn paying_len(width: usize, item_ns: u64) -> usize {
+    (PAYOFF * grain::region_ns(width)).div_ceil(item_ns) as usize
+}
+
+/// All-independent Type 1 toy: one round of `n` iterations, each `ready`
+/// check declared to cost `ns`.
 struct Independent {
     done: Vec<AtomicBool>,
+    ns: u64,
 }
 
 impl Independent {
-    fn new(n: usize) -> Self {
+    fn new(n: usize, ns: u64) -> Self {
         Independent {
             done: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            ns,
         }
     }
 }
@@ -34,6 +49,9 @@ impl Type1Algorithm for Independent {
     }
     fn ready(&self, _k: usize) -> bool {
         true
+    }
+    fn item_ns(&self) -> u64 {
+        self.ns
     }
     fn run(&mut self, k: usize) {
         self.done[k].store(true, Ordering::Relaxed);
@@ -55,6 +73,9 @@ impl Type2Algorithm for OneSpecial {
         self.seen.fetch_add(1, Ordering::Relaxed);
         k == 0
     }
+    fn item_ns(&self) -> u64 {
+        TOY_NS
+    }
     fn run_regular(&mut self, _k: usize) {}
     fn run_special(&mut self, _k: usize) {}
 }
@@ -73,6 +94,9 @@ impl Type3Algorithm for MinToy {
     fn run_iteration(&self, k: usize) -> u64 {
         self.values[k]
     }
+    fn item_ns(&self) -> u64 {
+        TOY_NS
+    }
     fn combine(&mut self, _lo: usize, outputs: &mut Vec<u64>) -> u64 {
         let work = outputs.len() as u64;
         for v in outputs.drain(..) {
@@ -82,107 +106,134 @@ impl Type3Algorithm for MinToy {
     }
 }
 
-/// A size that the *combinators* would have parallelised (it is above
-/// `rayon::MIN_PAR_LEN`) but the engine's round cutoff keeps inline at
-/// width 4 — proving the cutoff, not the combinator floor, is in charge.
-fn between_floor_and_cutoff() -> usize {
-    let cutoff = rayon::cached_pool(4).install(grain::sequential_cutoff);
-    assert!(
-        cutoff > rayon::MIN_PAR_LEN,
-        "cutoff {cutoff} must exceed the combinator floor"
-    );
-    (rayon::MIN_PAR_LEN + cutoff) / 2
+#[test]
+fn rule_weighs_declared_work_against_an_injected_region_cost() {
+    let region = 50_000; // 50 µs per crew
+    let item_ns = 1_000;
+    let threshold = (PAYOFF * region / item_ns) as usize;
+    assert!(grain::pays_off(2, threshold, item_ns, region));
+    assert!(!grain::pays_off(2, threshold - 1, item_ns, region));
+    // More costly items need fewer of them; a dearer region needs more.
+    assert!(grain::pays_off(2, threshold / 2, 2 * item_ns, region));
+    assert!(!grain::pays_off(2, threshold, item_ns, 2 * region));
+    // Width 1 never goes parallel, whatever the work.
+    assert!(!grain::pays_off(1, usize::MAX, u64::MAX, 0));
+    // Work that would overflow saturates instead of wrapping to "cheap".
+    assert!(grain::pays_off(8, usize::MAX, u64::MAX, u64::MAX / 2));
 }
 
 #[test]
-fn type1_small_rounds_stay_inline() {
-    let n = between_floor_and_cutoff();
-    let mut algo = Independent::new(n);
-    rayon::cached_pool(4).install(|| {
-        let before = counters();
-        let report = execute_type1(&mut algo, &RunConfig::new().parallel());
-        assert_eq!(report.total_items(), n);
-        assert_eq!(counters(), before, "sub-cutoff round must spawn nothing");
-    });
-}
-
-#[test]
-fn type1_large_rounds_go_parallel() {
-    let n = 8 * rayon::cached_pool(4).install(grain::sequential_cutoff);
-    let mut algo = Independent::new(n);
-    rayon::cached_pool(4).install(|| {
+fn a_512_item_round_of_10us_checks_forms_a_crew_at_width_2() {
+    let mut algo = Independent::new(512, 10_000);
+    rayon::cached_pool(2).install(|| {
+        assert!(grain::goes_parallel(512, 10_000));
         let (regions0, helpers0) = counters();
-        execute_type1(&mut algo, &RunConfig::new().parallel());
+        let report = execute_type1(&mut algo, &RunConfig::new().parallel());
+        assert_eq!(report.total_items(), 512);
         let (regions1, helpers1) = counters();
-        assert!(regions1 > regions0, "above-cutoff round must form a crew");
+        assert_eq!(regions1, regions0 + 1, "the one round forms one crew");
         assert!(helpers1 > helpers0, "crew members are scoped helpers");
     });
 }
 
 #[test]
-fn type2_small_prefixes_stay_inline() {
-    let n = between_floor_and_cutoff();
-    let mut algo = OneSpecial {
-        n,
-        seen: AtomicU64::new(0),
-    };
-    rayon::cached_pool(4).install(|| {
+fn a_100k_item_round_of_1ns_checks_stays_inline_at_width_2() {
+    let mut algo = Independent::new(100_000, 1);
+    rayon::cached_pool(2).install(|| {
+        assert!(!grain::goes_parallel(100_000, 1));
         let before = counters();
-        let report = execute_type2(&mut algo, &RunConfig::new().parallel());
-        assert_eq!(report.items, n);
-        assert_eq!(counters(), before, "sub-cutoff prefix must spawn nothing");
+        let report = execute_type1(&mut algo, &RunConfig::new().parallel());
+        assert_eq!(report.total_items(), 100_000);
+        assert_eq!(counters(), before, "a cheap round must spawn nothing");
     });
 }
 
 #[test]
-fn type2_large_prefixes_go_parallel() {
-    let n = 8 * rayon::cached_pool(4).install(grain::sequential_cutoff);
-    let mut algo = OneSpecial {
-        n,
+fn type1_rounds_follow_the_rule() {
+    let pool = rayon::cached_pool(4);
+    let threshold = pool.install(|| paying_len(4, TOY_NS));
+    let mut small = Independent::new(threshold / 2, TOY_NS);
+    let mut large = Independent::new(2 * threshold, TOY_NS);
+    pool.install(|| {
+        let before = counters();
+        let report = execute_type1(&mut small, &RunConfig::new().parallel());
+        assert_eq!(report.total_items(), threshold / 2);
+        assert_eq!(
+            counters(),
+            before,
+            "a round that does not pay spawns nothing"
+        );
+
+        let (regions0, helpers0) = counters();
+        execute_type1(&mut large, &RunConfig::new().parallel());
+        let (regions1, helpers1) = counters();
+        assert!(regions1 > regions0, "a round that pays must form a crew");
+        assert!(helpers1 > helpers0, "crew members are scoped helpers");
+    });
+}
+
+#[test]
+fn type2_prefixes_follow_the_rule() {
+    let pool = rayon::cached_pool(4);
+    let threshold = pool.install(|| paying_len(4, TOY_NS));
+    // Prefixes double, so the largest one of `threshold` iterations holds
+    // at most half of them, and the largest one of 4 × `threshold` at
+    // least `threshold`.
+    let mut small = OneSpecial {
+        n: threshold,
         seen: AtomicU64::new(0),
     };
-    rayon::cached_pool(4).install(|| {
+    let mut large = OneSpecial {
+        n: 4 * threshold,
+        seen: AtomicU64::new(0),
+    };
+    pool.install(|| {
+        let before = counters();
+        let report = execute_type2(&mut small, &RunConfig::new().parallel());
+        assert_eq!(report.items, threshold);
+        assert_eq!(counters(), before, "prefixes that do not pay spawn nothing");
+
         let (regions0, _) = counters();
-        execute_type2(&mut algo, &RunConfig::new().parallel());
+        execute_type2(&mut large, &RunConfig::new().parallel());
         assert!(rayon::crew_regions() > regions0);
     });
 }
 
 #[test]
-fn type3_small_rounds_stay_inline_and_large_do_not() {
-    let small = between_floor_and_cutoff();
-    let mut algo = MinToy {
-        values: (0..small as u64).rev().collect(),
+fn type3_rounds_follow_the_rule() {
+    let pool = rayon::cached_pool(4);
+    let threshold = pool.install(|| paying_len(4, TOY_NS));
+    let mut small = MinToy {
+        values: (0..threshold as u64).rev().collect(),
         current: u64::MAX,
     };
-    rayon::cached_pool(4).install(|| {
+    pool.install(|| {
         let before = counters();
-        execute_type3(&mut algo, &RunConfig::new().parallel());
-        assert_eq!(counters(), before, "sub-cutoff rounds must spawn nothing");
+        execute_type3(&mut small, &RunConfig::new().parallel());
+        assert_eq!(counters(), before, "rounds that do not pay spawn nothing");
     });
-    assert_eq!(algo.current, 0);
+    assert_eq!(small.current, 0);
 
-    let large = 8 * rayon::cached_pool(4).install(grain::sequential_cutoff);
-    let mut algo = MinToy {
-        values: (0..large as u64).rev().collect(),
+    let mut large = MinToy {
+        values: (0..4 * threshold as u64).rev().collect(),
         current: u64::MAX,
     };
-    rayon::cached_pool(4).install(|| {
+    pool.install(|| {
         let (regions0, _) = counters();
-        execute_type3(&mut algo, &RunConfig::new().parallel());
+        execute_type3(&mut large, &RunConfig::new().parallel());
         assert!(rayon::crew_regions() > regions0);
     });
-    assert_eq!(algo.current, 0);
+    assert_eq!(large.current, 0);
 }
 
 #[test]
 fn one_thread_runs_are_always_inline() {
-    // Width 1 means the cutoff is infinite: even a huge round stays on
-    // the caller with zero scheduler involvement.
+    // Width 1 never reaches the rule: even a huge round of dear items
+    // stays on the caller with zero scheduler involvement.
     let n = 100_000;
-    let mut algo = Independent::new(n);
+    let mut algo = Independent::new(n, u64::MAX / n as u64);
     rayon::run_sequential(|| {
-        assert_eq!(grain::sequential_cutoff(), usize::MAX);
+        assert!(!grain::goes_parallel(usize::MAX, u64::MAX));
         let before = counters();
         execute_type1(&mut algo, &RunConfig::new().parallel());
         assert_eq!(counters(), before);
@@ -195,16 +246,16 @@ fn runner_reports_regions_and_scratch_counters() {
     let cfg = RunConfig::new().parallel().threads(2);
 
     // First run on this thread warms the scratch pool...
-    let mut algo = Independent::new(1000);
+    let mut algo = Independent::new(1000, grain::DEFAULT_ITEM_NS);
     let (_, first) =
         Runner::new(cfg.clone()).solve("independent", |cfg| ((), execute_type1(&mut algo, cfg)));
-    assert_eq!(first.regions, 0, "1000-item round is far below the cutoff");
+    assert_eq!(first.regions, 0, "1000 cheap checks do not pay for a crew");
     assert_eq!(first.helper_spawns, 0);
 
     // ...so a second run is served from it. (Only `remaining` and `flags`
     // grow capacity here — `next` stays empty in an all-ready single
     // round and capacity-0 buffers are not pooled.)
-    let mut algo = Independent::new(1000);
+    let mut algo = Independent::new(1000, grain::DEFAULT_ITEM_NS);
     let (_, second) =
         Runner::new(cfg).solve("independent", |cfg| ((), execute_type1(&mut algo, cfg)));
     assert!(

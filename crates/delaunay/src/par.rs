@@ -69,18 +69,21 @@ struct NewTri {
     stats: DtStats,
 }
 
-/// Below this many tasks a divide step stops recursing and fires
-/// sequentially (merge work per task is substantial, so the grain can be
-/// much finer than the combinator cutoff).
-const FIRE_GRAIN: usize = 128;
+/// Estimated nanoseconds per candidate face of the activity check (a face
+/// map lookup and two conflict-list heads; 25–45 ns measured).
+const CLASSIFY_NS: u64 = 30;
+
+/// Estimated nanoseconds per fired task (a conflict-list merge with its
+/// InCircle tests; 430–690 ns measured).
+const FIRE_NS: u64 = 500;
 
 /// Fire `tasks` (pure reads of the arena, private outputs) by parallel
-/// divide-and-conquer: [`rayon::join`] splits the slice in half until the
-/// grain, and concatenation preserves task order. `join`'s thread budget
-/// halves per fork, so the whole divide tree spawns at most `threads − 1`
-/// helpers regardless of task count.
+/// divide-and-conquer: [`rayon::join`] splits the slice in half while the
+/// go-parallel rule admits the half's work, and concatenation preserves
+/// task order. `join`'s thread budget halves per fork, so the whole divide
+/// tree spawns at most `threads − 1` helpers regardless of task count.
 fn fire_tasks(mesh: &Mesh, tasks: &[Task]) -> Vec<NewTri> {
-    if tasks.len() <= FIRE_GRAIN {
+    if !grain::goes_parallel(tasks.len(), FIRE_NS) {
         return tasks.iter().map(|task| fire_one(mesh, task)).collect();
     }
     let (lo, hi) = tasks.split_at(tasks.len() / 2);
@@ -149,15 +152,16 @@ pub(crate) fn delaunay_parallel_impl(points: &[Point2]) -> DtResult {
 
     let mut log = RoundLog::new();
     while !candidates.is_empty() {
-        // Activity check: which candidate faces may fire? Small rounds
-        // (the long tail) check inline; either way the task list reuses
-        // one scratch buffer across rounds.
+        // Activity check: which candidate faces may fire? Rounds too small
+        // to pay for a crew (the long tail) check inline; either way the
+        // task list reuses one scratch buffer across rounds.
         let classify = |key: u64| classify_face(&face_map, &mesh, key);
         tasks.clear();
-        if grain::parallel_round(candidates.len()) {
+        if grain::goes_parallel(candidates.len(), CLASSIFY_NS) {
             let chunk = candidates.len().div_ceil(rayon::recommended_splits());
             let parts: Vec<Vec<Task>> = candidates
                 .par_chunks(chunk)
+                .with_cost(CLASSIFY_NS)
                 .map(|keys| keys.iter().filter_map(|&key| classify(key)).collect())
                 .collect();
             for p in parts {

@@ -3,15 +3,22 @@
 
 use rayon::prelude::*;
 
-use ri_core::engine::{execute_type2, ExecMode, RunConfig, RunReport};
+use ri_core::engine::{execute_type2, grain, ExecMode, RunConfig, RunReport};
 use ri_core::Type2Algorithm;
 use ri_geometry::{circumcircle, diametral_disk, Disk, Point2};
+
+/// Estimated nanoseconds per containment test (a few flops over a point
+/// read in order): the per-item cost of both the executor's specialness
+/// checks and the `Update1`/`Update2` scans.
+const CONTAINS_NS: u64 = 1;
 
 struct WelzlState<'a> {
     points: &'a [Point2],
     disk: Option<Disk>,
     update2_calls: usize,
-    contains_tests: std::sync::atomic::AtomicU64,
+    /// Containment tests the textbook sequential loop makes: one per
+    /// point it checks, counted on the coordinating thread.
+    contains_tests: u64,
     parallel_scans: bool,
 }
 
@@ -21,29 +28,29 @@ impl<'a> WelzlState<'a> {
             points,
             disk: None,
             update2_calls: 0,
-            contains_tests: std::sync::atomic::AtomicU64::new(0),
+            contains_tests: 0,
             parallel_scans,
         }
     }
 
-    #[inline]
-    fn count(&self, n: u64) {
-        self.contains_tests
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Earliest index in `range` strictly outside `disk`, if any.
-    fn earliest_outside(&self, disk: &Disk, range: std::ops::Range<usize>) -> Option<usize> {
-        self.count(range.len() as u64);
-        if self.parallel_scans && range.len() > 2048 {
+    /// Earliest index in `range` strictly outside `disk`, if any. Counts
+    /// the tests a sequential scan makes — up to and including the point
+    /// found — however the scan ran: the next scan resumes past that point,
+    /// so every point of an `Update1`/`Update2` loop is counted once.
+    fn earliest_outside(&mut self, disk: &Disk, range: std::ops::Range<usize>) -> Option<usize> {
+        let start = range.start;
+        let len = range.len();
+        let outside = |j: &usize| disk.strictly_excludes(self.points[*j]);
+        let found = if self.parallel_scans && grain::goes_parallel(len, CONTAINS_NS) {
             range
                 .into_par_iter()
-                .find_first(|&j| disk.strictly_excludes(self.points[j]))
+                .with_cost(CONTAINS_NS)
+                .find_first(outside)
         } else {
-            range
-                .into_iter()
-                .find(|&j| disk.strictly_excludes(self.points[j]))
-        }
+            range.into_iter().find(outside)
+        };
+        self.contains_tests += found.map_or(len, |j| j - start + 1) as u64;
+        found
     }
 
     /// Update2(i, j): smallest disk with `points[i]` and `points[j]` on the
@@ -84,20 +91,31 @@ impl Type2Algorithm for WelzlState<'_> {
         }
         match &self.disk {
             None => true, // second point initializes the disk
-            Some(d) => {
-                self.count(1);
-                d.strictly_excludes(self.points[k])
-            }
+            Some(d) => d.strictly_excludes(self.points[k]),
         }
     }
 
-    fn run_regular(&mut self, _k: usize) {}
+    fn item_ns(&self) -> u64 {
+        CONTAINS_NS
+    }
+
+    // The test that decided iteration `k` is counted when `k` commits, so
+    // the executor's (possibly speculative, possibly concurrent) checks
+    // are counted once each, as the sequential loop makes them.
+
+    fn run_regular(&mut self, k: usize) {
+        if k > 0 {
+            self.contains_tests += 1;
+        }
+    }
 
     fn run_special(&mut self, k: usize) {
-        let disk = if self.disk.is_none() {
-            diametral_disk(self.points[0], self.points[k])
-        } else {
-            self.update1(k)
+        let disk = match self.disk {
+            None => diametral_disk(self.points[0], self.points[k]),
+            Some(_) => {
+                self.contains_tests += 1;
+                self.update1(k)
+            }
         };
         self.disk = Some(disk);
     }
@@ -126,7 +144,7 @@ pub(crate) fn run_with(points: &[Point2], cfg: &RunConfig) -> (SedOutput, RunRep
         let out = SedOutput {
             disk: st.disk.expect("n >= 2 guarantees a disk"),
             update2_calls: st.update2_calls,
-            contains_tests: st.contains_tests.into_inner(),
+            contains_tests: st.contains_tests,
         };
         (out, report)
     })
@@ -291,6 +309,55 @@ mod tests {
             .sum();
         let avg = total as f64 / seeds as f64;
         assert!(avg < 60.0 * n as f64, "avg contains tests {avg} not O(n)");
+    }
+
+    /// Containment tests of the textbook sequential loop: one test per
+    /// point of the main loop from the third on, then `Update1(i)` tests
+    /// `p_1..p_{i-1}` and `Update2(i, j)` tests `p_0..p_{j-1}`, each point
+    /// once per scan.
+    fn textbook_contains_tests(points: &[Point2]) -> u64 {
+        let mut tests = 0u64;
+        let mut disk = diametral_disk(points[0], points[1]);
+        for i in 2..points.len() {
+            tests += 1;
+            if !disk.strictly_excludes(points[i]) {
+                continue;
+            }
+            disk = diametral_disk(points[0], points[i]);
+            for j in 1..i {
+                tests += 1;
+                if !disk.strictly_excludes(points[j]) {
+                    continue;
+                }
+                disk = diametral_disk(points[i], points[j]);
+                for k in 0..j {
+                    tests += 1;
+                    if disk.strictly_excludes(points[k]) {
+                        disk = circumcircle(points[i], points[j], points[k])
+                            .expect("boundary points in general position");
+                    }
+                }
+            }
+        }
+        tests
+    }
+
+    #[test]
+    fn contains_tests_count_each_textbook_test_once_at_any_width() {
+        for seed in 0..4 {
+            let pts = workload(20_000, seed, PointDistribution::UniformSquare);
+            let want = textbook_contains_tests(&pts);
+            let seq = sed_sequential(&pts);
+            assert_eq!(seq.contains_tests, want, "sequential, seed {seed}");
+            for threads in [1, 2, 4] {
+                let par = run_mode(&pts, &RunConfig::new().parallel().threads(threads));
+                assert_eq!(par.disk, seq.disk, "seed {seed}");
+                assert_eq!(
+                    par.contains_tests, want,
+                    "parallel at {threads} threads, seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   explore S and its outgoing edges"*), partition-restricted reachability
 //!   for the SCC algorithm (§6.2), and a parallel frontier BFS.
 //!
-//! All searches report their *visit counts* through
-//! [`WorkCounter`](ri_pram::WorkCounter)s so the experiments can verify the
-//! `O(log n)`-factor work bounds of Theorems 6.2 and 6.4.
+//! All searches report their *visit counts* into a caller-owned
+//! [`SearchWork`] so the experiments can verify the `O(log n)`-factor work
+//! bounds of Theorems 6.2 and 6.4.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,5 +29,5 @@ pub mod search;
 pub use csr::CsrGraph;
 pub use search::{
     bfs_distances, dijkstra_distances, parallel_bfs_distances, pruned_dijkstra,
-    reachable_in_partition,
+    reachable_in_partition, SearchWork,
 };

@@ -1,9 +1,11 @@
 //! Graph searches: the SSSP / reachability "black boxes" of §6.
 //!
 //! Work accounting: every search counts *visits* (settled vertices) and
-//! *edge relaxations* into caller-supplied [`WorkCounter`]s, because the
+//! *edge relaxations* into a caller-owned [`SearchWork`], because the
 //! paper's Theorems 6.2/6.4 are statements about exactly these totals
-//! (`O(W_SP log n)`, `O(W_R log n)`).
+//! (`O(W_SP log n)`, `O(W_R log n)`). The tally is plain per-search state:
+//! searches that run concurrently each fill their own, and the caller sums
+//! them after the round, so no shared counter is touched per visit.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -11,12 +13,38 @@ use std::collections::BinaryHeap;
 use rayon::prelude::*;
 
 use ri_pram::hash::FxHashMap;
-use ri_pram::WorkCounter;
 
 use crate::csr::CsrGraph;
 
 /// Unreachable marker for integer distances.
 pub const INF_U32: u32 = u32::MAX;
+
+/// Estimated nanoseconds to expand one frontier vertex of the parallel
+/// BFS (a handful of neighbour claims).
+const FRONTIER_NS: u64 = 20;
+
+/// The work of one or more searches.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SearchWork {
+    /// Settled (visited) vertices.
+    pub visits: u64,
+    /// Scanned edges.
+    pub relaxations: u64,
+}
+
+impl SearchWork {
+    /// Visits plus relaxations: the search work the rounds report.
+    pub fn total(&self) -> u64 {
+        self.visits + self.relaxations
+    }
+}
+
+impl std::ops::AddAssign for SearchWork {
+    fn add_assign(&mut self, other: SearchWork) {
+        self.visits += other.visits;
+        self.relaxations += other.relaxations;
+    }
+}
 
 /// Sequential BFS distances (hop counts) from `src`; `INF_U32` where
 /// unreachable.
@@ -55,6 +83,7 @@ pub fn parallel_bfs_distances(g: &CsrGraph, src: u32) -> Vec<u32> {
         d += 1;
         frontier = frontier
             .par_iter()
+            .with_cost(FRONTIER_NS)
             .flat_map_iter(|&u| {
                 g.neighbors(u).iter().filter_map(|&v| {
                     dist[v as usize]
@@ -97,14 +126,13 @@ pub fn dijkstra_distances(g: &CsrGraph, src: u32) -> Vec<f64> {
 /// search. Returns the visited `(vertex, distance)` pairs, in
 /// nondecreasing distance order.
 ///
-/// `visits` counts settled vertices, `relaxations` counts scanned edges —
-/// together the search's work.
+/// Settled vertices and scanned edges — together the search's work — are
+/// added to `work`.
 pub fn pruned_dijkstra(
     g: &CsrGraph,
     src: u32,
     delta: &[f64],
-    visits: &WorkCounter,
-    relaxations: &WorkCounter,
+    work: &mut SearchWork,
 ) -> Vec<(u32, f64)> {
     let mut out: Vec<(u32, f64)> = Vec::new();
     // Local tentative distances: sparse map (the search typically touches
@@ -125,10 +153,10 @@ pub fn pruned_dijkstra(
             continue;
         }
         done.insert(u, ());
-        visits.incr();
+        work.visits += 1;
         out.push((u, d));
         for (v, w) in g.edges(u) {
-            relaxations.incr();
+            work.relaxations += 1;
             let nd = d + w;
             // Prune: only pursue v while we'd beat its frozen δ.
             if nd < delta[v as usize] && local.get(&v).is_none_or(|&cur| nd < cur) {
@@ -142,13 +170,12 @@ pub fn pruned_dijkstra(
 
 /// Reachability restricted to a partition (§6.2): vertices `u` with
 /// `part[u] == part[src]` reachable from `src`, in visit order (including
-/// `src`). `visits`/`relaxations` count work as in [`pruned_dijkstra`].
+/// `src`). Work is added to `work` as in [`pruned_dijkstra`].
 pub fn reachable_in_partition(
     g: &CsrGraph,
     src: u32,
     part: &[u64],
-    visits: &WorkCounter,
-    relaxations: &WorkCounter,
+    work: &mut SearchWork,
 ) -> Vec<u32> {
     let home = part[src as usize];
     let mut seen: FxHashMap<u32, ()> = FxHashMap::default();
@@ -156,10 +183,10 @@ pub fn reachable_in_partition(
     let mut stack = vec![src];
     let mut out = Vec::new();
     while let Some(u) = stack.pop() {
-        visits.incr();
+        work.visits += 1;
         out.push(u);
         for &v in g.neighbors(u) {
-            relaxations.incr();
+            work.relaxations += 1;
             if part[v as usize] == home && !seen.contains_key(&v) {
                 seen.insert(v, ());
                 stack.push(v);
@@ -236,8 +263,8 @@ mod tests {
     fn pruned_with_infinite_delta_is_full_dijkstra() {
         let g = gnm_weighted(200, 1000, 6, false);
         let delta = vec![f64::INFINITY; 200];
-        let (v, r) = (WorkCounter::new(), WorkCounter::new());
-        let visited = pruned_dijkstra(&g, 0, &delta, &v, &r);
+        let mut work = SearchWork::default();
+        let visited = pruned_dijkstra(&g, 0, &delta, &mut work);
         let full = dijkstra_distances(&g, 0);
         // Every finite-distance vertex is visited with the right distance.
         let mut got: Vec<(u32, f64)> = visited.clone();
@@ -251,7 +278,7 @@ mod tests {
         for w in visited.windows(2) {
             assert!(w[0].1 <= w[1].1);
         }
-        assert_eq!(v.get() as usize, visited.len());
+        assert_eq!(work.visits as usize, visited.len());
     }
 
     #[test]
@@ -259,8 +286,7 @@ mod tests {
         // Path 0-1-2-3 with unit weights; delta cuts at distance 2.
         let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let delta = vec![f64::INFINITY, f64::INFINITY, 2.0, f64::INFINITY];
-        let (v, r) = (WorkCounter::new(), WorkCounter::new());
-        let visited = pruned_dijkstra(&g, 0, &delta, &v, &r);
+        let visited = pruned_dijkstra(&g, 0, &delta, &mut SearchWork::default());
         // Vertex 2 has d=2 which is NOT < delta[2]=2 -> pruned, and 3 is
         // unreachable through it.
         assert_eq!(visited, vec![(0, 0.0), (1, 1.0)]);
@@ -270,22 +296,21 @@ mod tests {
     fn pruned_src_can_be_pruned() {
         let g = CsrGraph::from_edges(2, &[(0, 1)]);
         let delta = vec![0.0, f64::INFINITY];
-        let (v, r) = (WorkCounter::new(), WorkCounter::new());
-        assert!(pruned_dijkstra(&g, 0, &delta, &v, &r).is_empty());
+        assert!(pruned_dijkstra(&g, 0, &delta, &mut SearchWork::default()).is_empty());
     }
 
     #[test]
     fn partition_restricted_reachability() {
         // 0 -> 1 -> 2, but 1 is in another partition: 2 unreachable.
         let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
-        let (v, r) = (WorkCounter::new(), WorkCounter::new());
+        let mut work = SearchWork::default();
         let part = vec![7u64, 9, 7];
-        let mut reach = reachable_in_partition(&g, 0, &part, &v, &r);
+        let mut reach = reachable_in_partition(&g, 0, &part, &mut work);
         reach.sort_unstable();
         assert_eq!(reach, vec![0]);
         // Same partition: full chain.
         let part = vec![7u64, 7, 7];
-        let mut reach = reachable_in_partition(&g, 0, &part, &v, &r);
+        let mut reach = reachable_in_partition(&g, 0, &part, &mut work);
         reach.sort_unstable();
         assert_eq!(reach, vec![0, 1, 2]);
     }
@@ -293,10 +318,10 @@ mod tests {
     #[test]
     fn reachability_counts_work() {
         let g = grid2d(10);
-        let (v, r) = (WorkCounter::new(), WorkCounter::new());
-        let reach = reachable_in_partition(&g, 0, &vec![0u64; 100], &v, &r);
+        let mut work = SearchWork::default();
+        let reach = reachable_in_partition(&g, 0, &vec![0u64; 100], &mut work);
         assert_eq!(reach.len(), 100);
-        assert_eq!(v.get(), 100);
-        assert_eq!(r.get() as usize, g.num_edges());
+        assert_eq!(work.visits, 100);
+        assert_eq!(work.relaxations as usize, g.num_edges());
     }
 }

@@ -3,8 +3,14 @@
 
 use ri_core::engine::{execute_type3, RunConfig};
 use ri_core::Type3Algorithm;
-use ri_graph::{dijkstra_distances, pruned_dijkstra, CsrGraph};
-use ri_pram::{semisort_by_key, RoundLog, WorkCounter};
+use ri_graph::{dijkstra_distances, pruned_dijkstra, CsrGraph, SearchWork};
+use ri_pram::{semisort_by_key, RoundLog};
+
+/// Estimated nanoseconds per vertex a pruned search settles, with its
+/// edge scans (230–340 ns measured). The search from the `k`-th source
+/// settles about `n / k` vertices (Cohen), so every round of the doubling
+/// schedule costs about `n` of these.
+const VISIT_NS: u64 = 250;
 
 /// The least-element lists plus measurement data.
 #[derive(Debug)]
@@ -58,13 +64,12 @@ pub(crate) fn le_lists_sequential_impl(g: &CsrGraph, order: &[usize]) -> LeLists
     let n = g.num_vertices();
     let mut delta = vec![f64::INFINITY; n];
     let mut lists: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-    let visits = WorkCounter::new();
-    let relax = WorkCounter::new();
+    let mut work = SearchWork::default();
     for &src in order {
         // S = {u | d(src, u) < δ(u)}, found by the pruned search that uses
         // δ as its tentative-distance initialisation (the paper's "drop the
         // initialization" trick).
-        let s = pruned_dijkstra(g, src as u32, &delta, &visits, &relax);
+        let s = pruned_dijkstra(g, src as u32, &delta, &mut work);
         for (u, d) in s {
             delta[u as usize] = d;
             lists[u as usize].push((src as u32, d));
@@ -73,8 +78,8 @@ pub(crate) fn le_lists_sequential_impl(g: &CsrGraph, order: &[usize]) -> LeLists
     LeListsResult {
         lists,
         stats: LeStats {
-            visits: visits.get(),
-            relaxations: relax.get(),
+            visits: work.visits,
+            relaxations: work.relaxations,
             rounds: None,
             redundant_entries: 0,
         },
@@ -86,17 +91,17 @@ struct ParState<'a> {
     order: &'a [usize],
     delta: Vec<f64>,
     lists: Vec<Vec<(u32, f64)>>,
-    visits: WorkCounter,
-    relax: WorkCounter,
+    /// Search work of every round combined so far.
+    work: SearchWork,
     redundant: u64,
-    /// Counter totals at the end of the previous round (the searches run
-    /// in `run_iteration`, so per-round work is measured between combines).
-    work_mark: u64,
+    /// Iterations combined so far: the next round's first source index.
+    combined: usize,
 }
 
 impl Type3Algorithm for ParState<'_> {
-    /// `(target, distance)` pairs discovered by one source's search.
-    type Output = Vec<(u32, f64)>;
+    /// `(target, distance)` pairs discovered by one source's search, and
+    /// that search's work.
+    type Output = (Vec<(u32, f64)>, SearchWork);
 
     fn len(&self) -> usize {
         self.order.len()
@@ -105,13 +110,13 @@ impl Type3Algorithm for ParState<'_> {
     fn run_iteration(&self, k: usize) -> Self::Output {
         // Search against the frozen δ of the previous round: a superset of
         // the sequential visit set (stale δ only prunes less).
-        pruned_dijkstra(
-            self.g,
-            self.order[k] as u32,
-            &self.delta,
-            &self.visits,
-            &self.relax,
-        )
+        let mut work = SearchWork::default();
+        let found = pruned_dijkstra(self.g, self.order[k] as u32, &self.delta, &mut work);
+        (found, work)
+    }
+
+    fn item_ns(&self) -> u64 {
+        VISIT_NS * self.order.len() as u64 / self.combined.max(1) as u64
     }
 
     fn combine(&mut self, lo: usize, outputs: &mut Vec<Self::Output>) -> u64 {
@@ -119,9 +124,12 @@ impl Type3Algorithm for ParState<'_> {
         // The flat record buffer comes from the engine's scratch arena and
         // goes back below, so every round reuses one allocation.
         let mut records: Vec<(u32, u32, f64)> = ri_pram::take_vec();
-        for (off, out) in outputs.drain(..).enumerate() {
+        let mut round_work = SearchWork::default();
+        self.combined = lo + outputs.len();
+        for (off, (found, work)) in outputs.drain(..).enumerate() {
             let k = (lo + off) as u32;
-            for (u, d) in out {
+            round_work += work;
+            for (u, d) in found {
                 records.push((u, k, d));
             }
         }
@@ -144,10 +152,8 @@ impl Type3Algorithm for ParState<'_> {
             self.delta[u] = current;
         }
         ri_pram::put_vec(grouped.records);
-        let now = self.visits.get() + self.relax.get();
-        let round_work = now - self.work_mark;
-        self.work_mark = now;
-        round_work
+        self.work += round_work;
+        round_work.total()
     }
 }
 
@@ -161,17 +167,16 @@ pub(crate) fn le_lists_parallel_impl(g: &CsrGraph, order: &[usize]) -> LeListsRe
         order,
         delta: vec![f64::INFINITY; n],
         lists: vec![Vec::new(); n],
-        visits: WorkCounter::new(),
-        relax: WorkCounter::new(),
+        work: SearchWork::default(),
         redundant: 0,
-        work_mark: 0,
+        combined: 0,
     };
     let log = execute_type3(&mut st, &RunConfig::new().parallel()).rounds;
     LeListsResult {
         lists: st.lists,
         stats: LeStats {
-            visits: st.visits.get(),
-            relaxations: st.relax.get(),
+            visits: st.work.visits,
+            relaxations: st.work.relaxations,
             rounds: Some(log),
             redundant_entries: st.redundant,
         },

@@ -60,6 +60,13 @@ pub enum LpOutcome {
 /// Magnitude of the synthetic bounding box (far outside every workload).
 const BOX_M: f64 = 1e6;
 
+/// Estimated nanoseconds per violation check (one 2-D dot product).
+const CHECK_NS: u64 = 2;
+
+/// Estimated nanoseconds per constraint of the 1-D LP scan (two dot
+/// products and a division).
+const CLIP_NS: u64 = 8;
+
 struct SeidelState<'a> {
     inst: &'a LpInstance,
     /// The two box constraints (implicit iterations −2, −1).
@@ -146,6 +153,7 @@ impl<'a> SeidelState<'a> {
         let (lo, hi, bad) = if self.parallel_special {
             let body = self.inst.constraints[..k]
                 .par_iter()
+                .with_cost(CLIP_NS)
                 .map(clip)
                 .fold(|| id, fold)
                 .reduce(|| id, merge);
@@ -181,6 +189,10 @@ impl Type2Algorithm for SeidelState<'_> {
 
     fn is_special(&self, k: usize) -> bool {
         !self.infeasible && !self.inst.constraints[k].satisfied_by(self.optimum)
+    }
+
+    fn item_ns(&self) -> u64 {
+        CHECK_NS
     }
 
     fn run_regular(&mut self, _k: usize) {}

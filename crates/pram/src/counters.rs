@@ -1,48 +1,13 @@
-//! Work and round instrumentation.
+//! Round instrumentation.
 //!
 //! The paper's claims are about *work* (total operations) and *depth*
 //! (rounds of the parallel executors). Every algorithm crate reports its
-//! measurements through these two small types so the bench harness can print
-//! paper-vs-measured tables from one code path.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A concurrent work counter (relaxed increments; read at phase boundaries).
-///
-/// Counts "units of work" — comparisons for sorting, InCircle tests for
-/// Delaunay, vertex visits for the graph algorithms. Relaxed ordering is
-/// fine: totals are only read after the parallel phase has joined.
-#[derive(Debug, Default)]
-pub struct WorkCounter(AtomicU64);
-
-impl WorkCounter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `n` units of work.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add one unit of work.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Current total.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Reset to zero (between experiments).
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-}
+//! measurements through [`RoundLog`] so the bench harness can print
+//! paper-vs-measured tables from one code path. Work itself — comparisons
+//! for sorting, InCircle tests for Delaunay, vertex visits for the graph
+//! algorithms — is counted per item or per chunk by whoever does it and
+//! summed after each round, so no shared counter is bumped inside a
+//! parallel round.
 
 /// Per-round log of a parallel execution: how many items ran in each round
 /// and how much work the round did. `rounds()` is the measured *depth* in
@@ -96,16 +61,6 @@ impl RoundLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
-
-    #[test]
-    fn counter_concurrent_sum() {
-        let c = WorkCounter::new();
-        (0..100_000u64).into_par_iter().for_each(|_| c.incr());
-        assert_eq!(c.get(), 100_000);
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
 
     #[test]
     fn round_log_aggregates() {

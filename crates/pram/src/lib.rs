@@ -18,12 +18,23 @@
 //! | [`conmap`] | concurrent fixed-capacity hash maps | face hashmap of parallel DT (§4) |
 //! | [`permutation`] | seeded random permutations | the random insertion order itself |
 //! | [`hash`] | fast non-cryptographic hashing | hashing for semisort / hash tables |
-//! | [`counters`] | work/round instrumentation | measuring work and depth (rounds) |
+//! | [`counters`] | round instrumentation | measuring work and depth (rounds) |
 //! | [`scratch`] | reusable per-thread scratch buffers | amortising per-round allocation |
 //!
 //! All primitives are deterministic given their inputs (and seeds), which is
 //! what lets the algorithm crates assert *parallel output == sequential
 //! output* in their test suites.
+//!
+//! Each parallel primitive declares its own per-element cost in
+//! nanoseconds and goes parallel only where the scheduler's one
+//! go-parallel rule ([`rayon::goes_parallel`]) admits that much work: at
+//! least `PAYOFF` times the measured spawn-and-join cost of a crew at the
+//! installed width. Everything else — all work at width 1, and inputs
+//! too small to pay for a crew — runs as a plain sequential loop on the
+//! caller. Block counts *within* a parallel primitive come from
+//! [`rayon::recommended_splits`], which adapts to the installed pool's
+//! width (a few blocks per worker so the crew's dynamic cursor can
+//! balance uneven blocks).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +53,7 @@ pub mod scratch;
 pub mod semisort;
 
 pub use conmap::{ConcurrentPairMap, PairSlots};
-pub use counters::{RoundLog, WorkCounter};
+pub use counters::RoundLog;
 pub use hash::{hash_u64, FxBuildHasher, FxHasher};
 pub use pack::{pack, pack_indices, pack_indices_where, pack_indices_where_into, pack_into};
 pub use permutation::{
@@ -57,11 +68,10 @@ pub use scan::{exclusive_scan_inplace, exclusive_scan_usize};
 pub use scratch::{put_vec, take_vec, ScratchStats};
 pub use semisort::{semisort_by_key, Grouped};
 
-/// Grain size below which primitives fall back to sequential loops.
-///
-/// The scheduler has per-region overhead; all primitives in this crate stop
-/// going parallel below this many elements. Block counts *within* a
-/// parallel primitive come from [`rayon::recommended_splits`], which
-/// adapts to the installed pool's width (a few blocks per worker so the
-/// crew's dynamic cursor can balance uneven blocks).
-pub const SEQ_THRESHOLD: usize = 4096;
+/// Test support: twice the input length at which a primitive declaring
+/// `item_ns` per element pays for a crew of `width`, so the parallel-path
+/// tests exercise crews on any host.
+#[cfg(test)]
+pub(crate) fn crew_sized(width: usize, item_ns: u64) -> usize {
+    2 * (rayon::PAYOFF * rayon::region_ns(width)).div_ceil(item_ns) as usize
+}

@@ -16,7 +16,9 @@
 
 use rayon::prelude::*;
 
-use crate::SEQ_THRESHOLD;
+/// Estimated nanoseconds per element to test a flag (or the predicate)
+/// and copy a survivor (4–6 ns measured at 2^20 elements).
+const PACK_NS: u64 = 4;
 
 /// Keep the elements whose flag is `true`, preserving order.
 pub fn pack<T: Clone + Send + Sync>(items: &[T], flags: &[bool]) -> Vec<T> {
@@ -27,11 +29,11 @@ pub fn pack<T: Clone + Send + Sync>(items: &[T], flags: &[bool]) -> Vec<T> {
 
 /// [`pack`] into a reused buffer: `out` is cleared and filled, keeping
 /// its capacity. One fused parallel pass (filter and gather per chunk);
-/// short inputs run inline on the caller.
+/// inputs too small to pay for a crew run inline on the caller.
 pub fn pack_into<T: Clone + Send + Sync>(items: &[T], flags: &[bool], out: &mut Vec<T>) {
     assert_eq!(items.len(), flags.len(), "pack: length mismatch");
     out.clear();
-    if items.len() <= SEQ_THRESHOLD || !rayon::should_parallelize(items.len()) {
+    if !rayon::goes_parallel(items.len(), PACK_NS) {
         out.extend(
             items
                 .iter()
@@ -46,6 +48,7 @@ pub fn pack_into<T: Clone + Send + Sync>(items: &[T], flags: &[bool], out: &mut 
     let parts: Vec<Vec<T>> = items
         .par_chunks(chunk)
         .zip(flags.par_chunks(chunk))
+        .with_cost(PACK_NS)
         .map(|(is, fs)| {
             is.iter()
                 .zip(fs)
@@ -83,7 +86,7 @@ where
     F: Fn(usize) -> bool + Sync,
 {
     out.clear();
-    if n <= SEQ_THRESHOLD || !rayon::should_parallelize(n) {
+    if !rayon::goes_parallel(n, PACK_NS) {
         out.extend((0..n).filter(|&i| pred(i)));
         return;
     }
@@ -91,6 +94,7 @@ where
     let chunk = n.div_ceil(nchunks);
     let parts: Vec<Vec<usize>> = (0..nchunks)
         .into_par_iter()
+        .with_cost(chunk as u64 * PACK_NS)
         .map(|c| {
             let lo = c * chunk;
             let hi = ((c + 1) * chunk).min(n);
@@ -123,9 +127,12 @@ mod tests {
 
     #[test]
     fn pack_large_parallel_path() {
-        let items: Vec<u64> = (0..200_000).collect();
+        let n = crate::crew_sized(2, PACK_NS) as u64;
+        let items: Vec<u64> = (0..n).collect();
         let flags: Vec<bool> = items.iter().map(|&x| x % 7 == 0).collect();
-        let got = rayon::cached_pool(4).install(|| pack(&items, &flags));
+        let before = rayon::crew_regions();
+        let got = rayon::cached_pool(2).install(|| pack(&items, &flags));
+        assert!(rayon::crew_regions() > before, "the pack must form a crew");
         let want: Vec<u64> = items.iter().copied().filter(|&x| x % 7 == 0).collect();
         assert_eq!(got, want);
     }

@@ -18,6 +18,10 @@ use rand::{Rng, SeedableRng};
 use crate::hash::hash_u64;
 use crate::radix::radix_sort_by_key;
 
+/// Estimated nanoseconds per iteration of one parallel Knuth-shuffle
+/// pass (two priority writes, two reads, or two resets).
+const RESERVE_NS: u64 = 8;
+
 /// A permutation of `0..n` with both directions materialised.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Permutation {
@@ -128,7 +132,7 @@ pub fn knuth_shuffle_parallel(h: &[usize]) -> (Vec<usize>, usize) {
     while !remaining.is_empty() {
         rounds += 1;
         // Reserve phase: priority-write the iteration index on both slots.
-        remaining.par_iter().for_each(|&i| {
+        remaining.par_iter().with_cost(RESERVE_NS).for_each(|&i| {
             debug_assert!((i..n).contains(&h[i]));
             board.write_min(i, i as u64);
             board.write_min(h[i], i as u64);
@@ -138,10 +142,11 @@ pub fn knuth_shuffle_parallel(h: &[usize]) -> (Vec<usize>, usize) {
         // has a larger index and lost), so the swaps are disjoint.
         let committed: Vec<usize> = remaining
             .par_iter()
+            .with_cost(RESERVE_NS)
             .copied()
             .filter(|&i| board.get(i) == Some(i as u64) && board.get(h[i]) == Some(i as u64))
             .collect();
-        committed.par_iter().for_each(|&i| {
+        committed.par_iter().with_cost(RESERVE_NS).for_each(|&i| {
             if i != h[i] {
                 // Disjointness argument above makes this a plain exchange.
                 let x = a[i].load(std::sync::atomic::Ordering::Relaxed);
@@ -151,12 +156,13 @@ pub fn knuth_shuffle_parallel(h: &[usize]) -> (Vec<usize>, usize) {
         });
         // Clear this round's reservations (slots touched by any survivor
         // or committer), then drop the committed iterations.
-        remaining.par_iter().for_each(|&i| {
+        remaining.par_iter().with_cost(RESERVE_NS).for_each(|&i| {
             board.reset(i);
             board.reset(h[i]);
         });
         remaining = remaining
             .into_par_iter()
+            .with_cost(RESERVE_NS)
             .filter(|&i| !(a_committed_contains(&committed, i)))
             .collect();
     }

@@ -7,7 +7,8 @@
 
 use rayon::prelude::*;
 
-use crate::SEQ_THRESHOLD;
+/// Estimated nanoseconds per key comparison of the reduction.
+const REDUCE_NS: u64 = 2;
 
 /// Index of the minimum element (first occurrence wins ties). `None` on
 /// empty input.
@@ -32,12 +33,13 @@ where
             _ => a,
         }
     };
-    if n <= SEQ_THRESHOLD {
+    if !rayon::goes_parallel(n, REDUCE_NS) {
         return Some((1..n).fold(0, better));
     }
     Some(
         (0..n)
             .into_par_iter()
+            .with_cost(REDUCE_NS)
             .reduce_with(|a, b| if a < b { better(a, b) } else { better(b, a) })
             .expect("nonempty"),
     )

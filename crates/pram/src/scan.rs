@@ -8,7 +8,9 @@
 
 use rayon::prelude::*;
 
-use crate::SEQ_THRESHOLD;
+/// Estimated nanoseconds per element of one scan pass (under 1 ns
+/// measured at 2^20 elements).
+const SCAN_NS: u64 = 1;
 
 /// Exclusive prefix sum over `usize` values.
 ///
@@ -32,7 +34,7 @@ pub fn exclusive_scan_inplace(values: &mut [usize]) -> usize {
     if n == 0 {
         return 0;
     }
-    if n <= SEQ_THRESHOLD {
+    if !rayon::goes_parallel(n, SCAN_NS) {
         return scan_seq(values);
     }
     let nblocks = rayon::recommended_splits();
@@ -42,6 +44,7 @@ pub fn exclusive_scan_inplace(values: &mut [usize]) -> usize {
     let mut block_sums: Vec<usize> = crate::scratch::take_vec();
     values
         .par_chunks(block)
+        .with_cost(SCAN_NS)
         .map(|c| c.iter().sum::<usize>())
         .collect_into_vec(&mut block_sums);
     // Scan the (small) block-sum array sequentially.
@@ -50,6 +53,7 @@ pub fn exclusive_scan_inplace(values: &mut [usize]) -> usize {
     values
         .par_chunks_mut(block)
         .zip(block_sums.par_iter())
+        .with_cost(SCAN_NS)
         .for_each(|(chunk, &offset)| {
             let mut acc = offset;
             for v in chunk {
@@ -121,8 +125,12 @@ mod tests {
 
     #[test]
     fn matches_reference_large_parallel_path() {
-        let v: Vec<usize> = (0..100_000).map(|i| (i * 2654435761) % 17).collect();
-        assert_eq!(exclusive_scan_usize(&v), reference(&v));
+        let n = crate::crew_sized(2, SCAN_NS);
+        let v: Vec<usize> = (0..n).map(|i| (i * 2654435761) % 17).collect();
+        let before = rayon::crew_regions();
+        let got = rayon::cached_pool(2).install(|| exclusive_scan_usize(&v));
+        assert!(rayon::crew_regions() > before, "the scan must form crews");
+        assert_eq!(got, reference(&v));
     }
 
     #[test]

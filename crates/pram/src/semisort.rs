@@ -14,6 +14,9 @@ use rayon::prelude::*;
 use crate::hash::hash_u64;
 use crate::radix::radix_sort_by_key;
 
+/// Estimated nanoseconds to emit one group's `(key, start, end)` range.
+const GROUP_NS: u64 = 2;
+
 /// Records grouped by key: `records` holds the reordered input, and
 /// `groups` holds `(key, start, end)` ranges into it.
 #[derive(Debug, Clone)]
@@ -81,6 +84,7 @@ where
     let groups: Vec<(u64, usize, usize)> = boundary
         .par_iter()
         .enumerate()
+        .with_cost(GROUP_NS)
         .map(|(gi, &start)| {
             let end = if gi + 1 < boundary.len() {
                 boundary[gi + 1]

@@ -26,11 +26,10 @@
 
 use ri_core::engine::{execute_type3, RunConfig};
 use ri_core::Type3Algorithm;
-use ri_graph::{reachable_in_partition, CsrGraph};
+use ri_graph::{CsrGraph, SearchWork};
 use ri_pram::hash::{hash_combine, hash_u64, FxHashSet};
-use ri_pram::WorkCounter;
 
-use crate::incremental::{SccResult, SccStats};
+use crate::incremental::{Footprint, SccResult, SccStats, SEARCH_PAIR_NS};
 
 const DONE: u64 = u64::MAX;
 
@@ -52,16 +51,10 @@ struct DetState<'a> {
     order: &'a [usize],
     part: Vec<u64>,
     comp: Vec<u32>,
-    visits: WorkCounter,
-    relax: WorkCounter,
+    /// Search work of every round combined so far.
+    work: SearchWork,
     queries: u64,
     snapshots: Vec<Vec<u64>>,
-    work_mark: u64,
-}
-
-struct Footprint {
-    fwd: Vec<u32>,
-    bwd: Vec<u32>,
 }
 
 impl Type3Algorithm for DetState<'_> {
@@ -76,10 +69,11 @@ impl Type3Algorithm for DetState<'_> {
         if self.part[v as usize] == DONE {
             return None;
         }
-        Some(Footprint {
-            fwd: reachable_in_partition(self.g, v, &self.part, &self.visits, &self.relax),
-            bwd: reachable_in_partition(&self.gt, v, &self.part, &self.visits, &self.relax),
-        })
+        Some(Footprint::search(self.g, &self.gt, v, &self.part))
+    }
+
+    fn item_ns(&self) -> u64 {
+        SEARCH_PAIR_NS
     }
 
     fn combine(&mut self, lo: usize, outputs: &mut Vec<Self::Output>) -> u64 {
@@ -88,10 +82,12 @@ impl Type3Algorithm for DetState<'_> {
         // vertex (only touched vertices matter, but dense is simpler and
         // the round already did Ω(touched) work).
         let mut sig: Vec<u64> = self.part.clone();
+        let mut round_work = SearchWork::default();
 
         for (off, out) in outputs.drain(..).enumerate() {
             let k = (lo + off) as u32;
             let Some(fp) = out else { continue };
+            round_work += fp.work;
             let center = self.order[k as usize];
             // Sequentially, this center may already have been carved by an
             // earlier search *of this round*: then its iteration is the
@@ -132,11 +128,8 @@ impl Type3Algorithm for DetState<'_> {
         }
         self.part = sig;
         self.snapshots.push(self.part.clone());
-
-        let now = self.visits.get() + self.relax.get();
-        let round_work = now - self.work_mark;
-        self.work_mark = now;
-        round_work
+        self.work += round_work;
+        round_work.total()
     }
 }
 
@@ -155,11 +148,9 @@ pub fn scc_parallel_deterministic(g: &CsrGraph, order: &[usize]) -> DetSccRun {
         order,
         part: vec![0u64; n],
         comp: vec![u32::MAX; n],
-        visits: WorkCounter::new(),
-        relax: WorkCounter::new(),
+        work: SearchWork::default(),
         queries: 0,
         snapshots: Vec::new(),
-        work_mark: 0,
     };
     let log = execute_type3(&mut st, &RunConfig::new().parallel()).rounds;
     debug_assert!(st.comp.iter().all(|&c| c != u32::MAX));
@@ -167,8 +158,8 @@ pub fn scc_parallel_deterministic(g: &CsrGraph, order: &[usize]) -> DetSccRun {
         result: SccResult {
             comp: st.comp,
             stats: SccStats {
-                visits: st.visits.get(),
-                relaxations: st.relax.get(),
+                visits: st.work.visits,
+                relaxations: st.work.relaxations,
                 visits_per_vertex: Vec::new(),
                 queries: st.queries,
                 rounds: Some(log),

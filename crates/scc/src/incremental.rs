@@ -2,9 +2,15 @@
 
 use ri_core::engine::{execute_type3, RunConfig};
 use ri_core::Type3Algorithm;
-use ri_graph::{reachable_in_partition, CsrGraph};
+use ri_graph::{reachable_in_partition, CsrGraph, SearchWork};
 use ri_pram::hash::{hash_combine, hash_u64};
-use ri_pram::{semisort_by_key, RoundLog, WorkCounter};
+use ri_pram::{semisort_by_key, RoundLog};
+
+/// Estimated nanoseconds per iteration of a large parallel round: a
+/// forward and a backward reachability search inside the center's
+/// partition, or none once the center is carved (25–75 ns measured in the
+/// rounds of 2k–15k iterations).
+pub(crate) const SEARCH_PAIR_NS: u64 = 40;
 
 /// Partition label of vertices already assigned to an SCC: no restricted
 /// search ever matches it (searches start from undone vertices only).
@@ -67,8 +73,7 @@ fn scc_sequential_prefix(g: &CsrGraph, order: &[usize], m: usize) -> (SccResult,
     let mut part = vec![0u64; n];
     let mut comp = vec![u32::MAX; n];
     let mut next_label = 1u64;
-    let visits = WorkCounter::new();
-    let relax = WorkCounter::new();
+    let mut work = SearchWork::default();
     let mut per_vertex = vec![0u32; n];
     let mut queries = 0u64;
 
@@ -78,8 +83,8 @@ fn scc_sequential_prefix(g: &CsrGraph, order: &[usize], m: usize) -> (SccResult,
             continue; // the paper's "S = ∅" skip
         }
         queries += 1;
-        let fwd = reachable_in_partition(g, v, &part, &visits, &relax);
-        let bwd = reachable_in_partition(&gt, v, &part, &visits, &relax);
+        let fwd = reachable_in_partition(g, v, &part, &mut work);
+        let bwd = reachable_in_partition(&gt, v, &part, &mut work);
         for &u in fwd.iter().chain(&bwd) {
             per_vertex[u as usize] += 1;
         }
@@ -108,8 +113,8 @@ fn scc_sequential_prefix(g: &CsrGraph, order: &[usize], m: usize) -> (SccResult,
         SccResult {
             comp,
             stats: SccStats {
-                visits: visits.get(),
-                relaxations: relax.get(),
+                visits: work.visits,
+                relaxations: work.relaxations,
                 visits_per_vertex: per_vertex,
                 queries,
                 rounds: None,
@@ -126,19 +131,28 @@ struct ParState<'a> {
     order: &'a [usize],
     part: Vec<u64>,
     comp: Vec<u32>,
-    visits: WorkCounter,
-    relax: WorkCounter,
+    /// Search work of every round combined so far.
+    work: SearchWork,
     per_vertex: Vec<u32>,
     queries: u64,
-    /// Counter totals at the end of the previous round (the searches run
-    /// in `run_iteration`, so per-round work is measured between combines).
-    work_mark: u64,
 }
 
-/// One search's footprint: the vertices reached forward and backward.
-struct Footprint {
-    fwd: Vec<u32>,
-    bwd: Vec<u32>,
+/// One search's footprint: the vertices reached forward and backward, and
+/// the work both searches did.
+pub(crate) struct Footprint {
+    pub(crate) fwd: Vec<u32>,
+    pub(crate) bwd: Vec<u32>,
+    pub(crate) work: SearchWork,
+}
+
+impl Footprint {
+    /// Both searches from `v` against the frozen partition `part`.
+    pub(crate) fn search(g: &CsrGraph, gt: &CsrGraph, v: u32, part: &[u64]) -> Footprint {
+        let mut work = SearchWork::default();
+        let fwd = reachable_in_partition(g, v, part, &mut work);
+        let bwd = reachable_in_partition(gt, v, part, &mut work);
+        Footprint { fwd, bwd, work }
+    }
 }
 
 impl Type3Algorithm for ParState<'_> {
@@ -155,10 +169,11 @@ impl Type3Algorithm for ParState<'_> {
         }
         // Both searches run against the frozen partition of the previous
         // round.
-        Some(Footprint {
-            fwd: reachable_in_partition(self.g, v, &self.part, &self.visits, &self.relax),
-            bwd: reachable_in_partition(&self.gt, v, &self.part, &self.visits, &self.relax),
-        })
+        Some(Footprint::search(self.g, &self.gt, v, &self.part))
+    }
+
+    fn item_ns(&self) -> u64 {
+        SEARCH_PAIR_NS
     }
 
     fn combine(&mut self, lo: usize, outputs: &mut Vec<Self::Output>) -> u64 {
@@ -168,10 +183,12 @@ impl Type3Algorithm for ParState<'_> {
         const FWD: u32 = 0;
         const BWD: u32 = 1;
         let mut records: Vec<(u32, u32, u32)> = ri_pram::take_vec();
+        let mut round_work = SearchWork::default();
         for (off, out) in outputs.drain(..).enumerate() {
             let k = (lo + off) as u32;
             if let Some(fp) = out {
                 self.queries += 1;
+                round_work += fp.work;
                 for u in fp.fwd {
                     records.push((u, k, FWD));
                 }
@@ -223,10 +240,8 @@ impl Type3Algorithm for ParState<'_> {
         ri_pram::put_vec(fwd_ks);
         ri_pram::put_vec(bwd_ks);
         ri_pram::put_vec(grouped.records);
-        let now = self.visits.get() + self.relax.get();
-        let round_work = now - self.work_mark;
-        self.work_mark = now;
-        round_work
+        self.work += round_work;
+        round_work.total()
     }
 }
 
@@ -258,19 +273,17 @@ pub(crate) fn scc_parallel_impl(g: &CsrGraph, order: &[usize], cfg: &RunConfig) 
         order,
         part: vec![0u64; n],
         comp: vec![u32::MAX; n],
-        visits: WorkCounter::new(),
-        relax: WorkCounter::new(),
+        work: SearchWork::default(),
         per_vertex: vec![0u32; n],
         queries: 0,
-        work_mark: 0,
     };
     let inner = execute_type3(&mut st, cfg);
     debug_assert!(st.comp.iter().all(|&c| c != u32::MAX));
     SccResult {
         comp: st.comp,
         stats: SccStats {
-            visits: st.visits.get(),
-            relaxations: st.relax.get(),
+            visits: st.work.visits,
+            relaxations: st.work.relaxations,
             visits_per_vertex: st.per_vertex,
             queries: st.queries,
             rounds: Some(inner.rounds),

@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use ri_core::engine::{Problem, RunConfig};
-use ri_graph::{reachable_in_partition, CsrGraph};
-use ri_pram::{random_permutation, WorkCounter};
+use ri_graph::{reachable_in_partition, CsrGraph, SearchWork};
+use ri_pram::random_permutation;
 use ri_scc::{canonical_labels, tarjan_scc, SccProblem};
 
 fn seq_cfg() -> RunConfig {
@@ -82,15 +82,15 @@ proptest! {
 
         // --- Rerun Algorithm 7, recording visit sets per iteration. ---
         const DONE: u64 = u64::MAX;
-        let (vc, rc) = (WorkCounter::new(), WorkCounter::new());
+        let mut work = SearchWork::default();
         let mut part = vec![0u64; n];
         let mut next_label = 1u64;
         // visited_by[v] = iterations whose searches visited v.
         let mut visited_by: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (k, &vi) in order.iter().enumerate() {
             if part[vi] == DONE { continue; }
-            let fwd = reachable_in_partition(&g, vi as u32, &part, &vc, &rc);
-            let bwd = reachable_in_partition(&gt, vi as u32, &part, &vc, &rc);
+            let fwd = reachable_in_partition(&g, vi as u32, &part, &mut work);
+            let bwd = reachable_in_partition(&gt, vi as u32, &part, &mut work);
             for &u in fwd.iter().chain(&bwd) {
                 if !visited_by[u as usize].contains(&k) {
                     visited_by[u as usize].push(k);

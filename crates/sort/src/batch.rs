@@ -21,7 +21,7 @@
 
 use ri_core::engine::{execute_type3, RunConfig};
 use ri_core::{prefix_rounds, Type3Algorithm};
-use ri_pram::{RoundLog, WorkCounter};
+use ri_pram::RoundLog;
 
 use crate::tree::{Bst, NONE};
 
@@ -30,6 +30,10 @@ use crate::tree::{Bst, NONE};
 /// fixed array of this size (instead of a heap vector per probed key)
 /// makes the search phase allocation-free.
 const MAX_ROUNDS: usize = 64;
+
+/// Estimated nanoseconds per frozen-tree search of a large parallel round
+/// (160–340 ns measured in the rounds of 2k–50k keys).
+const SEARCH_NS: u64 = 200;
 
 /// Output of the batch (Type 3) sort.
 #[derive(Debug)]
@@ -61,13 +65,15 @@ struct Probe {
     slot: Slot,
     /// Left dependences per earlier round (index = round).
     left_hits: [u16; MAX_ROUNDS],
+    /// Comparisons the search made.
+    comparisons: u32,
 }
 
 struct BatchState<'a, T> {
     keys: &'a [T],
     tree: Bst,
     round_of: Vec<u16>,
-    search_comparisons: WorkCounter,
+    search_comparisons: u64,
     resolve_comparisons: u64,
     histogram: Vec<u64>,
 }
@@ -81,10 +87,11 @@ impl<T: Ord + Sync> Type3Algorithm for BatchState<'_, T> {
 
     fn run_iteration(&self, k: usize) -> Probe {
         let mut left_hits = [0u16; MAX_ROUNDS];
+        let mut comparisons = 0u32;
         let mut slot = Slot::Root;
         let mut cur = self.tree.root;
         while cur != NONE {
-            self.search_comparisons.incr();
+            comparisons += 1;
             let node = cur as usize;
             if self.keys[k] < self.keys[node] {
                 slot = Slot::Left(cur as u32);
@@ -101,12 +108,19 @@ impl<T: Ord + Sync> Type3Algorithm for BatchState<'_, T> {
             key: k,
             slot,
             left_hits,
+            comparisons,
         }
     }
 
+    fn item_ns(&self) -> u64 {
+        SEARCH_NS
+    }
+
+    /// The round's recorded work is its conflict-resolution comparisons;
+    /// the probes' search comparisons count toward the run's total.
     fn combine(&mut self, lo: usize, outputs: &mut Vec<Probe>) -> u64 {
         let round = self.round_of[lo] as usize;
-        let work_before = self.search_comparisons.get() + self.resolve_comparisons;
+        let resolved_before = self.resolve_comparisons;
 
         // Resolve conflicts in one allocation-free pass. Probes drain in
         // iteration order and every contested slot was empty in the frozen
@@ -119,6 +133,7 @@ impl<T: Ord + Sync> Type3Algorithm for BatchState<'_, T> {
         // within a subtree: groups live in disjoint subtrees.
         for p in outputs.drain(..) {
             let k = p.key;
+            self.search_comparisons += u64::from(p.comparisons);
             let mut hits = p.left_hits;
             let slot_child = match p.slot {
                 Slot::Root => &mut self.tree.root,
@@ -157,7 +172,7 @@ impl<T: Ord + Sync> Type3Algorithm for BatchState<'_, T> {
             }
         }
 
-        self.search_comparisons.get() + self.resolve_comparisons - work_before
+        self.resolve_comparisons - resolved_before
     }
 }
 
@@ -179,7 +194,7 @@ pub(crate) fn batch_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> BatchSortResult 
         keys,
         tree: Bst::new(n),
         round_of,
-        search_comparisons: WorkCounter::new(),
+        search_comparisons: 0,
         resolve_comparisons: 0,
         histogram: Vec::new(),
     };
@@ -188,7 +203,7 @@ pub(crate) fn batch_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> BatchSortResult 
     BatchSortResult {
         tree: state.tree,
         sorted_indices,
-        comparisons: state.search_comparisons.get() + state.resolve_comparisons,
+        comparisons: state.search_comparisons + state.resolve_comparisons,
         log,
         left_dep_histogram: state.histogram,
     }

@@ -19,9 +19,10 @@
 //! ## Grain control: the fused inline round
 //!
 //! When a round runs entirely on the calling thread **in iteration
-//! order** — which the engine's grain policy chooses for every round at
-//! width 1 and for the long tail of small rounds at any width — the three
-//! phases fuse into a *single* pass with in-place compaction: the first
+//! order** — which the engine's go-parallel rule chooses for every round
+//! at width 1 and for every round too small to pay for a crew at any
+//! width — the three phases fuse into a *single* pass with in-place
+//! compaction: the first
 //! key to see an empty slot is the minimum-index key pointing at it (the
 //! active list is always sorted by iteration index), so it wins exactly
 //! the priority-write, and every later key reads the winner as its
@@ -31,7 +32,20 @@
 //! brings parallel-mode-at-1-thread within a whisker of the sequential
 //! loop. The concurrent (multi-thread) path keeps the phase separation
 //! (a fused check-and-write is racy about *which* key wins) and instead
-//! reuses its snapshot/survivor buffers through the scratch arena.
+//! reuses its snapshot/survivor buffers through the scratch arena; its
+//! write phase skips the `fetch_min` when the slot already holds a smaller
+//! index, and its resolve phase counts comparisons per chunk.
+//!
+//! ## When the concurrent round pays
+//!
+//! The three-phase round touches every key's slot three times and writes
+//! per-chunk survivor lists: measured at width 2 it spends about
+//! `CONCURRENT_NS` thread-nanoseconds per key, against `FUSED_NS` for the
+//! fused pass. A crew of `w` therefore saves `FUSED_NS − CONCURRENT_NS /
+//! w` per key — nothing at all below width 6 — and each of its three
+//! phase regions must pay for its own spawn out of a third of that. That
+//! saving is the per-key cost the go-parallel rule weighs (`round_ns`),
+//! so below width 8 every round takes the fused pass.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,6 +54,20 @@ use rayon::prelude::*;
 use crate::tree::{Bst, NONE};
 use ri_core::engine::{grain, scratch};
 use ri_pram::RoundLog;
+
+/// Nanoseconds per key of the fused inline round (8–11 ns measured at
+/// 16k–200k keys).
+const FUSED_NS: u64 = 10;
+
+/// Thread-nanoseconds per key of the three-phase concurrent round
+/// (28 ns of wall time per key on a crew of 2, at 16k–200k keys).
+const CONCURRENT_NS: u64 = 56;
+
+/// The per-key cost a crew of `width` saves on each of a round's three
+/// phase regions, over the fused pass — 0 where the crew would lose.
+fn round_ns(width: usize) -> u64 {
+    FUSED_NS.saturating_sub(CONCURRENT_NS / width.max(1) as u64) / 3
+}
 
 /// Output of the parallel sort.
 #[derive(Debug)]
@@ -64,6 +92,12 @@ enum Cursor {
 
 /// Sort by parallel BST insertion (Algorithm 3). Keys must be distinct.
 pub(crate) fn parallel_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> ParSortResult {
+    bst_sort_rounds(keys, round_ns(rayon::current_num_threads()))
+}
+
+/// Algorithm 3's rounds, each run concurrently where the go-parallel rule
+/// admits `round_ns` per key and fused inline otherwise.
+fn bst_sort_rounds<T: Ord + Sync>(keys: &[T], round_ns: u64) -> ParSortResult {
     let n = keys.len();
     let root = AtomicU64::new(NONE);
     let left: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(NONE)).collect();
@@ -85,11 +119,11 @@ pub(crate) fn parallel_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> ParSortResult
     let mut next: Vec<(usize, Cursor)> = scratch::take_vec();
     let mut snapshot: Vec<u64> = scratch::take_vec();
     let mut log = RoundLog::new();
-    let comparisons = ri_pram::WorkCounter::new();
+    let mut comparisons = 0u64;
 
     while !active.is_empty() {
         let round_items = active.len();
-        if !grain::parallel_round(round_items) {
+        if !grain::goes_parallel(round_items, round_ns) {
             // Fused inline round (single thread, iteration order): see the
             // module docs for why this is phase-equivalent. Winners retire
             // in place; losers are compacted forward with a write cursor.
@@ -114,7 +148,7 @@ pub(crate) fn parallel_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> ParSortResult
                     kept += 1;
                 }
             }
-            comparisons.add(round_comparisons);
+            comparisons += round_comparisons;
             active.truncate(kept);
         } else {
             let chunk = round_items.div_ceil(rayon::recommended_splits());
@@ -126,6 +160,7 @@ pub(crate) fn parallel_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> ParSortResult
             snapshot
                 .par_chunks_mut(chunk)
                 .zip(active.par_chunks(chunk))
+                .with_cost(round_ns)
                 .for_each(|(ss, aa)| {
                     for (s, &(_, c)) in ss.iter_mut().zip(aa) {
                         *s = slot_of(c).load(Ordering::Acquire);
@@ -133,21 +168,28 @@ pub(crate) fn parallel_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> ParSortResult
                 });
 
             // Phase 2: keys that saw an empty slot priority-write their
-            // index.
+            // index — unless a smaller index already holds the slot, when
+            // the write could not win and is skipped (many keys of a round
+            // share a slot; only the first few need the contended RMW).
+            // Slot values only decrease, so a stale relaxed read costs at
+            // most a redundant `fetch_min`; phase 3 reads after the join.
             active
                 .par_iter()
                 .zip(snapshot.par_iter())
+                .with_cost(round_ns)
                 .for_each(|(&(i, c), &seen)| {
-                    if seen == NONE {
-                        slot_of(c).fetch_min(i as u64, Ordering::AcqRel);
+                    let slot = slot_of(c);
+                    if seen == NONE && slot.load(Ordering::Relaxed) > i as u64 {
+                        slot.fetch_min(i as u64, Ordering::AcqRel);
                     }
                 });
 
-            // Phase 3: resolve — winners retire, losers descend one level.
-            // Survivors compact per chunk, then drain into the reused
-            // `next` buffer in order.
+            // Phase 3: resolve — winners retire, losers descend one level
+            // (one comparison each, counted per chunk). Survivors compact
+            // per chunk, then drain into the reused `next` buffer in order.
             let parts: Vec<Vec<(usize, Cursor)>> = active
                 .par_chunks(chunk)
+                .with_cost(round_ns)
                 .map(|aa| {
                     aa.iter()
                         .filter_map(|&(i, c)| {
@@ -159,7 +201,6 @@ pub(crate) fn parallel_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> ParSortResult
                             if occupant == i as u64 {
                                 return None; // placed
                             }
-                            comparisons.incr();
                             let next_cursor = if keys[i] < keys[occupant as usize] {
                                 Cursor::Left(occupant)
                             } else {
@@ -172,6 +213,8 @@ pub(crate) fn parallel_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> ParSortResult
                 .collect();
             next.clear();
             for p in parts {
+                // Every survivor made exactly one comparison.
+                comparisons += p.len() as u64;
                 next.extend(p);
             }
             std::mem::swap(&mut active, &mut next);
@@ -191,7 +234,7 @@ pub(crate) fn parallel_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> ParSortResult
     ParSortResult {
         tree,
         sorted_indices,
-        comparisons: comparisons.get(),
+        comparisons,
         log,
     }
 }
@@ -218,6 +261,30 @@ mod tests {
             let seq = sequential_bst_sort_impl(&keys);
             assert_eq!(par.tree, seq.tree, "Theorem 3.2 violated at seed {seed}");
         }
+    }
+
+    #[test]
+    fn concurrent_rounds_form_crews_and_build_the_sequential_tree() {
+        // Declare the rounds dear enough that every multi-key round pays,
+        // so the three-phase concurrent path really runs on a crew.
+        let keys = random_permutation(5000, 3);
+        let seq = sequential_bst_sort_impl(&keys);
+        rayon::cached_pool(4).install(|| {
+            let before = rayon::crew_regions();
+            let par = bst_sort_rounds(&keys, 1_000_000);
+            assert!(rayon::crew_regions() > before, "rounds must form crews");
+            assert_eq!(par.tree, seq.tree, "Theorem 3.2 violated on a crew");
+            assert_eq!(par.comparisons, seq.comparisons);
+            assert_eq!(par.log.rounds(), par.tree.dependence_depth());
+        });
+    }
+
+    #[test]
+    fn the_concurrent_round_pays_only_on_wide_crews() {
+        assert_eq!(round_ns(1), 0);
+        assert_eq!(round_ns(2), 0, "a crew of 2 loses to the fused pass");
+        assert_eq!(round_ns(6), 0);
+        assert!(round_ns(8) > 0);
     }
 
     #[test]

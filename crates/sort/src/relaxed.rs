@@ -33,7 +33,11 @@ use rayon::prelude::*;
 
 use crate::tree::{Bst, NONE};
 use ri_core::engine::grain;
-use ri_pram::{MultiQueue, RoundLog, WorkCounter};
+use ri_pram::{MultiQueue, RoundLog};
+
+/// Estimated nanoseconds to compare one pending key against its slot's
+/// winner and move it to a child set.
+const PARTITION_NS: u64 = 3;
 
 /// Output of the relaxed sort.
 #[derive(Debug)]
@@ -76,12 +80,13 @@ pub(crate) fn relaxed_bst_sort_impl<T: Ord + Sync>(
     let root = AtomicU64::new(NONE);
     let left: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(NONE)).collect();
     let right: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(NONE)).collect();
-    let comparisons = WorkCounter::new();
+    let mut comparisons = 0u64;
 
     // Resolve one task: place the winner, split the rest toward the two
-    // child slots. Slot writes are disjoint across tasks (each task owns
-    // its slot), so concurrent resolution is race-free.
-    let process = |task: SlotTask| -> (Option<SlotTask>, Option<SlotTask>) {
+    // child slots, and report the comparisons that took. Slot writes are
+    // disjoint across tasks (each task owns its slot), so concurrent
+    // resolution is race-free.
+    let process = |task: SlotTask| -> (u64, [Option<SlotTask>; 2]) {
         let winner = task.pending[0];
         let slot = match task.cursor {
             Cursor::Root => &root,
@@ -90,14 +95,14 @@ pub(crate) fn relaxed_bst_sort_impl<T: Ord + Sync>(
         };
         slot.store(winner as u64, Ordering::Release);
         let rest = &task.pending[1..];
-        comparisons.add(rest.len() as u64);
         let less = |i: &&u32| keys[**i as usize] < keys[winner as usize];
-        let (lo, hi): (Vec<u32>, Vec<u32>) = if grain::parallel_round(rest.len()) {
+        let (lo, hi): (Vec<u32>, Vec<u32>) = if grain::goes_parallel(rest.len(), PARTITION_NS) {
             // Chunked parallel partition; ordered concatenation keeps the
             // pending sets sorted.
             let chunk = rest.len().div_ceil(rayon::recommended_splits());
             let parts: Vec<(Vec<u32>, Vec<u32>)> = rest
                 .par_chunks(chunk)
+                .with_cost(PARTITION_NS)
                 .map(|cc| cc.iter().partition(less))
                 .collect();
             let mut lo = Vec::new();
@@ -114,8 +119,11 @@ pub(crate) fn relaxed_bst_sort_impl<T: Ord + Sync>(
             (!pending.is_empty()).then_some(SlotTask { cursor, pending })
         };
         (
-            child(Cursor::Left(winner), lo),
-            child(Cursor::Right(winner), hi),
+            rest.len() as u64,
+            [
+                child(Cursor::Left(winner), lo),
+                child(Cursor::Right(winner), hi),
+            ],
         )
     };
 
@@ -131,7 +139,6 @@ pub(crate) fn relaxed_bst_sort_impl<T: Ord + Sync>(
     }
     let mut order: Vec<(u64, SlotTask)> = Vec::new();
     let mut log = RoundLog::new();
-    let mut work_mark = 0u64;
     while !mq.is_empty() {
         // Each drain is its own inversion epoch: child priorities restart
         // below previously popped ones by construction, and the measured
@@ -140,23 +147,28 @@ pub(crate) fn relaxed_bst_sort_impl<T: Ord + Sync>(
         order.clear();
         mq.pop_batch(usize::MAX, &mut order);
         let round_items = order.len();
-        let children: Vec<(Option<SlotTask>, Option<SlotTask>)> =
-            if round_items > 1 && grain::parallel_round(round_items) {
+        // A drain's work is its tasks' pending keys, spread over the tasks.
+        let pending: usize = order.iter().map(|(_, task)| task.pending.len()).sum();
+        let task_ns = (pending as u64 * PARTITION_NS).div_ceil(round_items as u64);
+        let children: Vec<(u64, [Option<SlotTask>; 2])> =
+            if round_items > 1 && grain::goes_parallel(round_items, task_ns) {
                 std::mem::take(&mut order)
                     .into_par_iter()
+                    .with_cost(task_ns)
                     .map(|(_, task)| process(task))
                     .collect()
             } else {
                 order.drain(..).map(|(_, task)| process(task)).collect()
             };
-        for (lo, hi) in children {
-            for task in [lo, hi].into_iter().flatten() {
+        let mut round_comparisons = 0u64;
+        for (compared, tasks) in children {
+            round_comparisons += compared;
+            for task in tasks.into_iter().flatten() {
                 mq.push(task.pending[0] as u64, task);
             }
         }
-        let now = comparisons.get();
-        log.record(round_items, now - work_mark);
-        work_mark = now;
+        comparisons += round_comparisons;
+        log.record(round_items, round_comparisons);
     }
 
     let tree = Bst {
@@ -168,7 +180,7 @@ pub(crate) fn relaxed_bst_sort_impl<T: Ord + Sync>(
     RelaxedSortResult {
         tree,
         sorted_indices,
-        comparisons: comparisons.get(),
+        comparisons,
         log,
         rank_inversions: mq.rank_inversions(),
     }

@@ -5,8 +5,15 @@
 //! paper's priority-writes. No rebalancing — the randomness of the order is
 //! what keeps the tree (and hence the dependence depth) shallow.
 
+use ri_core::engine::grain;
+
 /// Sentinel for an absent child / empty root.
 pub const NONE: u64 = u64::MAX;
+
+/// Estimated nanoseconds per node of an in-order walk (dependent loads,
+/// mostly cache misses on large trees; 14–28 ns measured at 16k–200k
+/// nodes).
+const WALK_NS: u64 = 16;
 
 /// An explicit binary search tree over iterations `0..n`.
 ///
@@ -71,7 +78,9 @@ impl Bst {
     /// In-order traversal assembled by parallel divide-and-conquer:
     /// [`rayon::join`] recurses on the two subtrees (its thread budget
     /// halves per fork, so at most `threads − 1` helpers are spawned for
-    /// the whole tree) and concatenates `left ++ node ++ right`. The
+    /// the whole tree) and concatenates `left ++ node ++ right`. A subtree
+    /// is walked iteratively once the go-parallel rule rejects its
+    /// estimated size (a random tree's subtrees halve per level), and the
     /// recursion depth is capped — a path-shaped tree degrades to the
     /// iterative walk instead of overflowing the stack. Output is
     /// identical to [`Bst::in_order`].
@@ -79,21 +88,20 @@ impl Bst {
         // Random insertion orders give O(log n) expected height; 4× that
         // comfortably covers the whp bound while bounding stack depth.
         let depth_cap = 4 * (usize::BITS - self.len().leading_zeros()) as usize + 4;
-        self.in_order_rec(self.root, depth_cap)
+        self.in_order_rec(self.root, depth_cap, self.len())
     }
 
-    fn in_order_rec(&self, node: u64, depth: usize) -> Vec<usize> {
+    fn in_order_rec(&self, node: u64, depth: usize, size: usize) -> Vec<usize> {
         if node == NONE {
             return Vec::new();
         }
-        if depth == 0 {
-            // Subtree size is unknown; deep fallbacks grow as they walk.
-            return self.in_order_from(node, 0);
+        if depth == 0 || !grain::goes_parallel(size, WALK_NS) {
+            return self.in_order_from(node, size);
         }
         let (l, r) = (self.left[node as usize], self.right[node as usize]);
         let (mut left, right) = rayon::join(
-            || self.in_order_rec(l, depth - 1),
-            || self.in_order_rec(r, depth - 1),
+            || self.in_order_rec(l, depth - 1, size / 2),
+            || self.in_order_rec(r, depth - 1, size / 2),
         );
         left.reserve(right.len() + 1);
         left.push(node as usize);

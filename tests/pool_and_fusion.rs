@@ -10,6 +10,10 @@ use ri_core::engine::{Problem, RunConfig, Runner};
 use ri_pram::random_permutation;
 use ri_sort::SortProblem;
 
+/// A per-element cost large enough that any multi-item pipeline pays for
+/// a crew under the go-parallel rule, so these tests exercise real crews.
+const DEAR_NS: u64 = 1_000_000;
+
 /// Two engine runs with the same thread count reuse one cached pool: the
 /// worker thread ids are identical and no new worker threads are spawned
 /// by the second run.
@@ -48,11 +52,13 @@ fn nested_parallelism_from_workers_stays_on_pool() {
     let widths: Vec<usize> = runner.install(|| {
         (0..20_000usize)
             .into_par_iter()
+            .with_cost(DEAR_NS)
             .map(|_| {
                 // An inner parallel region launched from whichever thread
                 // (caller or helper) is executing this chunk.
                 let inner: Vec<usize> = (0..4096usize)
                     .into_par_iter()
+                    .with_cost(DEAR_NS)
                     .map(|_| rayon::current_num_threads())
                     .collect();
                 inner[0]
@@ -98,7 +104,7 @@ fn panics_propagate_through_parallel_regions() {
     let data: Vec<usize> = (0..100_000).collect();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         runner.install(|| {
-            data.par_iter().for_each(|&x| {
+            data.par_iter().with_cost(DEAR_NS).for_each(|&x| {
                 if x == 90_123 {
                     panic!("iteration {x} failed");
                 }
@@ -156,7 +162,8 @@ proptest! {
 
     /// Every combinator path — fused map/collect, filter+map+reduce,
     /// find_first, zip+enumerate, fold, flat_map_iter, pack/scan — equals
-    /// its sequential reference under randomized stealing at 1–8 threads.
+    /// its sequential reference under randomized stealing at 1–8 threads
+    /// (the declared cost puts every multi-item pipeline on a crew).
     #[test]
     fn combinators_match_sequential_at_any_width(
         xs in proptest::collection::vec(any::<u64>(), 0..6000),
@@ -165,16 +172,26 @@ proptest! {
         let runner = Runner::new(RunConfig::new().parallel().threads(threads));
         let (want_map, want_sum, want_first, want_enum) = reference_pipeline(&xs);
         let (got_map, got_sum, got_first, got_enum) = runner.install(|| {
-            let m: Vec<u64> = xs.par_iter().map(|&x| x.wrapping_mul(3) ^ 1).collect();
+            let m: Vec<u64> = xs
+                .par_iter()
+                .with_cost(DEAR_NS)
+                .map(|&x| x.wrapping_mul(3) ^ 1)
+                .collect();
             let s: u64 = xs
                 .par_iter()
+                .with_cost(DEAR_NS)
                 .copied()
                 .filter(|&x| x % 3 == 0)
                 .map(|x| x / 2)
                 .reduce(|| 0u64, u64::wrapping_add);
-            let f = xs.par_iter().find_first(|&&x| x % 97 == 13).copied();
+            let f = xs
+                .par_iter()
+                .with_cost(DEAR_NS)
+                .find_first(|&&x| x % 97 == 13)
+                .copied();
             let e: Vec<(usize, u64)> = xs
                 .par_iter()
+                .with_cost(DEAR_NS)
                 .zip(xs[1.min(xs.len())..].par_iter())
                 .map(|(&a, &b)| a.wrapping_add(b))
                 .enumerate()

@@ -90,6 +90,37 @@ fn sequential_and_parallel_answers_agree_for_all_problems() {
     }
 }
 
+/// Work counters are summed per item or per chunk after each round, never
+/// bumped from inside a crew, so they — and the per-round work of the
+/// trace — do not depend on how many threads ran the rounds.
+#[test]
+fn work_counters_are_width_invariant() {
+    let reg = registry();
+    for (name, n) in [
+        ("sort-batch", 40_000),
+        ("scc", 60_000),
+        ("le-lists", 8_000),
+        ("enclosing", 50_000),
+    ] {
+        let problem = reg
+            .construct(name, &WorkloadSpec::new(n, 5))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let solve =
+            |threads: usize| problem.solve_erased(&RunConfig::new().seed(7).threads(threads));
+        let (want, want_report) = solve(1);
+        assert!(!want.metrics().is_empty(), "{name}: no work counters");
+        for threads in [2, 4] {
+            let (got, report) = solve(threads);
+            assert_eq!(got.answer(), want.answer(), "{name} at {threads} threads");
+            assert_eq!(got.metrics(), want.metrics(), "{name} at {threads} threads");
+            assert_eq!(
+                report.rounds, want_report.rounds,
+                "{name} at {threads} threads: per-round work"
+            );
+        }
+    }
+}
+
 #[test]
 fn solve_is_deterministic_per_seed() {
     let reg = registry();
