@@ -79,15 +79,19 @@ const FIRE_NS: u64 = 500;
 
 /// Fire `tasks` (pure reads of the arena, private outputs) by parallel
 /// divide-and-conquer: [`rayon::join`] splits the slice in half while the
-/// go-parallel rule admits the half's work, and concatenation preserves
-/// task order. `join`'s thread budget halves per fork, so the whole divide
-/// tree spawns at most `threads − 1` helpers regardless of task count.
-fn fire_tasks(mesh: &Mesh, tasks: &[Task]) -> Vec<NewTri> {
-    if !grain::goes_parallel(tasks.len(), FIRE_NS) {
+/// go-parallel rule admits the half's work at `fire_ns` per task, and
+/// concatenation preserves task order. `join`'s thread budget halves per
+/// fork, so the whole divide tree spawns at most `threads − 1` helpers
+/// regardless of task count.
+fn fire_tasks(mesh: &Mesh, tasks: &[Task], fire_ns: u64) -> Vec<NewTri> {
+    if !grain::goes_parallel(tasks.len(), fire_ns) {
         return tasks.iter().map(|task| fire_one(mesh, task)).collect();
     }
     let (lo, hi) = tasks.split_at(tasks.len() / 2);
-    let (mut left, right) = rayon::join(|| fire_tasks(mesh, lo), || fire_tasks(mesh, hi));
+    let (mut left, right) = rayon::join(
+        || fire_tasks(mesh, lo, fire_ns),
+        || fire_tasks(mesh, hi, fire_ns),
+    );
     left.extend(right);
     left
 }
@@ -124,6 +128,12 @@ fn fire_one(mesh: &Mesh, task: &Task) -> NewTri {
 /// taken in the given (random) order. Same preconditions as the sequential
 /// version; produces the identical triangulation and work counters.
 pub(crate) fn delaunay_parallel_impl(points: &[Point2]) -> DtResult {
+    delaunay_rounds(points, CLASSIFY_NS, FIRE_NS)
+}
+
+/// Algorithm 5's rounds, with the per-face and per-task costs the
+/// go-parallel rule weighs for the activity check and the firing.
+fn delaunay_rounds(points: &[Point2], classify_ns: u64, fire_ns: u64) -> DtResult {
     let order = seed_order(points);
     let points_in_order: Vec<Point2> = order.iter().map(|&i| points[i]).collect();
     let n = points_in_order.len();
@@ -157,11 +167,11 @@ pub(crate) fn delaunay_parallel_impl(points: &[Point2]) -> DtResult {
         // task list reuses one scratch buffer across rounds.
         let classify = |key: u64| classify_face(&face_map, &mesh, key);
         tasks.clear();
-        if grain::goes_parallel(candidates.len(), CLASSIFY_NS) {
+        if grain::goes_parallel(candidates.len(), classify_ns) {
             let chunk = candidates.len().div_ceil(rayon::recommended_splits());
             let parts: Vec<Vec<Task>> = candidates
                 .par_chunks(chunk)
-                .with_cost(CLASSIFY_NS)
+                .with_cost(classify_ns)
                 .map(|keys| keys.iter().filter_map(|&key| classify(key)).collect())
                 .collect();
             for p in parts {
@@ -175,7 +185,7 @@ pub(crate) fn delaunay_parallel_impl(points: &[Point2]) -> DtResult {
         }
 
         // Fire all active faces by join recursion over the task slice.
-        let new_tris: Vec<NewTri> = fire_tasks(&mesh, &tasks);
+        let new_tris: Vec<NewTri> = fire_tasks(&mesh, &tasks, fire_ns);
 
         // Commit phase: append to the arena, rewire the face map, and
         // gather the touched faces as the next round's candidates.
@@ -275,6 +285,30 @@ mod tests {
             );
             assert_eq!(seq.stats, par.stats, "work counters differ at seed {seed}");
         }
+    }
+
+    #[test]
+    fn crews_and_joins_build_the_sequential_triangulation() {
+        // Declare the activity checks, then the firings, dear enough that
+        // every round with more than one face pays, so the crew path and
+        // the join path each really run (one at a time, so the spawn
+        // counters tell them apart: crews count regions, joins do not).
+        let pts = workload(2000, 11, PointDistribution::UniformSquare);
+        let seq = delaunay_sequential_impl(&pts);
+        let counters = || (rayon::crew_regions(), rayon::helper_threads_spawned());
+        rayon::cached_pool(4).install(|| {
+            let before = counters();
+            let crews = delaunay_rounds(&pts, 1_000_000, 0);
+            let after = counters();
+            assert!(after.0 > before.0, "activity checks must form crews");
+            let joins = delaunay_rounds(&pts, 0, 1_000_000);
+            assert_eq!(counters().0, after.0, "firings open no crew region");
+            assert!(counters().1 > after.1, "firings must join");
+            for par in [crews, joins] {
+                assert_eq!(sorted_tris(&seq.mesh), sorted_tris(&par.mesh));
+                assert_eq!(seq.stats, par.stats);
+            }
+        });
     }
 
     #[test]

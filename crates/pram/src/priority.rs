@@ -115,6 +115,10 @@ mod tests {
     use super::*;
     use rayon::prelude::*;
 
+    /// Declared per-writer cost: enough that the writers run on a crew
+    /// and really race at any width above 1.
+    const RACING_NS: u64 = 1_000_000;
+
     #[test]
     fn cell_keeps_minimum() {
         let c = PriorityCell::new();
@@ -128,9 +132,12 @@ mod tests {
     #[test]
     fn cell_concurrent_writers_agree_on_min() {
         let c = PriorityCell::new();
-        (0..100_000u64).into_par_iter().for_each(|i| {
-            c.write_min((i * 7919) % 99_991 + 1);
-        });
+        (0..100_000u64)
+            .into_par_iter()
+            .with_cost(RACING_NS)
+            .for_each(|i| {
+                c.write_min((i * 7919) % 99_991 + 1);
+            });
         // Min of (i*7919)%99991+1 over i in 0..100000: 1 occurs when i*7919 ≡ 0.
         assert_eq!(c.get(), Some(1));
     }
@@ -138,9 +145,12 @@ mod tests {
     #[test]
     fn board_priority_writes() {
         let b = MinIndex::new(16);
-        (0..10_000u64).into_par_iter().for_each(|i| {
-            b.write_min((i % 16) as usize, i / 16 + 1);
-        });
+        (0..10_000u64)
+            .into_par_iter()
+            .with_cost(RACING_NS)
+            .for_each(|i| {
+                b.write_min((i % 16) as usize, i / 16 + 1);
+            });
         for s in 0..16 {
             assert_eq!(b.get(s), Some(1));
         }
@@ -164,6 +174,7 @@ mod tests {
         let c = PriorityCell::new();
         let wins: usize = (0..1000u64)
             .into_par_iter()
+            .with_cost(RACING_NS)
             .map(|_| c.write_min(42) as usize)
             .sum();
         assert!(wins >= 1);
