@@ -21,14 +21,21 @@
 //! ([`PAR1_BUDGETS`]); instances whose sequential time is below
 //! [`GATE_MIN_SEQ_SECONDS`] are skipped by that gate (their ratios are
 //! timer noise), so give the gate real sizes (`--scale 1` or `2`).
-//! `--gate-scaling` fails the run when a problem's best-of-repeat par@w
-//! exceeds [`SCALING_BOUND`] × par@1 at any width `w` up to the host's core
-//! count (same skip rule; `--threads` must include 1): parallel mode must
-//! never lose to its own width-1 run, which is what the scheduler's
-//! per-item cost constants promise. On a single-core host the
-//! relaxed-vs-exact *scaling* comparison is meaningless, so the relaxed
-//! column keeps only the width-1 answer gate and carries an explicit
-//! `"scaling": "skipped: 1 core"` marker.
+//! `--gate-scaling` fails the run when a problem's `scaling` at any width
+//! `w` up to the host's core count exceeds [`SCALING_BOUND`] (same skip
+//! rule; `--threads` must include 1): parallel mode must never lose to its
+//! own width-1 run, which is what the scheduler's per-item cost constants
+//! promise. `scaling` is the median over repeats of par@w / par@1, each
+//! pair timed back to back. A width whose solve spawned no helper thread
+//! ran the width-1 code path, so its ratio is noise and the gate skips it
+//! (the JSON's per-width `helper_spawns` shows which).
+//!
+//! Each problem's sequential and parallel runs form one group whose
+//! repeats interleave (sequential, par@1, par@2, …, then again), and its
+//! relaxed runs a second one; wall times are best-of-repeat. On a
+//! single-core host the relaxed-vs-exact *scaling* comparison is
+//! meaningless, so the relaxed column keeps only the width-1 answer gate
+//! and carries an explicit `"scaling": "skipped: 1 core"` marker.
 
 use std::time::Instant;
 
@@ -152,36 +159,70 @@ fn answer_fingerprint(summary: &OutputSummary) -> String {
     Value::Obj(summary.answer().to_vec()).write()
 }
 
-/// Best-of-`repeat` wall time and the last summary + report for each of
-/// `cfgs`. The repeats interleave the configurations, so every one's best
-/// is drawn from the same stretch of host time: run back to back, a host
-/// whose speed drifts would favour whichever configuration ran first.
+/// One configuration's timings: the wall time of every repeat, in order,
+/// and the last run's summary and report.
+struct Timed {
+    secs: Vec<f64>,
+    summary: OutputSummary,
+    report: RunReport,
+}
+
+impl Timed {
+    /// Best-of-repeat wall time.
+    fn best(&self) -> f64 {
+        self.secs.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    /// Median over repeats of this configuration's time over `base`'s in
+    /// the same repeat. Each pair ran back to back, so a drift in the
+    /// host's speed cancels out of the ratio, and the median drops a
+    /// sample the host stalled on either side.
+    fn paired_ratio(&self, base: &Timed) -> f64 {
+        let mut ratios: Vec<f64> = self
+            .secs
+            .iter()
+            .zip(&base.secs)
+            .map(|(a, b)| a / b)
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        ratios[ratios.len() / 2]
+    }
+}
+
+/// Time `repeat` solves of each of `cfgs`. The repeats interleave the
+/// configurations, so every one's samples come from the same stretch of
+/// host time: run back to back, a host whose speed drifts would favour
+/// whichever configuration ran first.
 fn time_solves(
     reg: &Registry,
     name: &str,
     spec: &WorkloadSpec,
     cfgs: &[RunConfig],
     repeat: usize,
-) -> Vec<(f64, OutputSummary, RunReport)> {
+) -> Vec<Timed> {
     let problem = reg.construct(name, spec).unwrap_or_else(|e| {
         eprintln!("speedup: {name}: {e}");
         std::process::exit(2);
     });
-    let mut best = vec![f64::INFINITY; cfgs.len()];
+    let mut secs: Vec<Vec<f64>> = cfgs.iter().map(|_| Vec::with_capacity(repeat)).collect();
     let mut last: Vec<Option<(OutputSummary, RunReport)>> = cfgs.iter().map(|_| None).collect();
     for _ in 0..repeat {
         for (i, cfg) in cfgs.iter().enumerate() {
             let t0 = Instant::now();
             let solved = problem.solve_erased(cfg);
-            best[i] = best[i].min(t0.elapsed().as_secs_f64());
+            secs[i].push(t0.elapsed().as_secs_f64());
             last[i] = Some(solved);
         }
     }
-    best.into_iter()
+    secs.into_iter()
         .zip(last)
         .map(|(secs, solved)| {
             let (summary, report) = solved.expect("repeat >= 1");
-            (secs, summary, report)
+            Timed {
+                secs,
+                summary,
+                report,
+            }
         })
         .collect()
 }
@@ -205,42 +246,42 @@ fn main() {
     for &(name, full_n) in SIZES {
         let n = (full_n / args.scale).max(64);
         let spec = WorkloadSpec::new(n, 1);
-        let seq_cfg = RunConfig::new().seed(7).sequential().instrument(false);
-        eprintln!("speedup: {name} n={n} sequential...");
-        let (seq_secs, seq_summary, _) = time_solves(&reg, name, &spec, &[seq_cfg], args.repeat)
-            .pop()
-            .expect("one config");
-        let seq_answer = answer_fingerprint(&seq_summary);
+        // The sequential run and the parallel runs at every width share one
+        // interleaved group, so par1_overhead and the scaling ratios all
+        // compare samples from the same stretch of host time.
+        let mut cfgs = vec![RunConfig::new().seed(7).sequential().instrument(false)];
+        cfgs.extend(args.threads.iter().map(|&t| {
+            RunConfig::new()
+                .seed(7)
+                .parallel()
+                .threads(t)
+                .instrument(false)
+        }));
+        eprintln!(
+            "speedup: {name} n={n} sequential and parallel t={:?}...",
+            args.threads
+        );
+        let mut par_runs = time_solves(&reg, name, &spec, &cfgs, args.repeat);
+        let seq = par_runs.remove(0);
+        let seq_secs = seq.best();
+        let seq_answer = answer_fingerprint(&seq.summary);
 
         let mut par_entries: Vec<(String, Value)> = Vec::new();
         let mut speedup_entries: Vec<(String, Value)> = Vec::new();
         let mut matches = true;
         let mut best_speedup_at_4plus = 0.0f64;
-        let mut par1_secs: Option<f64> = None;
-        let mut par_secs_at: Vec<(usize, f64)> = Vec::new();
-        let par_cfgs: Vec<RunConfig> = args
+        let par1 = args
             .threads
             .iter()
-            .map(|&t| {
-                RunConfig::new()
-                    .seed(7)
-                    .parallel()
-                    .threads(t)
-                    .instrument(false)
-            })
-            .collect();
-        eprintln!("speedup: {name} n={n} parallel t={:?}...", args.threads);
-        let par_runs = time_solves(&reg, name, &spec, &par_cfgs, args.repeat);
-        for (&t, (par_secs, par_summary, _)) in args.threads.iter().zip(par_runs) {
-            if answer_fingerprint(&par_summary) != seq_answer {
+            .position(|&t| t == 1)
+            .map(|i| &par_runs[i]);
+        for (&t, par) in args.threads.iter().zip(&par_runs) {
+            if answer_fingerprint(&par.summary) != seq_answer {
                 matches = false;
                 eprintln!("speedup: DIVERGENCE on {name} at {t} threads");
             }
+            let par_secs = par.best();
             let speedup = seq_secs / par_secs;
-            if t == 1 {
-                par1_secs = Some(par_secs);
-            }
-            par_secs_at.push((t, par_secs));
             if t >= 4 {
                 best_speedup_at_4plus = best_speedup_at_4plus.max(speedup);
             }
@@ -274,8 +315,9 @@ fn main() {
             args.relax_k
         );
         let rel_runs = time_solves(&reg, name, &spec, &rel_cfgs, args.repeat);
-        for (&t, (rel_secs, rel_summary, rel_report)) in relax_widths.iter().zip(rel_runs) {
-            if answer_fingerprint(&rel_summary) != seq_answer {
+        for (&t, rel) in relax_widths.iter().zip(rel_runs) {
+            let rel_secs = rel.best();
+            if answer_fingerprint(&rel.summary) != seq_answer {
                 relaxed_matches = false;
                 eprintln!("speedup: RELAXED DIVERGENCE on {name} at {t} threads");
             }
@@ -284,7 +326,7 @@ fn main() {
                 t.to_string(),
                 Value::Num((seq_secs / rel_secs * 1000.0).round() / 1000.0),
             ));
-            relaxed_report = Some(rel_report);
+            relaxed_report = Some(rel.report);
         }
         let relaxed_report = relaxed_report.expect("relax_widths is nonempty");
         let mut relaxed_fields = vec![
@@ -329,10 +371,10 @@ fn main() {
             ("answers_match".into(), Value::Bool(matches)),
             ("relaxed".into(), Value::Obj(relaxed_fields)),
         ];
-        if let Some(par1) = par1_secs {
+        if let Some(par1) = par1 {
             // par@1 / sequential: the round engine's own overhead, the
             // quantity the per-problem budgets gate.
-            let overhead = par1 / seq_secs;
+            let overhead = par1.best() / seq_secs;
             fields.push((
                 "par1_overhead".into(),
                 Value::Num((overhead * 1000.0).round() / 1000.0),
@@ -349,16 +391,24 @@ fn main() {
             }
             // par@w / par@1: above 1, a wider crew made the solve slower.
             let mut scaling: Vec<(String, Value)> = Vec::new();
-            for &(t, secs) in &par_secs_at {
-                let ratio = secs / par1;
+            let mut spawns: Vec<(String, Value)> = Vec::new();
+            for (&t, par) in args.threads.iter().zip(&par_runs) {
+                let ratio = par.paired_ratio(par1);
+                let helpers = par.report.helper_spawns;
                 scaling.push((t.to_string(), Value::Num((ratio * 1000.0).round() / 1000.0)));
-                if t <= cores && ratio > SCALING_BOUND && seq_secs >= GATE_MIN_SEQ_SECONDS {
+                spawns.push((t.to_string(), Value::Num(helpers as f64)));
+                if t <= cores
+                    && helpers > 0
+                    && ratio > SCALING_BOUND
+                    && seq_secs >= GATE_MIN_SEQ_SECONDS
+                {
                     anti_scaling.push(format!(
                         "{name} at {t} threads ({ratio:.2} > {SCALING_BOUND})"
                     ));
                 }
             }
             fields.push(("scaling".into(), Value::Obj(scaling)));
+            fields.push(("helper_spawns".into(), Value::Obj(spawns)));
         }
         problems.push((name.to_string(), Value::Obj(fields)));
     }

@@ -126,7 +126,13 @@ fn rule_weighs_declared_work_against_an_injected_region_cost() {
 fn a_512_item_round_of_10us_checks_forms_a_crew_at_width_2() {
     let mut algo = Independent::new(512, 10_000);
     rayon::cached_pool(2).install(|| {
-        assert!(grain::goes_parallel(512, 10_000));
+        // 5.1 ms of declared work covers PAYOFF region costs of a crew of
+        // 2 that spawns in under 320 µs (25–60 µs on a 2-vCPU host).
+        assert!(
+            grain::goes_parallel(512, 10_000),
+            "a crew of 2 costs {} ns here",
+            grain::region_ns(2)
+        );
         let (regions0, helpers0) = counters();
         let report = execute_type1(&mut algo, &RunConfig::new().parallel());
         assert_eq!(report.total_items(), 512);
@@ -140,7 +146,13 @@ fn a_512_item_round_of_10us_checks_forms_a_crew_at_width_2() {
 fn a_100k_item_round_of_1ns_checks_stays_inline_at_width_2() {
     let mut algo = Independent::new(100_000, 1);
     rayon::cached_pool(2).install(|| {
-        assert!(!grain::goes_parallel(100_000, 1));
+        // 100 µs of declared work is short of PAYOFF region costs of any
+        // crew of 2 that takes over 6.25 µs to spawn.
+        assert!(
+            !grain::goes_parallel(100_000, 1),
+            "a crew of 2 costs {} ns here",
+            grain::region_ns(2)
+        );
         let before = counters();
         let report = execute_type1(&mut algo, &RunConfig::new().parallel());
         assert_eq!(report.total_items(), 100_000);

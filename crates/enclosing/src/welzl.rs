@@ -1,15 +1,13 @@
 //! Welzl's incremental smallest enclosing disk, in the Update1/Update2
 //! formulation the paper analyses.
 
-use rayon::prelude::*;
-
-use ri_core::engine::{execute_type2, grain, ExecMode, RunConfig, RunReport};
+use ri_core::engine::{execute_type2, RunConfig, RunReport};
 use ri_core::Type2Algorithm;
 use ri_geometry::{circumcircle, diametral_disk, Disk, Point2};
 
 /// Estimated nanoseconds per containment test (a few flops over a point
-/// read in order): the per-item cost of both the executor's specialness
-/// checks and the `Update1`/`Update2` scans.
+/// read in order): the per-item cost of the executor's specialness
+/// checks.
 const CONTAINS_NS: u64 = 1;
 
 struct WelzlState<'a> {
@@ -19,36 +17,30 @@ struct WelzlState<'a> {
     /// Containment tests the textbook sequential loop makes: one per
     /// point it checks, counted on the coordinating thread.
     contains_tests: u64,
-    parallel_scans: bool,
 }
 
 impl<'a> WelzlState<'a> {
-    fn new(points: &'a [Point2], parallel_scans: bool) -> Self {
+    fn new(points: &'a [Point2]) -> Self {
         WelzlState {
             points,
             disk: None,
             update2_calls: 0,
             contains_tests: 0,
-            parallel_scans,
         }
     }
 
     /// Earliest index in `range` strictly outside `disk`, if any. Counts
-    /// the tests a sequential scan makes — up to and including the point
-    /// found — however the scan ran: the next scan resumes past that point,
-    /// so every point of an `Update1`/`Update2` loop is counted once.
+    /// the tests the scan makes — up to and including the point found: the
+    /// next scan resumes past that point, so every point of an
+    /// `Update1`/`Update2` loop is counted once. The scan runs inline: at
+    /// about a nanosecond per test, only a scan of `PAYOFF × region_ns`
+    /// points (hundreds of thousands) would pay for a crew.
     fn earliest_outside(&mut self, disk: &Disk, range: std::ops::Range<usize>) -> Option<usize> {
         let start = range.start;
         let len = range.len();
-        let outside = |j: &usize| disk.strictly_excludes(self.points[*j]);
-        let found = if self.parallel_scans && grain::goes_parallel(len, CONTAINS_NS) {
-            range
-                .into_par_iter()
-                .with_cost(CONTAINS_NS)
-                .find_first(outside)
-        } else {
-            range.into_iter().find(outside)
-        };
+        let found = range
+            .into_iter()
+            .find(|&j| disk.strictly_excludes(self.points[j]));
         self.contains_tests += found.map_or(len, |j| j - start + 1) as u64;
         found
     }
@@ -132,14 +124,14 @@ pub struct SedOutput {
     pub contains_tests: u64,
 }
 
-/// Engine entry point: solve under `cfg` (parallel `Update1`/`Update2`
-/// scans in parallel mode), returning the answer and the unified report.
+/// Engine entry point: solve under `cfg`, returning the answer and the
+/// unified report.
 pub(crate) fn run_with(points: &[Point2], cfg: &RunConfig) -> (SedOutput, RunReport) {
     assert!(points.len() >= 2, "need at least two points");
     // No native relaxed loop: Welzl's nested Update1/Update2 rebuilds
     // leave no slack for a relaxed order.
     cfg.relaxed_as_parallel("enclosing", |cfg| {
-        let mut st = WelzlState::new(points, cfg.mode == ExecMode::Parallel);
+        let mut st = WelzlState::new(points);
         let report = execute_type2(&mut st, cfg);
         let out = SedOutput {
             disk: st.disk.expect("n >= 2 guarantees a disk"),

@@ -68,10 +68,8 @@ pub use scan::{exclusive_scan_inplace, exclusive_scan_usize};
 pub use scratch::{put_vec, take_vec, ScratchStats};
 pub use semisort::{semisort_by_key, Grouped};
 
-/// Test support: twice the input length at which a primitive declaring
-/// `item_ns` per element pays for a crew of `width`, so the parallel-path
-/// tests exercise crews on any host.
+/// Test support: a per-element cost so dear that an input of a few
+/// thousand elements pays for a crew on any host. The parallel-path tests
+/// declare it, so they run crews without sizing inputs from a timing.
 #[cfg(test)]
-pub(crate) fn crew_sized(width: usize, item_ns: u64) -> usize {
-    2 * (rayon::PAYOFF * rayon::region_ns(width)).div_ceil(item_ns) as usize
-}
+pub(crate) const DEAR_NS: u64 = 1_000_000;

@@ -31,9 +31,20 @@ pub fn pack<T: Clone + Send + Sync>(items: &[T], flags: &[bool]) -> Vec<T> {
 /// its capacity. One fused parallel pass (filter and gather per chunk);
 /// inputs too small to pay for a crew run inline on the caller.
 pub fn pack_into<T: Clone + Send + Sync>(items: &[T], flags: &[bool], out: &mut Vec<T>) {
+    pack_into_at(items, flags, out, PACK_NS);
+}
+
+/// [`pack_into`] with each element declared to cost `item_ns` to the
+/// go-parallel rule.
+fn pack_into_at<T: Clone + Send + Sync>(
+    items: &[T],
+    flags: &[bool],
+    out: &mut Vec<T>,
+    item_ns: u64,
+) {
     assert_eq!(items.len(), flags.len(), "pack: length mismatch");
     out.clear();
-    if !rayon::goes_parallel(items.len(), PACK_NS) {
+    if !rayon::goes_parallel(items.len(), item_ns) {
         out.extend(
             items
                 .iter()
@@ -48,7 +59,7 @@ pub fn pack_into<T: Clone + Send + Sync>(items: &[T], flags: &[bool], out: &mut 
     let parts: Vec<Vec<T>> = items
         .par_chunks(chunk)
         .zip(flags.par_chunks(chunk))
-        .with_cost(PACK_NS)
+        .with_cost(item_ns)
         .map(|(is, fs)| {
             is.iter()
                 .zip(fs)
@@ -127,11 +138,11 @@ mod tests {
 
     #[test]
     fn pack_large_parallel_path() {
-        let n = crate::crew_sized(2, PACK_NS) as u64;
-        let items: Vec<u64> = (0..n).collect();
+        let items: Vec<u64> = (0..200_000).collect();
         let flags: Vec<bool> = items.iter().map(|&x| x % 7 == 0).collect();
+        let mut got = Vec::new();
         let before = rayon::crew_regions();
-        let got = rayon::cached_pool(2).install(|| pack(&items, &flags));
+        rayon::cached_pool(4).install(|| pack_into_at(&items, &flags, &mut got, crate::DEAR_NS));
         assert!(rayon::crew_regions() > before, "the pack must form a crew");
         let want: Vec<u64> = items.iter().copied().filter(|&x| x % 7 == 0).collect();
         assert_eq!(got, want);

@@ -39,18 +39,28 @@ where
     T: Clone + Send + Sync,
     F: Fn(&T) -> u64 + Sync,
 {
+    radix_sort_at(items, key, RADIX_NS);
+}
+
+/// [`radix_sort_by_key`] with each element of a pass declared to cost
+/// `item_ns` to the go-parallel rule.
+fn radix_sort_at<T, F>(items: &mut Vec<T>, key: F, item_ns: u64)
+where
+    T: Clone + Send + Sync,
+    F: Fn(&T) -> u64 + Sync,
+{
     let n = items.len();
     if n <= 1 {
         return;
     }
-    if !rayon::goes_parallel(n, RADIX_NS) {
+    if !rayon::goes_parallel(n, item_ns) {
         items.sort_by_key(|x| key(x));
         return;
     }
     // Skip passes above the highest set bit of any key (common case: small keys).
     let max_key = items
         .par_iter()
-        .with_cost(RADIX_NS)
+        .with_cost(item_ns)
         .map(&key)
         .reduce(|| 0, u64::max);
     let passes = if max_key == 0 {
@@ -81,7 +91,7 @@ where
         hist.fill(0);
         hist.par_chunks_mut(RADIX)
             .zip(src.par_chunks(block))
-            .with_cost(RADIX_NS)
+            .with_cost(item_ns)
             .for_each(|(h, chunk)| {
                 for x in chunk {
                     h[digit(x)] += 1;
@@ -112,7 +122,7 @@ where
         let pairs: Vec<(&[T], Vec<&mut [T]>)> = src.chunks(block).zip(groups).collect();
         ParIter::from_vec(pairs)
             .with_weight(block)
-            .with_cost(RADIX_NS)
+            .with_cost(item_ns)
             .for_each(|(chunk, mut segs)| {
                 let mut cursors = [0u32; RADIX];
                 for x in chunk {
@@ -157,14 +167,13 @@ mod tests {
 
     #[test]
     fn sorts_large_random_under_installed_pool() {
-        let n = crate::crew_sized(2, RADIX_NS) as u64;
-        let mut v: Vec<u64> = (0..n)
+        let mut v: Vec<u64> = (0..250_000u64)
             .map(|i| i.wrapping_mul(0x2545F4914F6CDD1D).rotate_left(31))
             .collect();
         let mut want = v.clone();
         want.sort_unstable();
         let before = rayon::crew_regions();
-        rayon::cached_pool(2).install(|| radix_sort_u64(&mut v));
+        rayon::cached_pool(4).install(|| radix_sort_at(&mut v, |&x| x, crate::DEAR_NS));
         assert!(rayon::crew_regions() > before, "the passes must form crews");
         assert_eq!(v, want);
     }
@@ -186,10 +195,10 @@ mod tests {
 
     #[test]
     fn stability_preserved_under_installed_pool() {
-        let n = crate::crew_sized(2, RADIX_NS);
+        let n = 100_000usize;
         let mut v: Vec<(u64, usize)> = (0..n).map(|i| ((i % 5) as u64, i)).collect();
         let before = rayon::crew_regions();
-        rayon::cached_pool(2).install(|| radix_sort_by_key(&mut v, |&(k, _)| k));
+        rayon::cached_pool(4).install(|| radix_sort_at(&mut v, |&(k, _)| k, crate::DEAR_NS));
         assert!(rayon::crew_regions() > before, "the passes must form crews");
         for w in v.windows(2) {
             assert!(w[0].0 <= w[1].0);

@@ -30,11 +30,17 @@ pub fn exclusive_scan_usize(values: &[usize]) -> (Vec<usize>, usize) {
 
 /// In-place exclusive prefix sum; returns the grand total.
 pub fn exclusive_scan_inplace(values: &mut [usize]) -> usize {
+    scan_inplace_at(values, SCAN_NS)
+}
+
+/// [`exclusive_scan_inplace`] with each element declared to cost
+/// `item_ns` to the go-parallel rule.
+fn scan_inplace_at(values: &mut [usize], item_ns: u64) -> usize {
     let n = values.len();
     if n == 0 {
         return 0;
     }
-    if !rayon::goes_parallel(n, SCAN_NS) {
+    if !rayon::goes_parallel(n, item_ns) {
         return scan_seq(values);
     }
     let nblocks = rayon::recommended_splits();
@@ -44,7 +50,7 @@ pub fn exclusive_scan_inplace(values: &mut [usize]) -> usize {
     let mut block_sums: Vec<usize> = crate::scratch::take_vec();
     values
         .par_chunks(block)
-        .with_cost(SCAN_NS)
+        .with_cost(item_ns)
         .map(|c| c.iter().sum::<usize>())
         .collect_into_vec(&mut block_sums);
     // Scan the (small) block-sum array sequentially.
@@ -53,7 +59,7 @@ pub fn exclusive_scan_inplace(values: &mut [usize]) -> usize {
     values
         .par_chunks_mut(block)
         .zip(block_sums.par_iter())
-        .with_cost(SCAN_NS)
+        .with_cost(item_ns)
         .for_each(|(chunk, &offset)| {
             let mut acc = offset;
             for v in chunk {
@@ -125,12 +131,12 @@ mod tests {
 
     #[test]
     fn matches_reference_large_parallel_path() {
-        let n = crate::crew_sized(2, SCAN_NS);
-        let v: Vec<usize> = (0..n).map(|i| (i * 2654435761) % 17).collect();
+        let v: Vec<usize> = (0..100_000).map(|i| (i * 2654435761) % 17).collect();
+        let mut got = v.clone();
         let before = rayon::crew_regions();
-        let got = rayon::cached_pool(2).install(|| exclusive_scan_usize(&v));
+        let total = rayon::cached_pool(4).install(|| scan_inplace_at(&mut got, crate::DEAR_NS));
         assert!(rayon::crew_regions() > before, "the scan must form crews");
-        assert_eq!(got, reference(&v));
+        assert_eq!((got, total), reference(&v));
     }
 
     #[test]

@@ -19,10 +19,8 @@
 //! ## Grain control: the fused inline round
 //!
 //! When a round runs entirely on the calling thread **in iteration
-//! order** — which the engine's go-parallel rule chooses for every round
-//! at width 1 and for every round too small to pay for a crew at any
-//! width — the three phases fuse into a *single* pass with in-place
-//! compaction: the first
+//! order** — which every round of the sort does (see below) — the three
+//! phases fuse into a *single* pass with in-place compaction: the first
 //! key to see an empty slot is the minimum-index key pointing at it (the
 //! active list is always sorted by iteration index), so it wins exactly
 //! the priority-write, and every later key reads the winner as its
@@ -38,14 +36,14 @@
 //!
 //! ## When the concurrent round pays
 //!
-//! The three-phase round touches every key's slot three times and writes
-//! per-chunk survivor lists: measured at width 2 it spends about
-//! `CONCURRENT_NS` thread-nanoseconds per key, against `FUSED_NS` for the
-//! fused pass. A crew of `w` therefore saves `FUSED_NS − CONCURRENT_NS /
-//! w` per key — nothing at all below width 6 — and each of its three
-//! phase regions must pay for its own spawn out of a third of that. That
-//! saving is the per-key cost the go-parallel rule weighs (`round_ns`),
-//! so below width 8 every round takes the fused pass.
+//! On no host measured so far. Forced onto a crew of 2, the three-phase
+//! round takes three to seven times the fused pass's wall time per key
+//! (rounds of 10k+ keys at n = 16k–200k on a 2-vCPU host): it touches
+//! every key's slot three times and writes per-chunk survivor lists,
+//! which costs more than a second thread saves. So the sort runs every round fused, at
+//! every width, until a measurement on a wider crew shows the concurrent
+//! round winning; `bst_sort_rounds` runs it wherever a declared per-key
+//! cost pays, which is how the tests keep it on a crew.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -54,20 +52,6 @@ use rayon::prelude::*;
 use crate::tree::{Bst, NONE};
 use ri_core::engine::{grain, scratch};
 use ri_pram::RoundLog;
-
-/// Nanoseconds per key of the fused inline round (8–11 ns measured at
-/// 16k–200k keys).
-const FUSED_NS: u64 = 10;
-
-/// Thread-nanoseconds per key of the three-phase concurrent round
-/// (28 ns of wall time per key on a crew of 2, at 16k–200k keys).
-const CONCURRENT_NS: u64 = 56;
-
-/// The per-key cost a crew of `width` saves on each of a round's three
-/// phase regions, over the fused pass — 0 where the crew would lose.
-fn round_ns(width: usize) -> u64 {
-    FUSED_NS.saturating_sub(CONCURRENT_NS / width.max(1) as u64) / 3
-}
 
 /// Output of the parallel sort.
 #[derive(Debug)]
@@ -91,13 +75,15 @@ enum Cursor {
 }
 
 /// Sort by parallel BST insertion (Algorithm 3). Keys must be distinct.
+/// Every round takes the fused pass (see the module docs).
 pub(crate) fn parallel_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> ParSortResult {
-    bst_sort_rounds(keys, round_ns(rayon::current_num_threads()))
+    bst_sort_rounds(keys, 0)
 }
 
-/// Algorithm 3's rounds, each run concurrently where the go-parallel rule
-/// admits `round_ns` per key and fused inline otherwise.
-fn bst_sort_rounds<T: Ord + Sync>(keys: &[T], round_ns: u64) -> ParSortResult {
+/// Algorithm 3's rounds. A round runs concurrently where the go-parallel
+/// rule admits `crew_ns` per key (a cost declared for the three-phase
+/// round; 0 never pays) and fused inline otherwise.
+fn bst_sort_rounds<T: Ord + Sync>(keys: &[T], crew_ns: u64) -> ParSortResult {
     let n = keys.len();
     let root = AtomicU64::new(NONE);
     let left: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(NONE)).collect();
@@ -123,7 +109,7 @@ fn bst_sort_rounds<T: Ord + Sync>(keys: &[T], round_ns: u64) -> ParSortResult {
 
     while !active.is_empty() {
         let round_items = active.len();
-        if !grain::goes_parallel(round_items, round_ns) {
+        if !grain::goes_parallel(round_items, crew_ns) {
             // Fused inline round (single thread, iteration order): see the
             // module docs for why this is phase-equivalent. Winners retire
             // in place; losers are compacted forward with a write cursor.
@@ -160,7 +146,7 @@ fn bst_sort_rounds<T: Ord + Sync>(keys: &[T], round_ns: u64) -> ParSortResult {
             snapshot
                 .par_chunks_mut(chunk)
                 .zip(active.par_chunks(chunk))
-                .with_cost(round_ns)
+                .with_cost(crew_ns)
                 .for_each(|(ss, aa)| {
                     for (s, &(_, c)) in ss.iter_mut().zip(aa) {
                         *s = slot_of(c).load(Ordering::Acquire);
@@ -176,7 +162,7 @@ fn bst_sort_rounds<T: Ord + Sync>(keys: &[T], round_ns: u64) -> ParSortResult {
             active
                 .par_iter()
                 .zip(snapshot.par_iter())
-                .with_cost(round_ns)
+                .with_cost(crew_ns)
                 .for_each(|(&(i, c), &seen)| {
                     let slot = slot_of(c);
                     if seen == NONE && slot.load(Ordering::Relaxed) > i as u64 {
@@ -189,7 +175,7 @@ fn bst_sort_rounds<T: Ord + Sync>(keys: &[T], round_ns: u64) -> ParSortResult {
             // per chunk, then drain into the reused `next` buffer in order.
             let parts: Vec<Vec<(usize, Cursor)>> = active
                 .par_chunks(chunk)
-                .with_cost(round_ns)
+                .with_cost(crew_ns)
                 .map(|aa| {
                     aa.iter()
                         .filter_map(|&(i, c)| {
@@ -277,14 +263,6 @@ mod tests {
             assert_eq!(par.comparisons, seq.comparisons);
             assert_eq!(par.log.rounds(), par.tree.dependence_depth());
         });
-    }
-
-    #[test]
-    fn the_concurrent_round_pays_only_on_wide_crews() {
-        assert_eq!(round_ns(1), 0);
-        assert_eq!(round_ns(2), 0, "a crew of 2 loses to the fused pass");
-        assert_eq!(round_ns(6), 0);
-        assert!(round_ns(8) > 0);
     }
 
     #[test]
