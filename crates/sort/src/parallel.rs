@@ -40,10 +40,10 @@
 //! round takes three to seven times the fused pass's wall time per key
 //! (rounds of 10k+ keys at n = 16k–200k on a 2-vCPU host): it touches
 //! every key's slot three times and writes per-chunk survivor lists,
-//! which costs more than a second thread saves. So the sort runs every round fused, at
-//! every width, until a measurement on a wider crew shows the concurrent
-//! round winning; `bst_sort_rounds` runs it wherever a declared per-key
-//! cost pays, which is how the tests keep it on a crew.
+//! which costs more than a second thread saves. So the sort runs every
+//! round fused, at every width, until a measurement on a wider crew shows
+//! the concurrent round winning; `bst_sort_rounds` runs it wherever a
+//! declared per-key cost pays, which is how the tests keep it on a crew.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
