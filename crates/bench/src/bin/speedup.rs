@@ -35,9 +35,13 @@
 //! relaxed runs a second one; wall times are best-of-repeat. On a
 //! single-core host the relaxed-vs-exact *scaling* comparison is
 //! meaningless, so the relaxed column keeps only the width-1 answer gate
-//! and carries an explicit `"scaling": "skipped: 1 core"` marker.
+//! and carries an explicit `"scaling": "skipped: 1 core"` marker. The
+//! `machine` block also records `new_thread_shares_parent_cpu`: `true`
+//! on a host that starts each new thread on its parent's CPU and keeps
+//! it there, where par@w cannot scale (no gate reads it; `null` where
+//! `/proc/thread-self/stat` is missing).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parallel_ri::registry;
 use ri_core::engine::json::Value;
@@ -187,6 +191,39 @@ impl Timed {
         ratios.sort_by(f64::total_cmp);
         ratios[ratios.len() / 2]
     }
+}
+
+/// The CPU this thread last ran on: field 39 (`processor`) of
+/// `/proc/thread-self/stat`, or `None` where that file is missing.
+fn current_cpu() -> Option<usize> {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+    // Field 2, the command name, may hold spaces; field 3 follows its ')'.
+    let after_name = &stat[stat.rfind(')')? + 1..];
+    after_name.split_whitespace().nth(39 - 3)?.parse().ok()
+}
+
+/// Whether a new thread starts, and stays, on its parent's CPU. Each of
+/// five probes spawns a thread that spins about 5 ms while its parent
+/// spins too, then compares where the two ran; most probes must agree.
+/// Where they do, a crew's helpers time-share the caller's core, so
+/// par@w cannot scale however the code behaves.
+fn new_thread_shares_parent_cpu() -> Option<bool> {
+    fn spin_then_cpu() -> Option<usize> {
+        let t0 = Instant::now();
+        while t0.elapsed() < Duration::from_millis(5) {
+            std::hint::spin_loop();
+        }
+        current_cpu()
+    }
+    const PROBES: usize = 5;
+    let mut shared = 0;
+    for _ in 0..PROBES {
+        let child = std::thread::spawn(spin_then_cpu);
+        let parent = spin_then_cpu();
+        let child = child.join().ok()?;
+        shared += usize::from(parent? == child?);
+    }
+    Some(2 * shared > PROBES)
 }
 
 /// Time `repeat` solves of each of `cfgs`. The repeats interleave the
@@ -416,20 +453,31 @@ fn main() {
     // `cores` comes from the actual runner, so the note can say the right
     // thing for the host that produced this file (CI regenerates it per
     // runner and uploads it as an artifact).
-    let note = if cores == 1 {
+    let shares_cpu = new_thread_shares_parent_cpu();
+    let mut note = String::from(if cores == 1 {
         "single-core host: speedups cannot exceed 1 and relaxed-vs-exact \
          scaling is skipped (skipped: 1 core); par1_overhead and the \
          relaxed answer gate are the meaningful columns"
     } else {
         "multi-core host: speedups are bounded by this host's core count; \
          par1_overhead and rank_inversions are core-count independent"
-    };
+    });
+    if cores > 1 && shares_cpu == Some(true) {
+        note.push_str(
+            "; new threads start and stay on their parent's CPU here, so \
+             a crew time-shares the caller's core and par@w cannot scale",
+        );
+    }
     let doc = Value::Obj(vec![
         (
             "machine".into(),
             Value::Obj(vec![
                 ("cores".into(), Value::Num(cores as f64)),
-                ("note".into(), Value::Str(note.into())),
+                (
+                    "new_thread_shares_parent_cpu".into(),
+                    shares_cpu.map_or(Value::Null, Value::Bool),
+                ),
+                ("note".into(), Value::Str(note)),
             ]),
         ),
         (

@@ -206,25 +206,49 @@ impl std::str::FromStr for PointDistribution {
     }
 }
 
+/// `f64::total_cmp`'s order as an integer key: a negative value (sign
+/// bit set) complements every bit, so larger magnitudes sort lower; any
+/// other value sets the sign bit, so it sorts above every negative one.
+fn total_order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
 /// Deduplicate exactly-equal points (the algorithms assume distinct
-/// points; generators can collide at tiny probability). Total order via
-/// `total_cmp`, so hostile coordinates (NaN) cannot panic the caller's
-/// thread — [`named_point_workload`] rejects non-finite points separately.
+/// points; generators can collide at tiny probability). Points are sorted
+/// by `(x, y)` in `total_cmp` order, so hostile coordinates (NaN) cannot
+/// panic the caller's thread — [`named_point_workload`] rejects
+/// non-finite points separately. The sort compares integer keys: x first,
+/// then y within each run of equal x bits. Points with equal keys are
+/// bit-identical, so any correct sort gives the same sequence. The
+/// vector is shrunk when points were removed.
 pub fn dedup_points(mut pts: Vec<Point2>) -> Vec<Point2> {
-    pts.sort_by(|a, b| a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y)));
+    pts.sort_unstable_by_key(|p| total_order_key(p.x));
+    for run in pts.chunk_by_mut(|a, b| a.x.to_bits() == b.x.to_bits()) {
+        run.sort_unstable_by_key(|p| total_order_key(p.y));
+    }
+    let len = pts.len();
     pts.dedup_by(|a, b| a.x == b.x && a.y == b.y);
+    if pts.len() < len {
+        pts.shrink_to_fit();
+    }
     pts
 }
 
 /// A deduplicated, randomly ordered point workload: `n` points drawn from
-/// `dist`, exact duplicates removed, then shuffled into their (random)
-/// insertion order. This is the standard input of every point-based
-/// experiment and of the point-problem `WorkloadSpec` constructors; the
-/// paper's expectation bounds are over exactly this insertion order.
+/// `dist`, exact duplicates removed, then shuffled in place into their
+/// (random) insertion order. This is the standard input of every
+/// point-based experiment and of the point-problem `WorkloadSpec`
+/// constructors; the paper's expectation bounds are over exactly this
+/// insertion order.
 pub fn point_workload(n: usize, seed: u64, dist: PointDistribution) -> Vec<Point2> {
-    let raw = dedup_points(dist.generate(n, seed));
-    let order = ri_pram::random_permutation(raw.len(), seed ^ 0xbead);
-    order.iter().map(|&i| raw[i]).collect()
+    let mut pts = dedup_points(dist.generate(n, seed));
+    ri_pram::shuffle(&mut pts, seed ^ 0xbead);
+    pts
 }
 
 /// [`point_workload`] behind a *named* shape, for the registry
@@ -367,6 +391,81 @@ mod tests {
     fn named_workload_rejects_unknown_shape() {
         let err = named_point_workload("delaunay", 64, 1, "sideways", 3).unwrap_err();
         assert!(err.contains("unknown point distribution"), "{err}");
+    }
+
+    /// The construction the integer-key sort and the in-place shuffle
+    /// replaced: a stable sort comparing with `total_cmp`, then a gather
+    /// through `random_permutation`. The tests below pin the new one to
+    /// it bit for bit.
+    fn reference_dedup(mut pts: Vec<Point2>) -> Vec<Point2> {
+        pts.sort_by(|a, b| a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y)));
+        pts.dedup_by(|a, b| a.x == b.x && a.y == b.y);
+        pts
+    }
+
+    fn reference_point_workload(n: usize, seed: u64, dist: PointDistribution) -> Vec<Point2> {
+        let raw = reference_dedup(dist.generate(n, seed));
+        let order = ri_pram::random_permutation(raw.len(), seed ^ 0xbead);
+        order.iter().map(|&i| raw[i]).collect()
+    }
+
+    fn bits(pts: &[Point2]) -> Vec<(u64, u64)> {
+        pts.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+    }
+
+    #[test]
+    fn point_workload_matches_the_reference_construction_bit_for_bit() {
+        let mut cases: Vec<(usize, u64, PointDistribution)> = Vec::new();
+        for dist in PointDistribution::all() {
+            for n in [0, 1, 2, 600, 14_000] {
+                cases.extend((0..8).map(|k| (n, 0x5eed + 977 * k, dist)));
+            }
+        }
+        cases.push((100_000, 3, PointDistribution::UniformDisk));
+        for (n, seed, dist) in cases {
+            let got = point_workload(n, seed, dist);
+            let want = reference_point_workload(n, seed, dist);
+            assert_eq!(bits(&got), bits(&want), "{} n {n} seed {seed}", dist.name());
+            assert_eq!(got.capacity(), got.len(), "{} n {n}", dist.name());
+        }
+    }
+
+    #[test]
+    fn dedup_matches_the_reference_on_hostile_coordinates() {
+        let tiny = f64::from_bits(1); // smallest positive subnormal
+        let values = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN payload
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE / 2.0, // negative subnormal
+            1.0,
+            -1.0,
+        ];
+        let mut pts: Vec<Point2> = Vec::new();
+        for &x in &values {
+            for &y in &values {
+                // Every pair twice: runs of equal x with differing y, and
+                // exact duplicates (NaN and ±0.0 included).
+                pts.push(Point2::new(x, y));
+                pts.push(Point2::new(x, y));
+            }
+        }
+        for seed in 0..8 {
+            let mut input = pts.clone();
+            ri_pram::shuffle(&mut input, seed);
+            let got = dedup_points(input.clone());
+            let want = reference_dedup(input);
+            assert_eq!(bits(&got), bits(&want), "seed {seed}");
+            assert!(got.len() < pts.len(), "seed {seed}: nothing removed");
+            assert_eq!(got.capacity(), got.len(), "seed {seed}");
+        }
     }
 
     #[test]

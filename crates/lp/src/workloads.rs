@@ -53,13 +53,14 @@ pub fn shrinking_instance(n: usize, seed: u64) -> LpInstance {
 /// contradictory halfplanes (`x ≤ −2`, `−x ≤ −2`) shuffled in.
 pub fn infeasible_instance(n: usize, seed: u64) -> LpInstance {
     let mut inst = tangent_instance(n.saturating_sub(2), seed);
+    // Room for exactly the two extra constraints, not a doubled buffer.
+    inst.constraints.reserve_exact(2);
     inst.constraints
         .push(Constraint::new(Point2::new(1.0, 0.0), -2.0));
     inst.constraints
         .push(Constraint::new(Point2::new(-1.0, 0.0), -2.0));
     // Deterministic shuffle so the contradiction is discovered mid-run.
-    let order = ri_pram::random_permutation(inst.constraints.len(), seed ^ 0xbad);
-    inst.constraints = order.iter().map(|&i| inst.constraints[i]).collect();
+    ri_pram::shuffle(&mut inst.constraints, seed ^ 0xbad);
     inst
 }
 
@@ -102,13 +103,13 @@ pub fn near_infeasible_instance(n: usize, seed: u64) -> LpInstance {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x11f);
     let a = rng.gen::<f64>() * std::f64::consts::TAU;
     let nhat = Point2::new(a.cos(), a.sin());
+    inst.constraints.reserve_exact(2);
     inst.constraints.push(Constraint::new(nhat, 1.0));
     inst.constraints.push(Constraint::new(
         Point2::new(-nhat.x, -nhat.y),
         -(1.0 - BAND),
     ));
-    let order = ri_pram::random_permutation(inst.constraints.len(), seed ^ 0x51e);
-    inst.constraints = order.iter().map(|&i| inst.constraints[i]).collect();
+    ri_pram::shuffle(&mut inst.constraints, seed ^ 0x51e);
     inst
 }
 

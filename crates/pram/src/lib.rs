@@ -58,7 +58,7 @@ pub use hash::{hash_u64, FxBuildHasher, FxHasher};
 pub use pack::{pack, pack_indices, pack_indices_where, pack_indices_where_into, pack_into};
 pub use permutation::{
     knuth_shuffle_parallel, knuth_shuffle_sequential, knuth_targets, random_permutation,
-    random_permutation_par, Permutation,
+    random_permutation_par, shuffle, Permutation,
 };
 pub use priority::{MinIndex, PriorityCell};
 pub use radix::{radix_sort_by_key, radix_sort_u64};

@@ -5,6 +5,7 @@
 //! reproducible:
 //!
 //! * [`random_permutation`] — sequential Fisher–Yates: exactly uniform.
+//!   [`shuffle`] applies the same swaps to any slice in place.
 //! * [`random_permutation_par`] — parallel: assign each index a distinct
 //!   pseudorandom 64-bit key and radix-sort by it. The key map is a fixed
 //!   bijection of `seed ⊕ i`, so keys never collide and the permutation is
@@ -71,13 +72,21 @@ impl Permutation {
 /// Sequential Fisher–Yates shuffle of `0..n`, seeded. Exactly uniform over
 /// all `n!` orders (given a perfect RNG).
 pub fn random_permutation(n: usize, seed: u64) -> Vec<usize> {
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut order: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        let j = rng.gen_range(0..=i);
-        order.swap(i, j);
-    }
+    shuffle(&mut order, seed);
     order
+}
+
+/// Seeded Fisher–Yates shuffle of `v` in place. It makes the swaps
+/// [`random_permutation`] makes on `0..n`, so `v` ends as its old
+/// contents gathered by `random_permutation(v.len(), seed)`, without the
+/// index vector or the second copy.
+pub fn shuffle<T>(v: &mut [T], seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (1..v.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        v.swap(i, j);
+    }
 }
 
 /// Parallel permutation of `0..n`: sort indices by a per-index pseudorandom
@@ -205,6 +214,22 @@ mod tests {
         assert!(is_permutation(&a));
         assert_eq!(a, b, "same seed must reproduce");
         assert_ne!(a, c, "different seed should differ");
+    }
+
+    #[test]
+    fn shuffle_equals_gathering_by_random_permutation() {
+        for n in [0, 1, 2, 1000] {
+            for seed in [0, 1, 7, 0xbead, u64::MAX] {
+                let items: Vec<String> = (0..n).map(|i| format!("item {i}")).collect();
+                let gathered: Vec<String> = random_permutation(n, seed)
+                    .iter()
+                    .map(|&i| items[i].clone())
+                    .collect();
+                let mut shuffled = items;
+                shuffle(&mut shuffled, seed);
+                assert_eq!(shuffled, gathered, "n {n}, seed {seed}");
+            }
+        }
     }
 
     #[test]
