@@ -9,6 +9,9 @@ use ri_pram::hash::FxHashMap;
 /// and a scan of the few points they hold.
 const NEIGHBORHOOD_NS: u64 = 120;
 
+/// The end of a cell's chain.
+const NONE: u32 = u32::MAX;
+
 struct GridState<'a> {
     points: &'a [Point2],
     /// Squared closest distance so far (`INFINITY` until two points seen).
@@ -16,12 +19,11 @@ struct GridState<'a> {
     /// Cell side length (`sqrt(r_sq)`), cached.
     cell: f64,
     pair: (u32, u32),
-    cells: FxHashMap<(i64, i64), Vec<u32>>,
-    /// Retired bucket vectors, recycled across grid rebuilds: a rebuild
-    /// invalidates every cell *key* (the cell size changed) but the
-    /// bucket allocations themselves are perfectly reusable. A local
-    /// freelist recycles all of them with no per-insert overhead.
-    spare_buckets: Vec<Vec<u32>>,
+    /// Each occupied cell's first and last point. The points between
+    /// them follow `next`, in insertion order, which is index order.
+    cells: FxHashMap<(i64, i64), (u32, u32)>,
+    /// `next[j]`: the point inserted into `j`'s cell after `j`, or `NONE`.
+    next: Vec<u32>,
     /// All points with index `< inserted_hi` are present in `cells`
     /// (once the grid exists).
     inserted_hi: usize,
@@ -35,18 +37,20 @@ impl<'a> GridState<'a> {
             cell: f64::INFINITY,
             pair: (0, 0),
             cells: FxHashMap::default(),
-            spare_buckets: Vec::new(),
+            next: vec![NONE; points.len()],
             inserted_hi: 0,
         }
     }
 
-    /// Append `j` to cell `c`, reusing a retired bucket for new cells.
+    /// Append `j` to cell `c`'s chain.
     #[inline]
     fn insert_point(&mut self, c: (i64, i64), j: u32) {
-        self.cells
-            .entry(c)
-            .or_insert_with(|| self.spare_buckets.pop().unwrap_or_default())
-            .push(j);
+        self.next[j as usize] = NONE;
+        let (_, last) = self.cells.entry(c).or_insert((j, j));
+        if *last != j {
+            self.next[*last as usize] = j;
+            *last = j;
+        }
     }
 
     #[inline]
@@ -67,15 +71,17 @@ impl<'a> GridState<'a> {
         let mut best: Option<(u32, f64)> = None;
         for dx in -1..=1 {
             for dy in -1..=1 {
-                if let Some(bucket) = self.cells.get(&(cx + dx, cy + dy)) {
-                    for &j in bucket {
-                        if (j as usize) < k {
-                            let d = p.dist_sq(self.points[j as usize]);
-                            if best.is_none_or(|(_, bd)| d < bd) {
-                                best = Some((j, d));
-                            }
-                        }
+                let Some(&(first, _)) = self.cells.get(&(cx + dx, cy + dy)) else {
+                    continue;
+                };
+                // Chains ascend, so the earlier points are a prefix.
+                let mut j = first;
+                while j != NONE && (j as usize) < k {
+                    let d = p.dist_sq(self.points[j as usize]);
+                    if best.is_none_or(|(_, bd)| d < bd) {
+                        best = Some((j, d));
                     }
+                    j = self.next[j as usize];
                 }
             }
         }
@@ -88,12 +94,9 @@ impl<'a> GridState<'a> {
             self.cell > 0.0,
             "duplicate points: closest-pair distance is zero"
         );
-        // Retire every bucket into the freelist before rebucketing: the
-        // rebuild reallocates nothing in steady state.
-        for (_, mut bucket) in self.cells.drain() {
-            bucket.clear();
-            self.spare_buckets.push(bucket);
-        }
+        // Every cell key changed with the cell size; the map keeps its
+        // capacity.
+        self.cells.clear();
         for j in 0..self.inserted_hi {
             let c = self.cell_of(self.points[j]);
             self.insert_point(c, j as u32);
@@ -221,6 +224,164 @@ mod tests {
         let pts = dedup_points(dist.generate(n, seed));
         let order = random_permutation(pts.len(), seed ^ 0xc1);
         order.iter().map(|&i| pts[i]).collect()
+    }
+
+    /// The grid with a heap `Vec` per cell that the chained cells
+    /// replaced: the reference for which of several equally close pairs
+    /// a run picks.
+    mod reference {
+        use super::super::*;
+
+        struct GridState<'a> {
+            points: &'a [Point2],
+            r_sq: f64,
+            cell: f64,
+            pair: (u32, u32),
+            cells: FxHashMap<(i64, i64), Vec<u32>>,
+            inserted_hi: usize,
+        }
+
+        impl GridState<'_> {
+            fn cell_of(&self, p: Point2) -> (i64, i64) {
+                (
+                    (p.x / self.cell).floor() as i64,
+                    (p.y / self.cell).floor() as i64,
+                )
+            }
+
+            fn nearest_earlier(&self, k: usize) -> Option<(u32, f64)> {
+                let p = self.points[k];
+                let (cx, cy) = self.cell_of(p);
+                let mut best: Option<(u32, f64)> = None;
+                for dx in -1..=1 {
+                    for dy in -1..=1 {
+                        if let Some(bucket) = self.cells.get(&(cx + dx, cy + dy)) {
+                            for &j in bucket {
+                                if (j as usize) < k {
+                                    let d = p.dist_sq(self.points[j as usize]);
+                                    if best.is_none_or(|(_, bd)| d < bd) {
+                                        best = Some((j, d));
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                best
+            }
+
+            fn rebuild(&mut self) {
+                self.cell = self.r_sq.sqrt();
+                self.cells.clear();
+                for j in 0..self.inserted_hi {
+                    let c = self.cell_of(self.points[j]);
+                    self.cells.entry(c).or_default().push(j as u32);
+                }
+            }
+        }
+
+        impl Type2Algorithm for GridState<'_> {
+            fn len(&self) -> usize {
+                self.points.len()
+            }
+
+            fn begin_prefix(&mut self, lo: usize, hi: usize) {
+                if self.cell.is_finite() {
+                    for j in lo..hi {
+                        let c = self.cell_of(self.points[j]);
+                        self.cells.entry(c).or_default().push(j as u32);
+                    }
+                }
+                self.inserted_hi = hi;
+            }
+
+            fn is_special(&self, k: usize) -> bool {
+                if self.r_sq.is_infinite() {
+                    return k >= 1;
+                }
+                self.nearest_earlier(k).is_some_and(|(_, d)| d < self.r_sq)
+            }
+
+            fn item_ns(&self) -> u64 {
+                NEIGHBORHOOD_NS
+            }
+
+            fn run_regular(&mut self, _k: usize) {}
+
+            fn run_special(&mut self, k: usize) {
+                let (j, d) = if self.r_sq.is_infinite() {
+                    (0..k)
+                        .map(|j| (j as u32, self.points[k].dist_sq(self.points[j])))
+                        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"))
+                        .expect("special iteration needs an earlier point")
+                } else {
+                    self.nearest_earlier(k)
+                        .expect("special implies a close pair")
+                };
+                self.r_sq = d;
+                self.pair = (j.min(k as u32), j.max(k as u32));
+                self.rebuild();
+            }
+        }
+
+        /// [`run_with`] over the reference grid.
+        pub(super) fn run(points: &[Point2], cfg: &RunConfig) -> (ClosestPairOutput, RunReport) {
+            let mut st = GridState {
+                points,
+                r_sq: f64::INFINITY,
+                cell: f64::INFINITY,
+                pair: (0, 0),
+                cells: FxHashMap::default(),
+                inserted_hi: 0,
+            };
+            let report = execute_type2(&mut st, cfg);
+            let out = ClosestPairOutput {
+                pair: st.pair,
+                dist: st.r_sq.sqrt(),
+            };
+            (out, report)
+        }
+    }
+
+    #[test]
+    fn chained_cells_pick_the_same_pair_as_bucket_vectors_on_a_lattice() {
+        // Every lattice neighbour pair is at exactly the minimum distance.
+        // In the checkerboard order, the cells where x + y is even arrive
+        // first (at √2 spacing apart), so the first odd cell to arrive
+        // meets two to four earlier points at the minimum distance at once,
+        // and the pair a run reports is whichever its cells yield first.
+        for (side, spacing) in [(30usize, 1.0), (45, 0.25), (64, 3.0)] {
+            let lattice: Vec<Point2> = (0..side * side)
+                .map(|i| Point2::new((i % side) as f64 * spacing, (i / side) as f64 * spacing))
+                .collect();
+            for seed in 0..4 {
+                let shuffled: Vec<Point2> = random_permutation(lattice.len(), seed)
+                    .iter()
+                    .map(|&i| lattice[i])
+                    .collect();
+                let parity = |p: &Point2| ((p.x + p.y) / spacing) as i64 % 2;
+                let checkerboard: Vec<Point2> = (0..2)
+                    .flat_map(|odd| shuffled.iter().filter(move |p| parity(p) == odd))
+                    .copied()
+                    .collect();
+                for (order, pts) in [("random", &shuffled), ("checkerboard", &checkerboard)] {
+                    for cfg in [
+                        RunConfig::new().sequential(),
+                        RunConfig::new().parallel(),
+                        RunConfig::new().relaxed(4),
+                    ] {
+                        let (got, got_report) = run_with(pts, &cfg);
+                        let (want, want_report) = reference::run(pts, &cfg);
+                        let case = format!("side {side}, seed {seed}, {order}, {:?}", cfg.mode);
+                        assert_eq!(got.pair, want.pair, "{case}");
+                        assert_eq!(got.dist.to_bits(), want.dist.to_bits(), "{case}");
+                        assert_eq!(got_report.specials, want_report.specials, "{case}");
+                        assert_eq!(got_report.checks, want_report.checks, "{case}");
+                        assert_eq!(got.dist, spacing, "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use ri_geometry::predicates::{incircle_sign_ccw, orient2d_sign};
 use ri_geometry::Point2;
+use ri_pram::hash::FxHashMap;
 
 /// The symbolic point at infinity `ω`.
 pub const INFINITE_VERTEX: u32 = u32::MAX;
@@ -194,9 +195,9 @@ impl Mesh {
 
         // 2. Watertightness: every directed edge of a final triangle must
         // be matched by its reverse in another final triangle (hull
-        // triangles included).
-        use std::collections::HashMap;
-        let mut directed: HashMap<(u32, u32), usize> = HashMap::new();
+        // triangles included). The keys are vertex ids this program
+        // assigns, so the fast hasher is safe here.
+        let mut directed: FxHashMap<(u32, u32), usize> = FxHashMap::default();
         let all_final: Vec<[u32; 3]> = self
             .triangles
             .iter()
@@ -231,7 +232,7 @@ impl Mesh {
         }
 
         // 4. Local Delaunay on internal finite-finite edges.
-        let mut third: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut third: FxHashMap<(u32, u32), u32> = FxHashMap::default();
         for v in &finite {
             third.insert((v[0], v[1]), v[2]);
             third.insert((v[1], v[2]), v[0]);

@@ -12,10 +12,11 @@ use ri_core::engine::json::Value;
 use ri_core::engine::registry::{
     OutputSummary, PrefixSolution, PrefixStream, Registry, WorkloadSpec,
 };
-use ri_core::engine::{Problem, RunConfig, RunReport};
+use ri_core::engine::{Problem, RunConfig};
 use ri_geometry::{named_point_workload, Point2};
 
 use crate::problem::DelaunayProblem;
+use crate::DtOutput;
 
 /// The workload's points: the one generator call of the one-shot
 /// instance and the stream, so the final streamed prefix is the one-shot
@@ -37,8 +38,8 @@ pub fn register(reg: &mut Registry) {
         "incremental Delaunay triangulation of a point workload (§4, Type 1 nested)",
         spec_points,
         |points, cfg| {
-            let (s, report, _) = summarize(points, cfg);
-            (s, report)
+            let (out, report) = DelaunayProblem::new(points).solve(cfg);
+            (summarize(points, &out), report)
         },
     );
     reg.register_incremental("delaunay", |spec| {
@@ -49,8 +50,7 @@ pub fn register(reg: &mut Registry) {
     });
 }
 
-fn summarize(points: &[Point2], cfg: &RunConfig) -> (OutputSummary, RunReport, Vec<(u32, u32)>) {
-    let (out, report) = DelaunayProblem::new(points).solve(cfg);
+fn summarize(points: &[Point2], out: &DtOutput) -> OutputSummary {
     let mut s = OutputSummary::new();
     s.answer_num("points", points.len() as f64)
         .answer_num("triangles", out.mesh.finite_triangles().len() as f64)
@@ -58,6 +58,12 @@ fn summarize(points: &[Point2], cfg: &RunConfig) -> (OutputSummary, RunReport, V
         .metric_num("incircle_tests", out.stats.incircle_tests as f64)
         .metric_num("orient_tests", out.stats.orient_tests as f64)
         .metric_num("skipped_tests", out.stats.skipped_tests as f64);
+    s
+}
+
+/// The mesh's undirected edges `(min, max)`, sorted: what the stream
+/// diffs between prefixes.
+fn sorted_edges(out: &DtOutput) -> Vec<(u32, u32)> {
     let mut edges: HashSet<(u32, u32)> = HashSet::new();
     for t in out.mesh.finite_triangles() {
         for (a, b) in [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])] {
@@ -66,7 +72,7 @@ fn summarize(points: &[Point2], cfg: &RunConfig) -> (OutputSummary, RunReport, V
     }
     let mut edges: Vec<(u32, u32)> = edges.into_iter().collect();
     edges.sort_unstable();
-    (s, report, edges)
+    edges
 }
 
 /// FNV-1a over an edge list, masked below 2⁵³ so the checksum survives a
@@ -117,7 +123,9 @@ impl PrefixStream for DelaunayStream {
         if hi < 3 {
             return Ok(None);
         }
-        let (summary, report, edges) = summarize(&self.points[..hi], cfg);
+        let points = &self.points[..hi];
+        let (out, report) = DelaunayProblem::new(points).solve(cfg);
+        let edges = sorted_edges(&out);
         let added = edges.iter().filter(|e| !self.edges.contains(e)).count();
         // |old| - |old ∩ new|, with |old ∩ new| = |new| - added.
         let removed = self.edges.len() + added - edges.len();
@@ -128,7 +136,7 @@ impl PrefixStream for DelaunayStream {
             ("checksum".into(), Value::Num(edge_checksum(&edges) as f64)),
         ]);
         self.edges = edges.into_iter().collect();
-        Ok(Some((delta, summary, report)))
+        Ok(Some((delta, summarize(points, &out), report)))
     }
 }
 

@@ -120,7 +120,7 @@ mod tests {
         let problem = LeListsProblem::new(&g);
         let cfg = RunConfig::new().seed(3);
         let (seq, _) = problem.solve(&cfg.clone().sequential());
-        let (par, report) = problem.solve(&cfg.clone().parallel());
+        let (par, report) = problem.solve(&cfg.parallel());
         assert_eq!(seq.lists, par.lists, "Type 3 combine reproduces sequential");
         assert!(report.depth <= 10);
 

@@ -79,21 +79,32 @@ fn box_optimum(obj: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Solve the LP over `constraints[..m]` recursively (sequential Seidel).
-/// `None` = infeasible.
-fn solve_recursive(obj: &[f64], constraints: &[ConstraintD]) -> Option<Vec<f64>> {
+/// Split a flat row (`normal, bound`) into its parts.
+fn split_row(row: &[f64]) -> (&[f64], f64) {
+    let (normal, bound) = row.split_at(row.len() - 1);
+    (normal, bound[0])
+}
+
+/// Solve the LP over `rows` recursively (sequential Seidel): flat rows
+/// `normal, bound` of stride `obj.len() + 1`, in insertion order.
+/// `levels[0]` holds the rows of this level's sub-problems, `levels[1]`
+/// theirs, and so on. `None` = infeasible.
+fn solve_recursive(obj: &[f64], rows: &[f64], levels: &mut [Vec<f64>]) -> Option<Vec<f64>> {
     let d = obj.len();
     if d == 1 {
-        return solve_1d(obj[0], constraints.iter().map(|c| (c.normal[0], c.bound)));
+        return solve_1d(obj[0], rows.chunks_exact(2).map(|r| (r[0], r[1])));
     }
+    let stride = d + 1;
     let mut x = box_optimum(obj);
-    for (k, c) in constraints.iter().enumerate() {
-        if c.violation(&x) <= EPS {
+    for (k, row) in rows.chunks_exact(stride).enumerate() {
+        let (normal, bound) = split_row(row);
+        if dot(normal, &x) - bound <= EPS {
             continue;
         }
         // Tight constraint: eliminate the largest-pivot variable and
         // recurse on the earlier constraints in the same order.
-        x = project_and_recurse(obj, &constraints[..k], c)?;
+        let earlier = rows[..k * stride].chunks_exact(stride).map(split_row);
+        x = project_and_recurse(obj, earlier, (normal, bound), levels)?;
     }
     Some(x)
 }
@@ -119,23 +130,26 @@ fn solve_1d(o: f64, constraints: impl Iterator<Item = (f64, f64)>) -> Option<Vec
 }
 
 /// The optimum lies on `tight`'s hyperplane: eliminate variable `k*`
-/// (largest |normal| entry), build the (d−1)-dimensional sub-problem over
-/// `earlier`, solve it, and back-substitute.
-fn project_and_recurse(
+/// (largest |normal| entry), reduce `earlier` (`(normal, bound)` pairs)
+/// into the (d−1)-dimensional sub-problem's rows in `levels[0]`, solve it,
+/// and back-substitute. The buffer is overwritten by every special at
+/// this level, so a solve allocates its rows once per level.
+fn project_and_recurse<'r>(
     obj: &[f64],
-    earlier: &[ConstraintD],
-    tight: &ConstraintD,
+    earlier: impl Iterator<Item = (&'r [f64], f64)>,
+    (tight, tight_bound): (&[f64], f64),
+    levels: &mut [Vec<f64>],
 ) -> Option<Vec<f64>> {
     let d = obj.len();
     let k = (0..d)
         .max_by(|&i, &j| {
-            tight.normal[i]
+            tight[i]
                 .abs()
-                .partial_cmp(&tight.normal[j].abs())
+                .partial_cmp(&tight[j].abs())
                 .expect("finite normals")
         })
         .expect("d >= 1");
-    let nk = tight.normal[k];
+    let nk = tight[k];
     if nk.abs() <= EPS {
         // Degenerate normal: the constraint is `0 · x ≤ b` — either vacuous
         // or globally infeasible; a violated vacuous constraint means
@@ -143,34 +157,37 @@ fn project_and_recurse(
         return None;
     }
 
-    // x_k = (bound − Σ_{j≠k} n_j x_j) / n_k.
-    let reduce = |coeffs: &[f64], rhs: f64| -> (Vec<f64>, f64) {
+    // x_k = (bound − Σ_{j≠k} n_j x_j) / n_k: append the row's
+    // coefficients without x_k, then its right-hand side.
+    let others = (0..d).filter(|&j| j != k);
+    let reduce = |out: &mut Vec<f64>, coeffs: &[f64], rhs: f64| {
         let scale = coeffs[k] / nk;
-        let red: Vec<f64> = (0..d)
-            .filter(|&j| j != k)
-            .map(|j| coeffs[j] - scale * tight.normal[j])
-            .collect();
-        (red, rhs - scale * tight.bound)
+        out.extend(others.clone().map(|j| coeffs[j] - scale * tight[j]));
+        out.push(rhs - scale * tight_bound);
     };
 
     // Reduced objective (constant term dropped — argmax unchanged).
-    let (robj, _) = reduce(obj, 0.0);
+    let mut robj = Vec::with_capacity(d);
+    reduce(&mut robj, obj, 0.0);
+    robj.pop();
     // Reduced earlier constraints, in the same order, plus the box bounds
     // of the eliminated variable (|x_k| ≤ M becomes two constraints).
-    let mut rcons: Vec<ConstraintD> = Vec::with_capacity(earlier.len() + 2);
-    for c in earlier {
-        let (rn, rb) = reduce(&c.normal, c.bound);
-        rcons.push(ConstraintD::new(rn, rb));
+    let (rows, deeper) = levels
+        .split_first_mut()
+        .expect("one row buffer per recursion level");
+    rows.clear();
+    for (normal, bound) in earlier {
+        reduce(rows, normal, bound);
     }
     for sign in [1.0, -1.0] {
-        // sign · x_k ≤ M  ⇒  sign/n_k · (bound − Σ n_j x_j) ≤ M.
-        let mut coeffs = vec![0.0; d];
-        coeffs[k] = sign;
-        let (rn, rb) = reduce(&coeffs, BOX_M);
-        rcons.push(ConstraintD::new(rn, rb));
+        // sign · x_k ≤ M  ⇒  sign/n_k · (bound − Σ n_j x_j) ≤ M: the
+        // reduction of the row whose only nonzero coefficient is `sign`.
+        let scale = sign / nk;
+        rows.extend(others.clone().map(|j| 0.0 - scale * tight[j]));
+        rows.push(BOX_M - scale * tight_bound);
     }
 
-    let sub = solve_recursive(&robj, &rcons)?;
+    let sub = solve_recursive(&robj, rows, deeper)?;
     // Back-substitute: x_k from the hyperplane equation.
     let mut x = vec![0.0; d];
     let mut si = 0;
@@ -180,11 +197,8 @@ fn project_and_recurse(
             si += 1;
         }
     }
-    let partial: f64 = (0..d)
-        .filter(|&j| j != k)
-        .map(|j| tight.normal[j] * x[j])
-        .sum();
-    x[k] = (tight.bound - partial) / nk;
+    let partial: f64 = others.map(|j| tight[j] * x[j]).sum();
+    x[k] = (tight_bound - partial) / nk;
     Some(x)
 }
 
@@ -192,6 +206,9 @@ struct SeidelD<'a> {
     inst: &'a LpInstanceD,
     optimum: Vec<f64>,
     infeasible: bool,
+    /// The flat row buffers of the sub-problems, one per recursion level
+    /// (`levels[0]` holds dimension d − 1), reused by every special.
+    levels: Vec<Vec<f64>>,
 }
 
 impl Type2Algorithm for SeidelD<'_> {
@@ -212,10 +229,14 @@ impl Type2Algorithm for SeidelD<'_> {
     fn run_regular(&mut self, _k: usize) {}
 
     fn run_special(&mut self, k: usize) {
+        let constraints = &self.inst.constraints;
+        let earlier = constraints[..k].iter().map(|c| (&c.normal[..], c.bound));
+        let tight = &constraints[k];
         match project_and_recurse(
             &self.inst.objective,
-            &self.inst.constraints[..k],
-            &self.inst.constraints[k],
+            earlier,
+            (&tight.normal, tight.bound),
+            &mut self.levels,
         ) {
             Some(x) => self.optimum = x,
             None => self.infeasible = true,
@@ -238,6 +259,7 @@ pub(crate) fn run_with_d(inst: &LpInstanceD, cfg: &RunConfig) -> (LpOutcomeD, Ru
             inst,
             optimum: box_optimum(&inst.objective),
             infeasible: false,
+            levels: vec![Vec::new(); d],
         };
         let report = execute_type2(&mut st, cfg);
         let outcome = if st.infeasible {
@@ -334,6 +356,188 @@ mod tests {
     fn lp_d_parallel(inst: &LpInstanceD) -> Run {
         let (outcome, stats) = run_with_d(inst, &RunConfig::new().parallel());
         Run { outcome, stats }
+    }
+
+    /// The `Vec`-per-constraint recursion the flat rows replaced: the
+    /// reference for the optimum's bits, the specials and the checks.
+    mod reference {
+        use super::super::*;
+
+        fn solve_recursive(obj: &[f64], constraints: &[ConstraintD]) -> Option<Vec<f64>> {
+            let d = obj.len();
+            if d == 1 {
+                return solve_1d(obj[0], constraints.iter().map(|c| (c.normal[0], c.bound)));
+            }
+            let mut x = box_optimum(obj);
+            for (k, c) in constraints.iter().enumerate() {
+                if c.violation(&x) <= EPS {
+                    continue;
+                }
+                x = project_and_recurse(obj, &constraints[..k], c)?;
+            }
+            Some(x)
+        }
+
+        fn project_and_recurse(
+            obj: &[f64],
+            earlier: &[ConstraintD],
+            tight: &ConstraintD,
+        ) -> Option<Vec<f64>> {
+            let d = obj.len();
+            let k = (0..d)
+                .max_by(|&i, &j| {
+                    tight.normal[i]
+                        .abs()
+                        .partial_cmp(&tight.normal[j].abs())
+                        .expect("finite normals")
+                })
+                .expect("d >= 1");
+            let nk = tight.normal[k];
+            if nk.abs() <= EPS {
+                return None;
+            }
+            let reduce = |coeffs: &[f64], rhs: f64| -> (Vec<f64>, f64) {
+                let scale = coeffs[k] / nk;
+                let red: Vec<f64> = (0..d)
+                    .filter(|&j| j != k)
+                    .map(|j| coeffs[j] - scale * tight.normal[j])
+                    .collect();
+                (red, rhs - scale * tight.bound)
+            };
+            let (robj, _) = reduce(obj, 0.0);
+            let mut rcons: Vec<ConstraintD> = Vec::with_capacity(earlier.len() + 2);
+            for c in earlier {
+                let (rn, rb) = reduce(&c.normal, c.bound);
+                rcons.push(ConstraintD::new(rn, rb));
+            }
+            for sign in [1.0, -1.0] {
+                let mut coeffs = vec![0.0; d];
+                coeffs[k] = sign;
+                let (rn, rb) = reduce(&coeffs, BOX_M);
+                rcons.push(ConstraintD::new(rn, rb));
+            }
+            let sub = solve_recursive(&robj, &rcons)?;
+            let mut x = vec![0.0; d];
+            let mut si = 0;
+            for (j, xj) in x.iter_mut().enumerate() {
+                if j != k {
+                    *xj = sub[si];
+                    si += 1;
+                }
+            }
+            let partial: f64 = (0..d)
+                .filter(|&j| j != k)
+                .map(|j| tight.normal[j] * x[j])
+                .sum();
+            x[k] = (tight.bound - partial) / nk;
+            Some(x)
+        }
+
+        struct SeidelD<'a> {
+            inst: &'a LpInstanceD,
+            optimum: Vec<f64>,
+            infeasible: bool,
+        }
+
+        impl Type2Algorithm for SeidelD<'_> {
+            fn len(&self) -> usize {
+                self.inst.constraints.len()
+            }
+
+            fn is_special(&self, k: usize) -> bool {
+                !self.infeasible && self.inst.constraints[k].violation(&self.optimum) > EPS
+            }
+
+            fn item_ns(&self) -> u64 {
+                self.optimum.len() as u64 * 2
+            }
+
+            fn run_regular(&mut self, _k: usize) {}
+
+            fn run_special(&mut self, k: usize) {
+                match project_and_recurse(
+                    &self.inst.objective,
+                    &self.inst.constraints[..k],
+                    &self.inst.constraints[k],
+                ) {
+                    Some(x) => self.optimum = x,
+                    None => self.infeasible = true,
+                }
+            }
+        }
+
+        /// [`run_with_d`] over the reference recursion.
+        pub(super) fn run(inst: &LpInstanceD, cfg: &RunConfig) -> (LpOutcomeD, RunReport) {
+            ri_core::engine::Runner::new(cfg.clone()).solve("lp-seidel-d", |cfg| {
+                let mut st = SeidelD {
+                    inst,
+                    optimum: box_optimum(&inst.objective),
+                    infeasible: false,
+                };
+                let report = execute_type2(&mut st, cfg);
+                let outcome = if st.infeasible {
+                    LpOutcomeD::Infeasible
+                } else {
+                    LpOutcomeD::Optimal(st.optimum)
+                };
+                (outcome, report)
+            })
+        }
+    }
+
+    /// Assert that the flat-row solver matches [`reference`] at dimension
+    /// `d` in the optimum's bits, the specials and the checks: both
+    /// shapes, n ∈ {50, 700, 8000}, 6 seeds, sequential and parallel at
+    /// widths 1 and 2 (108 cases).
+    fn assert_flat_rows_match_reference(d: usize) {
+        use ri_core::engine::Problem;
+        let bits = |o: &LpOutcomeD| match o {
+            LpOutcomeD::Optimal(x) => Some(x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()),
+            LpOutcomeD::Infeasible => None,
+        };
+        let configs = [
+            RunConfig::new().sequential(),
+            RunConfig::new().parallel().threads(1),
+            RunConfig::new().parallel().threads(2),
+        ];
+        let mut cases = 0;
+        for shape in [tangent_instance_d, degenerate_instance_d] {
+            for n in [50, 700, 8000] {
+                for seed in 0..6 {
+                    let inst = shape(d, n, seed);
+                    for cfg in &configs {
+                        let (got, got_report) = crate::LpProblemD::new(&inst).solve(cfg);
+                        let (want, want_report) = reference::run(&inst, cfg);
+                        let case = format!("d={d} n={n} seed={seed} {:?}", cfg.mode);
+                        assert_eq!(bits(&got), bits(&want), "optimum of {case}");
+                        assert_eq!(got_report.specials, want_report.specials, "{case}");
+                        assert_eq!(got_report.checks, want_report.checks, "{case}");
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 108);
+    }
+
+    #[test]
+    fn flat_rows_match_the_reference_at_d2() {
+        assert_flat_rows_match_reference(2);
+    }
+
+    #[test]
+    fn flat_rows_match_the_reference_at_d3() {
+        assert_flat_rows_match_reference(3);
+    }
+
+    #[test]
+    fn flat_rows_match_the_reference_at_d4() {
+        assert_flat_rows_match_reference(4);
+    }
+
+    #[test]
+    fn flat_rows_match_the_reference_at_d5() {
+        assert_flat_rows_match_reference(5);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use rayon::prelude::*;
 
 /// Estimated nanoseconds per element of one pass (histogram or scatter;
 /// about 4 ns measured for the pair at 2^20 elements).
-const RADIX_NS: u64 = 2;
+pub(crate) const RADIX_NS: u64 = 2;
 
 const DIGIT_BITS: usize = 8;
 const RADIX: usize = 1 << DIGIT_BITS;
@@ -44,7 +44,7 @@ where
 
 /// [`radix_sort_by_key`] with each element of a pass declared to cost
 /// `item_ns` to the go-parallel rule.
-fn radix_sort_at<T, F>(items: &mut Vec<T>, key: F, item_ns: u64)
+pub(crate) fn radix_sort_at<T, F>(items: &mut Vec<T>, key: F, item_ns: u64)
 where
     T: Clone + Send + Sync,
     F: Fn(&T) -> u64 + Sync,

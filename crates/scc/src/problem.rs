@@ -122,7 +122,7 @@ mod tests {
         let problem = SccProblem::new(&g);
         let cfg = RunConfig::new().seed(11);
         let (seq, _) = problem.solve(&cfg.clone().sequential());
-        let (par, report) = problem.solve(&cfg.clone().parallel());
+        let (par, report) = problem.solve(&cfg.parallel());
         let want = canonical_labels(&tarjan_scc(&g));
         assert_eq!(canonical_labels(&seq.comp), want);
         assert_eq!(canonical_labels(&par.comp), want);
