@@ -64,8 +64,9 @@ fn usage_text() -> &'static str {
      `witness replay` re-executes every record of an ri-router witness log\n\
      (one-shot solves and streamed session batches alike) and exits nonzero\n\
      unless all answers, per-batch deltas and round traces reproduce\n\
-     bit-identically; relaxed-mode records gate on answer equality only\n\
-     (their round traces follow the relaxed schedule by design).\n\
+     bit-identically. relaxed:k runs the exact parallel schedule, but its\n\
+     records gate on answer equality only: logs recorded before the relaxed\n\
+     scheduler was retired hold that scheduler's round traces.\n\
      `report` prints one of the paper's claims as a table (`table1 --json`\n\
      adds each run's report as a JSON line); `ri report` alone lists them."
 }
@@ -140,9 +141,10 @@ fn parse_flags(args: &[String]) -> Result<ServeRequest, String> {
 /// re-execute one by one; stream batches are grouped by session (order
 /// preserved) and each session is re-fed batch by batch, asserting every
 /// per-batch delta — answer, trace, problem-specific delta — comes back
-/// bit-identical. Relaxed-mode records gate on answer equality only (their
-/// traces follow the relaxed schedule). Any divergence is reported per
-/// record — tagged with the record's execution mode — and fails the run.
+/// bit-identical. Relaxed-mode records gate on answer equality only (logs
+/// recorded before the relaxed scheduler was retired hold its traces).
+/// Any divergence is reported per record — tagged with the record's
+/// execution mode — and fails the run.
 fn witness_command(reg: &Registry, args: &[String]) {
     match args {
         [subcommand, path] if subcommand == "replay" => {

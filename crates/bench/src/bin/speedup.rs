@@ -1,22 +1,19 @@
 //! `speedup` — the registry-wide performance gate: run every registered
-//! problem sequentially, in parallel at several thread counts, and under
-//! the k-relaxed scheduler, verify the parallel **and relaxed** answers
-//! match the sequential ones, and write `BENCH_PR8.json` (per-problem
-//! wall times, speedups, the `par1_overhead` ratio par@1 / sequential —
-//! the round engine's scheduling+allocation overhead, independent of the
-//! host's core count — and a `relaxed` column with per-width wall times,
-//! the measured `rank_inversions`/`wasted_retries`, and whether the
-//! problem ran its native relaxed loop or the reported exact fallback).
+//! problem sequentially and in parallel at several thread counts, verify
+//! the parallel answers match the sequential ones, and write
+//! `BENCH_PR8.json` (per-problem wall times, speedups, and the
+//! `par1_overhead` ratio par@1 / sequential — the round engine's
+//! scheduling+allocation overhead, independent of the host's core count).
 //!
 //! ```text
 //! speedup [--quick] [--out PATH] [--threads 1,2,4,8] [--repeat N]
-//!         [--scale X] [--relax-k K] [--gate-par1] [--gate-scaling]
+//!         [--scale X] [--gate-par1] [--gate-scaling]
 //! ```
 //!
 //! `--quick` shrinks instances for CI smoke runs; `--scale` divides the
-//! default sizes by an arbitrary factor. Exits nonzero if any parallel or
-//! relaxed answer diverges from the sequential answer — that check is the
-//! hard CI gate on every run. `--gate-par1` additionally fails the run
+//! default sizes by an arbitrary factor. Exits nonzero if any parallel
+//! answer diverges from the sequential answer — that check is the hard CI
+//! gate on every run. `--gate-par1` additionally fails the run
 //! when a problem's `par1_overhead` exceeds its committed budget
 //! ([`PAR1_BUDGETS`]); instances whose sequential time is below
 //! [`GATE_MIN_SEQ_SECONDS`] are skipped by that gate (their ratios are
@@ -31,15 +28,12 @@
 //! (the JSON's per-width `helper_spawns` shows which).
 //!
 //! Each problem's sequential and parallel runs form one group whose
-//! repeats interleave (sequential, par@1, par@2, …, then again), and its
-//! relaxed runs a second one; wall times are best-of-repeat. On a
-//! single-core host the relaxed-vs-exact *scaling* comparison is
-//! meaningless, so the relaxed column keeps only the width-1 answer gate
-//! and carries an explicit `"scaling": "skipped: 1 core"` marker. The
-//! `machine` block also records `new_thread_shares_parent_cpu`: `true`
-//! on a host that starts each new thread on its parent's CPU and keeps
-//! it there, where par@w cannot scale (no gate reads it; `null` where
-//! `/proc/thread-self/stat` is missing).
+//! repeats interleave (sequential, par@1, par@2, …, then again); wall
+//! times are best-of-repeat. The `machine` block also records
+//! `new_thread_shares_parent_cpu`: `true` on a host that starts each new
+//! thread on its parent's CPU and keeps it there, where par@w cannot
+//! scale (no gate reads it; `null` where `/proc/thread-self/stat` is
+//! missing).
 
 use std::time::{Duration, Instant};
 
@@ -92,7 +86,6 @@ struct Args {
     threads: Vec<usize>,
     repeat: usize,
     scale: usize,
-    relax_k: usize,
     gate_par1: bool,
     gate_scaling: bool,
 }
@@ -103,7 +96,6 @@ fn parse_args() -> Result<Args, String> {
         threads: vec![1, 2, 4, 8],
         repeat: 3,
         scale: 1,
-        relax_k: 8,
         gate_par1: false,
         gate_scaling: false,
     };
@@ -134,11 +126,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --scale: {e}"))?
             }
-            "--relax-k" => {
-                args.relax_k = value("--relax-k")?
-                    .parse()
-                    .map_err(|e| format!("bad --relax-k: {e}"))?
-            }
             "--threads" => {
                 args.threads = value("--threads")?
                     .split(',')
@@ -148,8 +135,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if args.repeat == 0 || args.scale == 0 || args.relax_k == 0 || args.threads.is_empty() {
-        return Err("--repeat, --scale, --relax-k and --threads must be nonzero/nonempty".into());
+    if args.repeat == 0 || args.scale == 0 || args.threads.is_empty() {
+        return Err("--repeat, --scale and --threads must be nonzero/nonempty".into());
     }
     if args.gate_scaling && !args.threads.contains(&1) {
         return Err("--gate-scaling compares against par@1: --threads must include 1".into());
@@ -328,74 +315,8 @@ fn main() {
                 Value::Num((speedup * 1000.0).round() / 1000.0),
             ));
         }
-        // The relaxed column: k-relaxed schedule at the same widths (just
-        // width 1 on a single-core host — relaxed-vs-exact scaling is
-        // meaningless there and gets an explicit skip marker), gated on
-        // answer equality with the sequential fingerprint.
-        let relax_widths: &[usize] = if cores < 2 { &[1] } else { &args.threads };
-        let mut relaxed_seconds: Vec<(String, Value)> = Vec::new();
-        let mut relaxed_speedup: Vec<(String, Value)> = Vec::new();
-        let mut relaxed_matches = true;
-        let mut relaxed_report: Option<RunReport> = None;
-        let rel_cfgs: Vec<RunConfig> = relax_widths
-            .iter()
-            .map(|&t| {
-                RunConfig::new()
-                    .seed(7)
-                    .relaxed(args.relax_k)
-                    .threads(t)
-                    .instrument(false)
-            })
-            .collect();
-        eprintln!(
-            "speedup: {name} n={n} relaxed:{} t={relax_widths:?}...",
-            args.relax_k
-        );
-        let rel_runs = time_solves(&reg, name, &spec, &rel_cfgs, args.repeat);
-        for (&t, rel) in relax_widths.iter().zip(rel_runs) {
-            let rel_secs = rel.best();
-            if answer_fingerprint(&rel.summary) != seq_answer {
-                relaxed_matches = false;
-                eprintln!("speedup: RELAXED DIVERGENCE on {name} at {t} threads");
-            }
-            relaxed_seconds.push((t.to_string(), Value::Num(rel_secs)));
-            relaxed_speedup.push((
-                t.to_string(),
-                Value::Num((seq_secs / rel_secs * 1000.0).round() / 1000.0),
-            ));
-            relaxed_report = Some(rel.report);
-        }
-        let relaxed_report = relaxed_report.expect("relax_widths is nonempty");
-        let mut relaxed_fields = vec![
-            ("k".into(), Value::Num(args.relax_k as f64)),
-            ("seconds".into(), Value::Obj(relaxed_seconds)),
-            ("speedup".into(), Value::Obj(relaxed_speedup)),
-            ("answers_match".into(), Value::Bool(relaxed_matches)),
-            (
-                "rank_inversions".into(),
-                Value::Num(relaxed_report.rank_inversions as f64),
-            ),
-            (
-                "wasted_retries".into(),
-                Value::Num(relaxed_report.wasted_retries as f64),
-            ),
-            (
-                "native".into(),
-                Value::Bool(relaxed_report.relaxed_fallback.is_none()),
-            ),
-        ];
-        if let Some(reason) = &relaxed_report.relaxed_fallback {
-            relaxed_fields.push(("fallback".into(), Value::Str(reason.clone())));
-        }
-        if cores < 2 {
-            relaxed_fields.push(("scaling".into(), Value::Str("skipped: 1 core".into())));
-        }
-
         if !matches {
             divergent.push(name.to_string());
-        }
-        if !relaxed_matches {
-            divergent.push(format!("{name} (relaxed:{})", args.relax_k));
         }
         if best_speedup_at_4plus > 1.0 {
             winners_at_4plus.push(name.to_string());
@@ -406,7 +327,6 @@ fn main() {
             ("par_seconds".into(), Value::Obj(par_entries)),
             ("speedup".into(), Value::Obj(speedup_entries)),
             ("answers_match".into(), Value::Bool(matches)),
-            ("relaxed".into(), Value::Obj(relaxed_fields)),
         ];
         if let Some(par1) = par1 {
             // par@1 / sequential: the round engine's own overhead, the
@@ -455,12 +375,11 @@ fn main() {
     // runner and uploads it as an artifact).
     let shares_cpu = new_thread_shares_parent_cpu();
     let mut note = String::from(if cores == 1 {
-        "single-core host: speedups cannot exceed 1 and relaxed-vs-exact \
-         scaling is skipped (skipped: 1 core); par1_overhead and the \
-         relaxed answer gate are the meaningful columns"
+        "single-core host: speedups cannot exceed 1; par1_overhead and \
+         the answer gate are the meaningful columns"
     } else {
         "multi-core host: speedups are bounded by this host's core count; \
-         par1_overhead and rank_inversions are core-count independent"
+         par1_overhead is core-count independent"
     });
     if cores > 1 && shares_cpu == Some(true) {
         note.push_str(
@@ -486,7 +405,6 @@ fn main() {
         ),
         ("repeat".into(), Value::Num(args.repeat as f64)),
         ("scale".into(), Value::Num(args.scale as f64)),
-        ("relax_k".into(), Value::Num(args.relax_k as f64)),
         ("problems".into(), Value::Obj(problems)),
         (
             "summary".into(),
@@ -523,7 +441,7 @@ fn main() {
 
     if !divergent.is_empty() {
         eprintln!(
-            "speedup: parallel/relaxed answers diverged from sequential for: {}",
+            "speedup: parallel answers diverged from sequential for: {}",
             divergent.join(", ")
         );
         std::process::exit(1);

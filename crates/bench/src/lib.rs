@@ -18,7 +18,7 @@
 //!
 //! The crate's three binaries: `ri` (the registry-driven CLI: any problem
 //! by name, JSON in/out, witness replay, and the reports above),
-//! `speedup` (seq / par / relaxed wall time per width) and `loadgen` (the
+//! `speedup` (seq / par wall time per width) and `loadgen` (the
 //! serving-tier load generator). Criterion wall-clock benches
 //! (`cargo bench -p ri-bench`) compare the sequential and parallel
 //! implementations of each Table 1 row on this machine.

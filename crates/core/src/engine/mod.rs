@@ -9,9 +9,8 @@
 //!   trait algorithm runs through;
 //! * [`execute_type1`] / [`execute_type2`] / [`execute_type3`] — the
 //!   paper's three executors over the `Type1Algorithm` /
-//!   `Type2Algorithm` / `Type3Algorithm` traits; problems without a
-//!   native relaxed loop run relaxed configs as exact parallel through
-//!   [`RunConfig::relaxed_as_parallel`];
+//!   `Type2Algorithm` / `Type3Algorithm` traits (a `relaxed:k` config
+//!   runs their exact parallel schedule);
 //! * [`RunReport`] — the unified per-run record (rounds, work, measured
 //!   dependence depth, special-iteration trace, phase wall times, JSON);
 //! * [`Problem`] — the uniform problem-level trait the algorithm crates

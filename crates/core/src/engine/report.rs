@@ -69,18 +69,8 @@ pub struct RunReport {
     /// Scoped helper threads the calling thread spawned (crew members,
     /// join branches). Like `regions`, 0 for fully inline runs.
     pub helper_spawns: u64,
-    /// Pops the relaxed scheduler served out of priority order (an
-    /// inversion is a pop whose priority is below the running maximum of
-    /// priorities already popped). 0 outside [`ExecMode::Relaxed`] runs
-    /// and for `relaxed:1`, which is exact.
-    pub rank_inversions: u64,
-    /// Iterations a relaxed run evaluated but could not commit (conflict
-    /// re-enqueues, checks past the committed special) — the measured
-    /// O(k·poly-log) overhead. 0 outside [`ExecMode::Relaxed`] runs.
-    pub wasted_retries: u64,
-    /// Set when a relaxed-mode request fell back to the exact parallel
-    /// path because the problem has no native relaxed loop; carries the
-    /// reason. `None` for native relaxed runs and non-relaxed modes.
+    /// Why an [`ExecMode::Relaxed`] run ran the exact parallel schedule
+    /// (set on every relaxed run); `None` in the other modes.
     pub relaxed_fallback: Option<String>,
 }
 
@@ -104,8 +94,6 @@ impl RunReport {
             scratch_misses: 0,
             regions: 0,
             helper_spawns: 0,
-            rank_inversions: 0,
-            wasted_retries: 0,
             relaxed_fallback: None,
         }
     }
@@ -219,17 +207,9 @@ impl RunReport {
                 "helper_spawns".into(),
                 Value::Num(self.helper_spawns as f64),
             ),
-            (
-                "rank_inversions".into(),
-                Value::Num(self.rank_inversions as f64),
-            ),
-            (
-                "wasted_retries".into(),
-                Value::Num(self.wasted_retries as f64),
-            ),
         ];
-        // Stamped only when a relaxed request ran on the exact path, so
-        // the common case keeps the pre-PR-8 shape byte for byte.
+        // Stamped only on relaxed runs, so the other modes keep the
+        // older shape byte for byte.
         if let Some(reason) = &self.relaxed_fallback {
             fields.push(("relaxed_fallback".into(), Value::Str(reason.clone())));
         }
@@ -309,6 +289,8 @@ impl RunReport {
         // The allocation/region counters were added after the first JSON
         // shape shipped: absent fields read as 0 so recorded reports from
         // older runs still parse; present fields must be well-formed.
+        // Keys this shape no longer has, such as the counters of the
+        // retired relaxed scheduler, are ignored.
         let counter = |key: &str| match v.get(key) {
             None => Ok(0),
             Some(x) => x.as_u64().ok_or_else(|| bad(key)),
@@ -317,8 +299,6 @@ impl RunReport {
         report.scratch_misses = counter("scratch_misses")?;
         report.regions = counter("regions")?;
         report.helper_spawns = counter("helper_spawns")?;
-        report.rank_inversions = counter("rank_inversions")?;
-        report.wasted_retries = counter("wasted_retries")?;
         report.relaxed_fallback = match v.get("relaxed_fallback") {
             None | Some(Value::Null) => None,
             Some(r) => Some(
@@ -356,8 +336,6 @@ mod tests {
         r.scratch_misses = 2;
         r.regions = 3;
         r.helper_spawns = 9;
-        r.rank_inversions = 11;
-        r.wasted_retries = 4;
         r
     }
 
@@ -382,7 +360,7 @@ mod tests {
     fn relaxed_mode_and_fallback_round_trip() {
         let mut r = sample();
         r.mode = ExecMode::Relaxed { k: 8 };
-        r.relaxed_fallback = Some("no native relaxed loop".into());
+        r.relaxed_fallback = Some("ran exact parallel".into());
         let text = r.to_json();
         assert!(text.contains("\"relaxed:8\""));
         assert!(text.contains("relaxed_fallback"));
@@ -391,6 +369,25 @@ mod tests {
         r.relaxed_fallback = None;
         let text = r.to_json();
         assert!(!text.contains("relaxed_fallback"));
+        assert_eq!(RunReport::from_json(&text).unwrap(), r);
+    }
+
+    #[test]
+    fn reports_with_the_retired_relaxed_counters_still_parse() {
+        // A `relaxed:2` closest-pair report as the k-relaxed scheduler
+        // wrote it, `rank_inversions` and `wasted_retries` included.
+        let old = r#"{"algorithm":"closest-pair","mode":"relaxed:2","threads":1,"items":8,"rounds":[[1,1],[2,3],[4,7],[1,1]],"depth":6,"specials":[1,2,3],"sub_rounds":[1,2,2,1],"checks":12,"phases":[],"wall_seconds":0,"scratch_hits":0,"scratch_misses":2,"regions":0,"helper_spawns":0,"rank_inversions":1,"wasted_retries":4}"#;
+        let r = RunReport::from_json(old).expect("a report in the old shape parses");
+        assert_eq!(r.mode, ExecMode::Relaxed { k: 2 });
+        assert_eq!(r.rounds.entries(), &[(1, 1), (2, 3), (4, 7), (1, 1)]);
+        assert_eq!(r.specials, vec![1, 2, 3]);
+        assert_eq!(r.checks, 12);
+        assert_eq!(r.scratch_misses, 2);
+        assert_eq!(r.relaxed_fallback, None);
+        // Written back, it no longer carries the retired keys.
+        let text = r.to_json();
+        assert!(!text.contains("rank_inversions"), "{text}");
+        assert!(!text.contains("wasted_retries"), "{text}");
         assert_eq!(RunReport::from_json(&text).unwrap(), r);
     }
 

@@ -39,17 +39,17 @@ pub enum ExecMode {
     Sequential,
     /// Run the paper's parallel schedule for the algorithm's class.
     Parallel,
-    /// Run the round loops over a k-relaxed priority scheduler
-    /// ([`ri_pram::relaxed::MultiQueue`](ri_pram::MultiQueue)): iterations
-    /// are pulled in two-choice relaxed priority order instead of exact
-    /// round order, trading at most O(k·poly-log) extra work (Alistarh,
-    /// Koval & Nadiradze) for barrier-free scheduling. Answers equal
-    /// [`ExecMode::Parallel`]; the round *trace* is mode-specific, so
-    /// witness replay gates relaxed records on answer equality only.
+    /// `relaxed:k`, kept so requests, reports and recorded logs that name
+    /// it stay valid: it runs the exact [`ExecMode::Parallel`] schedule.
+    /// [`Runner::solve`] echoes the mode in the report and says so in
+    /// `relaxed_fallback`; the executors run their parallel arm for it.
+    /// Witness replay gates relaxed records on answer equality only,
+    /// because logs recorded before the k-relaxed scheduler was retired
+    /// hold that scheduler's round traces.
     Relaxed {
-        /// The relaxation factor: number of internal queues, and the
-        /// bound on pop-rank error. Must be at least 1 (`relaxed:0` is
-        /// rejected at parse time; [`RunConfig::relaxed`] clamps).
+        /// The relaxation factor the request named. Must be at least 1
+        /// (`relaxed:0` is rejected at parse time; [`RunConfig::relaxed`]
+        /// clamps); it changes nothing about the run.
         k: usize,
     },
 }
@@ -79,8 +79,7 @@ pub enum ParseExecModeError {
     UnknownMode(String),
     /// A `relaxed:k` form whose `k` was not an unsigned integer.
     BadRelaxation(String),
-    /// `relaxed:0` — a zero-relaxed scheduler is meaningless (exact
-    /// order is `relaxed:1`).
+    /// `relaxed:0`: `k` must be at least 1.
     ZeroRelaxation,
 }
 
@@ -191,7 +190,7 @@ impl RunConfig {
     }
 
     /// Shorthand for `.mode(ExecMode::Relaxed { k })` (`k` clamped to at
-    /// least 1 — `relaxed:1` is exact priority order).
+    /// least 1), which runs the exact parallel schedule.
     pub fn relaxed(self, k: usize) -> Self {
         self.mode(ExecMode::Relaxed { k: k.max(1) })
     }
@@ -218,8 +217,8 @@ impl RunConfig {
         self.to_value().write()
     }
 
-    /// The config as a JSON [`Value`] (`threads` is `null` when the
-    /// machine default applies).
+    /// The config as a JSON [`Value`](super::json::Value) (`threads` is
+    /// `null` when the machine default applies).
     pub fn to_value(&self) -> super::json::Value {
         use super::json::Value;
         Value::Obj(vec![
@@ -296,24 +295,6 @@ impl RunConfig {
                 .max(1),
         }
     }
-
-    /// Run `solve` for `problem`, which has no native relaxed loop: a
-    /// relaxed config runs as exact parallel and the report's
-    /// `relaxed_fallback` says so. Other modes run unchanged.
-    pub fn relaxed_as_parallel<T>(
-        &self,
-        problem: &str,
-        solve: impl FnOnce(&RunConfig) -> (T, RunReport),
-    ) -> (T, RunReport) {
-        if !matches!(self.mode, ExecMode::Relaxed { .. }) {
-            return solve(self);
-        }
-        let (out, mut report) = solve(&self.clone().parallel());
-        report.relaxed_fallback = Some(format!(
-            "{problem} has no native relaxed loop; ran exact parallel"
-        ));
-        (out, report)
-    }
 }
 
 /// A problem instance solvable under a [`RunConfig`]: the uniform
@@ -326,6 +307,9 @@ pub trait Problem {
     /// Solve under `cfg`, returning the answer and the unified report.
     fn solve(&self, cfg: &RunConfig) -> (Self::Output, RunReport);
 }
+
+/// The `relaxed_fallback` every `relaxed:k` report carries.
+const RELAXED_FALLBACK: &str = "the relaxed scheduler is retired; ran exact parallel";
 
 /// The engine facade: runs solves under a [`RunConfig`] at its width.
 #[derive(Debug, Clone)]
@@ -382,17 +366,30 @@ impl Runner {
     /// workspace. The counters are measured on the calling thread, which
     /// is where the executors' round loops (and their reused buffers)
     /// live.
+    ///
+    /// A `relaxed:k` config runs `solve` under the same config in
+    /// parallel mode; the report keeps the requested mode and sets
+    /// `relaxed_fallback`.
     pub fn solve<T>(
         &self,
         algorithm: &str,
         solve: impl FnOnce(&RunConfig) -> (T, RunReport),
     ) -> (T, RunReport) {
+        let relaxed = matches!(self.cfg.mode, ExecMode::Relaxed { .. });
+        let cfg = if relaxed {
+            self.cfg.clone().parallel()
+        } else {
+            self.cfg.clone()
+        };
         let threads = self.cfg.resolved_threads();
         let workspace = RoundScratch::begin();
         let t0 = std::time::Instant::now();
-        let (out, mut report) = self.install(|| solve(&self.cfg));
+        let (out, mut report) = self.install(|| solve(&cfg));
         report.algorithm = algorithm.to_string();
         report.mode = self.cfg.mode;
+        if relaxed {
+            report.relaxed_fallback = Some(RELAXED_FALLBACK.into());
+        }
         report.threads = threads;
         if self.cfg.instrument {
             report.wall_seconds = t0.elapsed().as_secs_f64();
@@ -436,10 +433,8 @@ fn fill_flags<T: Sync>(
 
 /// The Type 1 executor (§2.1): parallel mode runs rounds of all ready
 /// iterations (rounds = iteration dependence depth); sequential mode runs
-/// iterations in insertion order; relaxed mode pulls k-sized batches from
-/// a [`MultiQueue`] in relaxed priority order, runs the ready ones, and
-/// re-enqueues conflicts (`wasted_retries`). Iterations still run only
-/// when `ready`, so the answer is the sequential one in every mode.
+/// iterations in insertion order. A relaxed config runs the parallel
+/// schedule.
 ///
 /// Panics if no progress is possible (an incorrectly encoded dependence
 /// graph).
@@ -459,7 +454,7 @@ pub fn execute_type1<A: Type1Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
             }
             report.stamp_rounds(None, n as u64);
         }
-        ExecMode::Parallel => {
+        ExecMode::Parallel | ExecMode::Relaxed { .. } => {
             // All three per-round buffers come from (and return to) the
             // runner's scratch workspace: steady-state rounds allocate
             // nothing, and repeated runs on one thread reuse capacity.
@@ -506,62 +501,6 @@ pub fn execute_type1<A: Type1Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
             scratch::put_vec(next);
             scratch::put_vec(flags);
         }
-        ExecMode::Relaxed { k } => {
-            // Every iteration enters a k-relaxed MultiQueue under its
-            // own index as priority; workers would pull batches in
-            // two-choice relaxed order. Pops happen on the round loop's
-            // coordinating thread (the `run` contract is `&mut`), so the
-            // schedule is deterministic per seed; readiness checks fan
-            // out over the crews like the exact executor's check phase.
-            let mq = ri_pram::MultiQueue::new(k, cfg.seed);
-            for i in 0..n {
-                mq.push(i as u64, i);
-            }
-            let mut batch: Vec<(u64, usize)> = scratch::take_vec();
-            let mut flags: Vec<bool> = scratch::take_vec();
-            let mut round = 0usize;
-            let mut wasted = 0u64;
-            // Batch size k matches the scheduler's relaxation; after a
-            // batch with no ready iteration, drain everything — the
-            // minimum remaining index is always ready (its predecessors
-            // all ran), so a full drain guarantees progress.
-            let mut want = k.max(1);
-            loop {
-                batch.clear();
-                if mq.pop_batch(want, &mut batch) == 0 {
-                    break;
-                }
-                algo.begin_round(round);
-                fill_flags(&mut flags, &batch, algo.item_ns(), |&(_, i)| algo.ready(i));
-                let mut ran = 0usize;
-                for (&(prio, i), &ready) in batch.iter().zip(flags.iter()) {
-                    if ready {
-                        algo.run(i);
-                        ran += 1;
-                    } else {
-                        mq.push(prio, i);
-                        wasted += 1;
-                    }
-                }
-                if ran == 0 {
-                    assert!(
-                        want < usize::MAX,
-                        "Type 1 executor stalled with {} iterations remaining",
-                        mq.len()
-                    );
-                    want = usize::MAX;
-                } else {
-                    want = k.max(1);
-                }
-                report.record_round(batch.len(), ran as u64);
-                round += 1;
-            }
-            report.depth = round;
-            report.rank_inversions = mq.rank_inversions();
-            report.wasted_retries = wasted;
-            scratch::put_vec(batch);
-            scratch::put_vec(flags);
-        }
     }
     report
 }
@@ -571,15 +510,7 @@ pub fn execute_type1<A: Type1Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
 /// `specials`, `sub_rounds` and `checks`; round entries are one per prefix
 /// (parallel) or one summary entry (sequential).
 ///
-/// Relaxed mode keeps the prefix-doubling structure but **evaluates** each
-/// sub-round's specialness checks in k-relaxed [`MultiQueue`] pop order
-/// instead of exact index order. Commits stay exact — the earliest special
-/// in the tail still wins, and regular iterations still run in index order
-/// against the same frozen prefix state — so answers and the special trace
-/// are identical to exact parallel, while `rank_inversions` measures how
-/// far the relaxed evaluation schedule strayed and `wasted_retries` counts
-/// checks beyond the committed special that an exact short-circuiting scan
-/// could have skipped.
+/// A relaxed config runs the parallel schedule.
 pub fn execute_type2<A: Type2Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) -> RunReport {
     let n = algo.len();
     let mut report = RunReport::new("type2");
@@ -598,7 +529,7 @@ pub fn execute_type2<A: Type2Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
             }
             report.stamp_rounds(None, report.checks);
         }
-        ExecMode::Parallel => {
+        ExecMode::Parallel | ExecMode::Relaxed { .. } => {
             let mut lo = 0usize;
             let mut width = 1usize;
             while lo < n {
@@ -644,66 +575,6 @@ pub fn execute_type2<A: Type2Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
             }
             report.depth = report.total_sub_rounds();
         }
-        ExecMode::Relaxed { k } => {
-            let mq = ri_pram::MultiQueue::new(k, cfg.seed);
-            let mut order: Vec<(u64, usize)> = scratch::take_vec();
-            let mut flags: Vec<bool> = scratch::take_vec();
-            let mut wasted = 0u64;
-            let mut lo = 0usize;
-            let mut width = 1usize;
-            while lo < n {
-                let hi = (lo + width).min(n);
-                algo.begin_prefix(lo, hi);
-                let mut sub_rounds = 0usize;
-                let mut prefix_checks = 0u64;
-                let mut j = lo;
-                while j < hi {
-                    sub_rounds += 1;
-                    prefix_checks += (hi - j) as u64;
-                    // Draw the tail's evaluation order from the relaxed
-                    // queue (epoch reset: each sub-round restarts its
-                    // priorities), check specialness in that order, then
-                    // commit the earliest special exactly.
-                    mq.begin_epoch();
-                    for i in j..hi {
-                        mq.push(i as u64, i);
-                    }
-                    order.clear();
-                    mq.pop_batch(usize::MAX, &mut order);
-                    fill_flags(&mut flags, &order, algo.item_ns(), |&(_, i)| {
-                        algo.is_special(i)
-                    });
-                    let l = order
-                        .iter()
-                        .zip(flags.iter())
-                        .filter(|(_, &special)| special)
-                        .map(|(&(_, i), _)| i)
-                        .min()
-                        .unwrap_or(hi);
-                    wasted += order.iter().filter(|&&(_, i)| i > l).count() as u64;
-                    for i in j..l {
-                        algo.run_regular(i);
-                    }
-                    if l < hi {
-                        report.specials.push(l);
-                        algo.run_special(l);
-                        j = l + 1;
-                    } else {
-                        j = hi;
-                    }
-                }
-                report.checks += prefix_checks;
-                report.sub_rounds.push(sub_rounds);
-                report.record_round(hi - lo, prefix_checks);
-                lo = hi;
-                width *= 2;
-            }
-            report.depth = report.total_sub_rounds();
-            report.rank_inversions = mq.rank_inversions();
-            report.wasted_retries = wasted;
-            scratch::put_vec(order);
-            scratch::put_vec(flags);
-        }
     }
     report
 }
@@ -711,7 +582,8 @@ pub fn execute_type2<A: Type2Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
 /// The Type 3 executor — Algorithm 2 of the paper (§2.3) in parallel mode
 /// (doubling rounds against the previous round's frozen state, then
 /// combine); sequential mode runs width-1 rounds, i.e. the classic
-/// sequential incremental algorithm.
+/// sequential incremental algorithm. A relaxed config runs the parallel
+/// schedule.
 pub fn execute_type3<A: Type3Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) -> RunReport {
     let n = algo.len();
     let mut report = RunReport::new("type3");
@@ -730,7 +602,7 @@ pub fn execute_type3<A: Type3Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
             }
             report.stamp_rounds(None, total_work);
         }
-        ExecMode::Parallel => {
+        ExecMode::Parallel | ExecMode::Relaxed { .. } => {
             let rounds = prefix_rounds(n);
             report.depth = rounds.len();
             for (lo, hi) in rounds {
@@ -752,38 +624,6 @@ pub fn execute_type3<A: Type3Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
                 let work = algo.combine(lo, &mut outputs);
                 report.record_round(hi - lo, work);
             }
-        }
-        ExecMode::Relaxed { k } => {
-            // The frozen-state contract already bounds relaxation to
-            // within a round: every iteration of a round reads only the
-            // previous round's state, so running them in k-relaxed pop
-            // order changes nothing but the schedule. Outputs are sorted
-            // back into index order before `combine`, keeping answers
-            // bit-identical to parallel mode.
-            let mq = ri_pram::MultiQueue::new(k, cfg.seed);
-            let mut order: Vec<(u64, usize)> = scratch::take_vec();
-            // `A::Output` need not be `'static`, so this buffer stays a
-            // plain per-call Vec rather than a scratch-arena loan.
-            let mut pairs: Vec<(usize, A::Output)> = Vec::new();
-            let rounds = prefix_rounds(n);
-            report.depth = rounds.len();
-            for (lo, hi) in rounds {
-                mq.begin_epoch();
-                for i in lo..hi {
-                    mq.push(i as u64, i);
-                }
-                order.clear();
-                mq.pop_batch(usize::MAX, &mut order);
-                pairs.clear();
-                pairs.extend(order.iter().map(|&(_, i)| (i, algo.run_iteration(i))));
-                pairs.sort_unstable_by_key(|&(i, _)| i);
-                outputs.clear();
-                outputs.extend(pairs.drain(..).map(|(_, out)| out));
-                let work = algo.combine(lo, &mut outputs);
-                report.record_round(hi - lo, work);
-            }
-            report.rank_inversions = mq.rank_inversions();
-            scratch::put_vec(order);
         }
     }
     report

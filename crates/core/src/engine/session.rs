@@ -9,8 +9,8 @@
 //! * [`StreamSpec`] — opens a session: problem name + [`WorkloadSpec`]
 //!   (whose `n` is the session's **capacity**, the size of the full,
 //!   fixed instance) + [`RunConfig`], with the same JSON defaulting
-//!   rules as [`ServeRequest`](super::envelope::ServeRequest). The full
-//!   instance is constructed at open; batches then reveal successive
+//!   rules as [`ServeRequest`]. The full instance is constructed at
+//!   open; batches then reveal successive
 //!   *prefixes* of it. That is what makes streaming deterministic: the
 //!   state after absorbing `k` elements is exactly the one-shot solve of
 //!   the first `k`, whatever the batch partition — the batch-split

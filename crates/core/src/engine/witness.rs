@@ -571,9 +571,9 @@ impl std::error::Error for ReplayError {}
 /// answer **and** the deterministic round trace come back bit-identical.
 ///
 /// Relaxed-mode records (`"relaxed:k"`) are gated on **answer equality
-/// only**: their answers must still equal the exact runs', but the round
-/// trace is a property of the relaxed schedule, which the determinism
-/// contract deliberately does not pin down.
+/// only**. `relaxed:k` now runs the exact parallel schedule, but logs
+/// recorded before the k-relaxed scheduler was retired hold that
+/// scheduler's round traces, and they must keep replaying.
 pub fn replay(registry: &Registry, record: &WitnessRecord) -> Result<(), ReplayError> {
     let req = &record.request;
     let (summary, report) = registry
@@ -666,8 +666,8 @@ pub fn replay_stream(
         .construct_incremental(&first.spec.problem, &first.spec.workload)
         .map_err(ReplayError::Solve)?;
     // Relaxed sessions are gated on everything *except* the round trace:
-    // the answers and deltas must come back bit-identical, but the trace
-    // reflects the relaxed schedule, which the contract leaves free.
+    // the answers and deltas must come back bit-identical, but a session
+    // recorded before the relaxed scheduler was retired holds its traces.
     let relaxed = matches!(first.spec.config.mode, ExecMode::Relaxed { .. });
     for r in records {
         let (delta, _) = inc
@@ -727,13 +727,12 @@ mod tests {
                     report.depth = 2;
                     report.specials.push((mix % self.n.max(1) as u64) as usize);
                 }
-                // Same answer as parallel (the relaxed contract), but a
-                // deliberately different, k-dependent trace.
+                // Same answer as parallel, but a deliberately different,
+                // k-dependent trace, as a record from the retired relaxed
+                // scheduler would carry.
                 ExecMode::Relaxed { k } => {
-                    report.record_round(self.n, mix % 79);
+                    report.record_round(self.n, (k as u64).wrapping_add(mix) % 79);
                     report.depth = 1;
-                    report.rank_inversions = (k as u64).wrapping_add(mix) % 13;
-                    report.wasted_retries = mix % 7;
                 }
             }
             report.checks = mix % 1009;
@@ -846,8 +845,8 @@ mod tests {
         let record = WitnessRecord::from_response(&toy_response_cfg(&reg, 20, 7, cfg), "s0");
         assert!(replay(&reg, &record).is_ok());
 
-        // A tampered trace is NOT a divergence for a relaxed record: the
-        // schedule (and hence the trace) is deliberately unpinned.
+        // A tampered trace is NOT a divergence for a relaxed record: old
+        // logs hold the retired relaxed scheduler's traces.
         let mut loose = record.clone();
         loose.trace.checks += 1;
         loose.trace.depth += 3;

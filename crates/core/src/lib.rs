@@ -22,11 +22,10 @@
 //! * [`theory`] — the closed-form quantities the experiments compare
 //!   against: harmonic numbers, the paper's expected special-iteration and
 //!   dependence counts.
-//! * [`engine`] — the **unified execution engine**: one
-//!   [`Runner`](engine::Runner) over all three executor schedules,
-//!   configured by a [`RunConfig`](engine::RunConfig) (seed, mode, worker
-//!   threads, instrumentation) and producing one
-//!   [`RunReport`](engine::RunReport) shape for every algorithm.
+//! * [`engine`] — the **unified execution engine**: one [`Runner`] over
+//!   all three executor schedules, configured by a [`RunConfig`] (seed,
+//!   mode, worker threads, instrumentation) and producing one
+//!   [`RunReport`] shape for every algorithm.
 //!
 //! The algorithm crates (`ri-sort`, `ri-lp`, `ri-le-lists`, ...) plug into
 //! the engine; each exposes a `*Problem` type implementing

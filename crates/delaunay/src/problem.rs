@@ -49,27 +49,23 @@ impl Problem for DelaunayProblem<'_> {
     type Output = DtOutput;
 
     fn solve(&self, cfg: &RunConfig) -> (DtOutput, RunReport) {
-        // No native relaxed loop: k-relaxed face firing lost to exact
-        // parallel at every measured width.
         Runner::new(cfg.clone()).solve("delaunay", |cfg| {
-            cfg.relaxed_as_parallel("delaunay", |cfg| {
-                let mut report = RunReport::new("delaunay");
-                report.items = self.points.len();
-                let result: DtResult = report.phase("solve", cfg.instrument, |_| match cfg.mode {
-                    ExecMode::Sequential => crate::seq::delaunay_sequential_impl(self.points),
-                    ExecMode::Parallel | ExecMode::Relaxed { .. } => {
-                        crate::par::delaunay_parallel_impl(self.points)
-                    }
-                });
-                let work = result.stats.incircle_tests + result.stats.orient_tests;
-                report.stamp_rounds(result.rounds, work);
-                report.checks = work;
-                let out = DtOutput {
-                    mesh: result.mesh,
-                    stats: result.stats,
-                };
-                (out, report)
-            })
+            let mut report = RunReport::new("delaunay");
+            report.items = self.points.len();
+            let result: DtResult = report.phase("solve", cfg.instrument, |_| match cfg.mode {
+                ExecMode::Sequential => crate::seq::delaunay_sequential_impl(self.points),
+                ExecMode::Parallel | ExecMode::Relaxed { .. } => {
+                    crate::par::delaunay_parallel_impl(self.points)
+                }
+            });
+            let work = result.stats.incircle_tests + result.stats.orient_tests;
+            report.stamp_rounds(result.rounds, work);
+            report.checks = work;
+            let out = DtOutput {
+                mesh: result.mesh,
+                stats: result.stats,
+            };
+            (out, report)
         })
     }
 }

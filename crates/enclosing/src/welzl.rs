@@ -128,18 +128,14 @@ pub struct SedOutput {
 /// unified report.
 pub(crate) fn run_with(points: &[Point2], cfg: &RunConfig) -> (SedOutput, RunReport) {
     assert!(points.len() >= 2, "need at least two points");
-    // No native relaxed loop: Welzl's nested Update1/Update2 rebuilds
-    // leave no slack for a relaxed order.
-    cfg.relaxed_as_parallel("enclosing", |cfg| {
-        let mut st = WelzlState::new(points);
-        let report = execute_type2(&mut st, cfg);
-        let out = SedOutput {
-            disk: st.disk.expect("n >= 2 guarantees a disk"),
-            update2_calls: st.update2_calls,
-            contains_tests: st.contains_tests,
-        };
-        (out, report)
-    })
+    let mut st = WelzlState::new(points);
+    let report = execute_type2(&mut st, cfg);
+    let out = SedOutput {
+        disk: st.disk.expect("n >= 2 guarantees a disk"),
+        update2_calls: st.update2_calls,
+        contains_tests: st.contains_tests,
+    };
+    (out, report)
 }
 
 /// Brute-force reference: the best disk among all diametral pairs and all

@@ -75,37 +75,33 @@ impl Problem for LeListsProblem<'_> {
     type Output = LeListsOutput;
 
     fn solve(&self, cfg: &RunConfig) -> (LeListsOutput, RunReport) {
-        // No native relaxed loop: the parallel path runs `execute_type3`
-        // under its own fixed parallel config, not `cfg`.
         Runner::new(cfg.clone()).solve("le-lists", |cfg| {
-            cfg.relaxed_as_parallel("le-lists", |cfg| {
-                let drawn;
-                let order: &[usize] = match &self.order {
-                    Some(order) => order,
-                    None => {
-                        drawn = random_permutation(self.g.num_vertices(), cfg.seed);
-                        &drawn
-                    }
-                };
-                let mut report = RunReport::new("le-lists");
-                report.items = order.len();
-                let result = report.phase("solve", cfg.instrument, |_| match cfg.mode {
-                    ExecMode::Sequential => le_lists_sequential_impl(self.g, order),
-                    ExecMode::Parallel | ExecMode::Relaxed { .. } => {
-                        le_lists_parallel_impl(self.g, order)
-                    }
-                });
-                let work = result.stats.visits + result.stats.relaxations;
-                report.stamp_rounds(result.stats.rounds, work);
-                report.checks = work;
-                let out = LeListsOutput {
-                    lists: result.lists,
-                    redundant_entries: result.stats.redundant_entries,
-                    visits: result.stats.visits,
-                    relaxations: result.stats.relaxations,
-                };
-                (out, report)
-            })
+            let drawn;
+            let order: &[usize] = match &self.order {
+                Some(order) => order,
+                None => {
+                    drawn = random_permutation(self.g.num_vertices(), cfg.seed);
+                    &drawn
+                }
+            };
+            let mut report = RunReport::new("le-lists");
+            report.items = order.len();
+            let result = report.phase("solve", cfg.instrument, |_| match cfg.mode {
+                ExecMode::Sequential => le_lists_sequential_impl(self.g, order),
+                ExecMode::Parallel | ExecMode::Relaxed { .. } => {
+                    le_lists_parallel_impl(self.g, order)
+                }
+            });
+            let work = result.stats.visits + result.stats.relaxations;
+            report.stamp_rounds(result.stats.rounds, work);
+            report.checks = work;
+            let out = LeListsOutput {
+                lists: result.lists,
+                redundant_entries: result.stats.redundant_entries,
+                visits: result.stats.visits,
+                relaxations: result.stats.relaxations,
+            };
+            (out, report)
         })
     }
 }

@@ -245,8 +245,7 @@ impl Type2Algorithm for SeidelD<'_> {
 }
 
 /// Engine entry point: solve `inst` under `cfg`, returning the outcome and
-/// the unified report. Like the 2-D solver, relaxed requests fall back to
-/// the exact parallel schedule with a reported reason.
+/// the unified report.
 pub(crate) fn run_with_d(inst: &LpInstanceD, cfg: &RunConfig) -> (LpOutcomeD, RunReport) {
     let d = inst.objective.len();
     assert!(d >= 1, "dimension must be at least 1");
@@ -254,21 +253,19 @@ pub(crate) fn run_with_d(inst: &LpInstanceD, cfg: &RunConfig) -> (LpOutcomeD, Ru
         inst.constraints.iter().all(|c| c.normal.len() == d),
         "constraint dimension mismatch"
     );
-    cfg.relaxed_as_parallel("lp-d", |cfg| {
-        let mut st = SeidelD {
-            inst,
-            optimum: box_optimum(&inst.objective),
-            infeasible: false,
-            levels: vec![Vec::new(); d],
-        };
-        let report = execute_type2(&mut st, cfg);
-        let outcome = if st.infeasible {
-            LpOutcomeD::Infeasible
-        } else {
-            LpOutcomeD::Optimal(st.optimum)
-        };
-        (outcome, report)
-    })
+    let mut st = SeidelD {
+        inst,
+        optimum: box_optimum(&inst.objective),
+        infeasible: false,
+        levels: vec![Vec::new(); d],
+    };
+    let report = execute_type2(&mut st, cfg);
+    let outcome = if st.infeasible {
+        LpOutcomeD::Infeasible
+    } else {
+        LpOutcomeD::Optimal(st.optimum)
+    };
+    (outcome, report)
 }
 
 /// Workload: constraints tangent to the unit d-sphere (`n̂ · x ≤ 1` for

@@ -204,20 +204,15 @@ impl Type2Algorithm for SeidelState<'_> {
 
 /// Engine entry point: solve `inst` under `cfg` (parallel 1-D LPs in
 /// parallel mode), returning the outcome and the unified report.
-/// Relaxed-mode requests run the exact parallel schedule — Seidel's
-/// violation checks are against a basis rebuilt at every special, leaving
-/// no useful slack for a relaxed order — and say so in the report.
 pub(crate) fn run_with(inst: &LpInstance, cfg: &RunConfig) -> (LpOutcome, RunReport) {
-    cfg.relaxed_as_parallel("lp", |cfg| {
-        let mut st = SeidelState::new(inst, cfg.mode == ExecMode::Parallel);
-        let report = execute_type2(&mut st, cfg);
-        let outcome = if st.infeasible {
-            LpOutcome::Infeasible
-        } else {
-            LpOutcome::Optimal(st.optimum)
-        };
-        (outcome, report)
-    })
+    let mut st = SeidelState::new(inst, cfg.mode != ExecMode::Sequential);
+    let report = execute_type2(&mut st, cfg);
+    let outcome = if st.infeasible {
+        LpOutcome::Infeasible
+    } else {
+        LpOutcome::Optimal(st.optimum)
+    };
+    (outcome, report)
 }
 
 #[cfg(test)]

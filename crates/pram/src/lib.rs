@@ -47,7 +47,6 @@ pub mod permutation;
 pub mod priority;
 pub mod radix;
 pub mod reduce;
-pub mod relaxed;
 pub mod scan;
 pub mod scratch;
 pub mod semisort;
@@ -63,7 +62,6 @@ pub use permutation::{
 pub use priority::{MinIndex, PriorityCell};
 pub use radix::{radix_sort_by_key, radix_sort_u64};
 pub use reduce::{min_float_index, min_index, min_index_by_key};
-pub use relaxed::MultiQueue;
 pub use scan::{exclusive_scan_inplace, exclusive_scan_usize};
 pub use scratch::{put_vec, take_vec, ScratchStats};
 pub use semisort::{semisort_by_key, Grouped};

@@ -163,7 +163,6 @@ pub fn scc_parallel_deterministic(g: &CsrGraph, order: &[usize]) -> DetSccRun {
                 visits_per_vertex: Vec::new(),
                 queries: st.queries,
                 rounds: Some(log),
-                rank_inversions: 0,
             },
         },
         snapshots: st.snapshots,

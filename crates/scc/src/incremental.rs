@@ -39,9 +39,6 @@ pub struct SccStats {
     pub queries: u64,
     /// Rounds of the parallel executor (`None` for sequential runs).
     pub rounds: Option<RoundLog>,
-    /// Out-of-priority-order pops of the relaxed scheduler (0 outside
-    /// relaxed-mode runs).
-    pub rank_inversions: u64,
 }
 
 impl SccStats {
@@ -118,7 +115,6 @@ fn scc_sequential_prefix(g: &CsrGraph, order: &[usize], m: usize) -> (SccResult,
                 visits_per_vertex: per_vertex,
                 queries,
                 rounds: None,
-                rank_inversions: 0,
             },
         },
         part,
@@ -260,11 +256,9 @@ fn first_common(a: &[u32], b: &[u32]) -> Option<u32> {
 
 /// Type 3 parallel SCC (Algorithm 2 applied to Algorithm 7): same
 /// components as the sequential run / [`crate::tarjan_scc`], `O(log n)`
-/// rounds of reachability. `cfg` selects the round schedule — exact
-/// parallel or k-relaxed (the frozen-state rounds make relaxed execution
-/// answer-identical); sequential requests take the dedicated
+/// rounds of reachability; sequential requests take the dedicated
 /// [`scc_sequential_impl`] path instead.
-pub(crate) fn scc_parallel_impl(g: &CsrGraph, order: &[usize], cfg: &RunConfig) -> SccResult {
+pub(crate) fn scc_parallel_impl(g: &CsrGraph, order: &[usize]) -> SccResult {
     let n = g.num_vertices();
     assert_eq!(order.len(), n, "order must cover every vertex");
     let mut st = ParState {
@@ -277,7 +271,7 @@ pub(crate) fn scc_parallel_impl(g: &CsrGraph, order: &[usize], cfg: &RunConfig) 
         per_vertex: vec![0u32; n],
         queries: 0,
     };
-    let inner = execute_type3(&mut st, cfg);
+    let inner = execute_type3(&mut st, &RunConfig::new().parallel());
     debug_assert!(st.comp.iter().all(|&c| c != u32::MAX));
     SccResult {
         comp: st.comp,
@@ -287,7 +281,6 @@ pub(crate) fn scc_parallel_impl(g: &CsrGraph, order: &[usize], cfg: &RunConfig) 
             visits_per_vertex: st.per_vertex,
             queries: st.queries,
             rounds: Some(inner.rounds),
-            rank_inversions: inner.rank_inversions,
         },
     }
 }
@@ -304,7 +297,7 @@ mod tests {
         let order = random_permutation(n, seed);
         let want = canonical_labels(&tarjan_scc(g));
         let seq = scc_sequential_impl(g, &order);
-        let par = scc_parallel_impl(g, &order, &RunConfig::new().parallel());
+        let par = scc_parallel_impl(g, &order);
         assert_eq!(canonical_labels(&seq.comp), want, "{tag}: sequential");
         assert_eq!(canonical_labels(&par.comp), want, "{tag}: parallel");
     }
@@ -332,7 +325,7 @@ mod tests {
         for seed in 0..4 {
             let (g, truth) = planted_sccs(&[20, 1, 7, 33, 2, 13], 60, 90, seed);
             let order = random_permutation(g.num_vertices(), seed ^ 0x444);
-            let par = scc_parallel_impl(&g, &order, &RunConfig::new().parallel());
+            let par = scc_parallel_impl(&g, &order);
             assert_eq!(
                 canonical_labels(&par.comp),
                 canonical_labels(&truth),
@@ -371,7 +364,7 @@ mod tests {
         let n = 1 << 12;
         let g = random_dag(n, 8 * n, 5); // DAG: adversarial (no carving shortcuts)
         let order = random_permutation(n, 6);
-        let par = scc_parallel_impl(&g, &order, &RunConfig::new().parallel());
+        let par = scc_parallel_impl(&g, &order);
         let max = par.stats.max_visits_per_vertex();
         assert!(
             (max as usize) < 10 * 12,
@@ -384,7 +377,7 @@ mod tests {
         let n = 1 << 10;
         let g = gnm(n, 4 * n, 7, false);
         let order = random_permutation(n, 8);
-        let par = scc_parallel_impl(&g, &order, &RunConfig::new().parallel());
+        let par = scc_parallel_impl(&g, &order);
         assert_eq!(par.stats.rounds.unwrap().rounds(), 11);
     }
 
@@ -394,7 +387,7 @@ mod tests {
         let g = gnm(n, 6 * n, 9, false);
         let order = random_permutation(n, 10);
         let seq = scc_sequential_impl(&g, &order);
-        let par = scc_parallel_impl(&g, &order, &RunConfig::new().parallel());
+        let par = scc_parallel_impl(&g, &order);
         let ratio = par.stats.visits as f64 / seq.stats.visits.max(1) as f64;
         assert!(
             ratio < 5.0,

@@ -89,15 +89,8 @@ impl Problem for SccProblem<'_> {
             report.items = order.len();
             let result = report.phase("solve", cfg.instrument, |_| match cfg.mode {
                 ExecMode::Sequential => scc_sequential_impl(self.g, order),
-                // Parallel and relaxed share the Type 3 executor; the mode
-                // in `cfg` picks the round schedule (relaxed is native
-                // here — the frozen-state rounds make any within-round
-                // order equivalent).
-                ExecMode::Parallel | ExecMode::Relaxed { .. } => {
-                    scc_parallel_impl(self.g, order, cfg)
-                }
+                ExecMode::Parallel | ExecMode::Relaxed { .. } => scc_parallel_impl(self.g, order),
             });
-            report.rank_inversions = result.stats.rank_inversions;
             let work = result.stats.visits + result.stats.relaxations;
             report.stamp_rounds(result.stats.rounds, work);
             report.checks = work;

@@ -21,11 +21,11 @@ const PROBLEMS: [&str; 4] = ["sort", "delaunay", "lp-d", "not-a-problem"];
 
 /// The three execution modes, indexed for proptest strategies: 0 =
 /// parallel, 1 = sequential, 2 = `relaxed:k`.
-fn mode_from(mode_idx: usize, relax_k: usize) -> ExecMode {
+fn mode_from(mode_idx: usize, k: usize) -> ExecMode {
     match mode_idx {
         0 => ExecMode::Parallel,
         1 => ExecMode::Sequential,
-        _ => ExecMode::Relaxed { k: relax_k },
+        _ => ExecMode::Relaxed { k },
     }
 }
 
@@ -73,7 +73,7 @@ proptest! {
         param in -1.0e6f64..1.0e6,
         cseed in 0u64..SEED_LIMIT,
         mode_idx in 0usize..3,
-        relax_k in 1usize..1_000_000,
+        k in 1usize..1_000_000,
         threads in 0usize..17,
         instrument in any::<bool>(),
     ) {
@@ -84,7 +84,7 @@ proptest! {
             has_shape.then_some(shape_idx),
             has_param.then_some(param),
             cseed,
-            mode_from(mode_idx, relax_k),
+            mode_from(mode_idx, k),
             threads,
             instrument,
         );
@@ -103,13 +103,11 @@ proptest! {
         metrics in proptest::collection::vec(0.0f64..1.0e9, 0..4),
         rounds in proptest::collection::vec((0usize..10_000, 0u64..1_000_000), 0..6),
         mode_idx in 0usize..3,
-        relax_k in 1usize..1_000_000,
+        k in 1usize..1_000_000,
         threads in 1usize..9,
         depth in 0usize..1_000,
         checks in 0u64..1_000_000,
         wall in 0.0f64..100.0,
-        rank_inversions in 0u64..1_000_000,
-        wasted_retries in 0u64..1_000_000,
         has_fallback in any::<bool>(),
     ) {
         let mut summary = OutputSummary::new();
@@ -121,7 +119,7 @@ proptest! {
             summary.metric_num(&format!("m{i}"), *x);
         }
 
-        let mode = mode_from(mode_idx, relax_k);
+        let mode = mode_from(mode_idx, k);
         let mut report = RunReport::new("prop");
         report.mode = mode;
         report.threads = threads;
@@ -132,8 +130,6 @@ proptest! {
         report.depth = depth;
         report.checks = checks;
         report.wall_seconds = wall;
-        report.rank_inversions = rank_inversions;
-        report.wasted_retries = wasted_retries;
         report.relaxed_fallback = has_fallback.then(|| "ran exact \"parallel\"\n".to_string());
 
         let mut config = RunConfig::new().threads(threads);

@@ -33,7 +33,6 @@ mod batch;
 mod parallel;
 pub mod problem;
 pub mod registry;
-mod relaxed;
 mod sequential;
 pub mod tree;
 pub mod workloads;

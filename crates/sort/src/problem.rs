@@ -7,7 +7,6 @@ use ri_pram::RoundLog;
 
 use crate::batch::batch_bst_sort_impl;
 use crate::parallel::parallel_bst_sort_impl;
-use crate::relaxed::relaxed_bst_sort_impl;
 use crate::sequential::sequential_bst_sort_impl;
 use crate::tree::Bst;
 
@@ -89,19 +88,10 @@ impl<T: Ord + Sync> Problem for SortProblem<'_, T> {
         Runner::new(cfg.clone()).solve("bst-sort", |cfg| {
             let mut report = RunReport::new("bst-sort");
             report.items = self.keys.len();
-            let (out, log) = report.phase("solve", cfg.instrument, |report| match cfg.mode {
+            let (out, log) = report.phase("solve", cfg.instrument, |_| match cfg.mode {
                 ExecMode::Sequential => SortOutput::sequential(self.keys),
-                ExecMode::Parallel => {
+                ExecMode::Parallel | ExecMode::Relaxed { .. } => {
                     let r = parallel_bst_sort_impl(self.keys);
-                    let out = SortOutput::new(r.tree, r.sorted_indices, r.comparisons);
-                    (out, Some(r.log))
-                }
-                // Native relaxed loop: independent slot tasks scheduled off
-                // a MultiQueue rebuild the identical tree with the
-                // identical comparison count (see `relaxed`'s module docs).
-                ExecMode::Relaxed { k } => {
-                    let r = relaxed_bst_sort_impl(self.keys, k, cfg.seed);
-                    report.rank_inversions = r.rank_inversions;
                     let out = SortOutput::new(r.tree, r.sorted_indices, r.comparisons);
                     (out, Some(r.log))
                 }
@@ -132,27 +122,22 @@ impl<T: Ord + Sync> Problem for BatchSortProblem<'_, T> {
     type Output = SortOutput;
 
     fn solve(&self, cfg: &RunConfig) -> (SortOutput, RunReport) {
-        // The batch variant exists to *measure* the §2.3 doubling schedule
-        // (Lemma 2.5 histogram), so relaxing it away would defeat its
-        // purpose: relaxed requests run the exact batch schedule.
         Runner::new(cfg.clone()).solve("bst-sort-batch", |cfg| {
-            cfg.relaxed_as_parallel("sort-batch", |cfg| {
-                let mut report = RunReport::new("bst-sort-batch");
-                report.items = self.keys.len();
-                let (out, log) = report.phase("solve", cfg.instrument, |_| match cfg.mode {
-                    ExecMode::Sequential => SortOutput::sequential(self.keys),
-                    ExecMode::Parallel | ExecMode::Relaxed { .. } => {
-                        let r = batch_bst_sort_impl(self.keys);
-                        let out = SortOutput {
-                            left_dep_histogram: r.left_dep_histogram,
-                            ..SortOutput::new(r.tree, r.sorted_indices, r.comparisons)
-                        };
-                        (out, Some(r.log))
-                    }
-                });
-                report.stamp_rounds(log, out.comparisons);
-                (out, report)
-            })
+            let mut report = RunReport::new("bst-sort-batch");
+            report.items = self.keys.len();
+            let (out, log) = report.phase("solve", cfg.instrument, |_| match cfg.mode {
+                ExecMode::Sequential => SortOutput::sequential(self.keys),
+                ExecMode::Parallel | ExecMode::Relaxed { .. } => {
+                    let r = batch_bst_sort_impl(self.keys);
+                    let out = SortOutput {
+                        left_dep_histogram: r.left_dep_histogram,
+                        ..SortOutput::new(r.tree, r.sorted_indices, r.comparisons)
+                    };
+                    (out, Some(r.log))
+                }
+            });
+            report.stamp_rounds(log, out.comparisons);
+            (out, report)
         })
     }
 }

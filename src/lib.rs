@@ -27,9 +27,10 @@
 //!
 //! ## Quickstart
 //!
-//! Every algorithm solves through one engine: build a [`RunConfig`]
-//! (seed, `Sequential`/`Parallel` mode, worker threads, instrumentation),
-//! call `solve`, get the answer plus a unified [`RunReport`] (rounds,
+//! Every algorithm solves through one engine: build a
+//! [`RunConfig`](framework::RunConfig) (seed, `Sequential`/`Parallel`
+//! mode, worker threads, instrumentation), call `solve`, get the answer
+//! plus a unified [`RunReport`](framework::RunReport) (rounds,
 //! work, measured dependence depth, JSON serialization).
 //!
 //! ```
