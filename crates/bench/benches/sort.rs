@@ -6,26 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ri_bench::{par_cfg, seq_cfg};
 use ri_core::engine::Problem;
 
-use ri_pram::{
-    knuth_shuffle_parallel, knuth_shuffle_sequential, knuth_targets, random_permutation,
-};
-
-/// The random-permutation substrate itself ([66]'s parallel Knuth
-/// shuffle) — the ancestor of the paper's framework.
-fn bench_knuth(c: &mut Criterion) {
-    let mut group = c.benchmark_group("knuth_shuffle");
-    group.sample_size(10);
-    for &n in &[1usize << 16, 1 << 19] {
-        let h = knuth_targets(n, 1);
-        group.bench_with_input(BenchmarkId::new("sequential", n), &h, |b, h| {
-            b.iter(|| knuth_shuffle_sequential(h))
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", n), &h, |b, h| {
-            b.iter(|| knuth_shuffle_parallel(h))
-        });
-    }
-    group.finish();
-}
+use ri_pram::random_permutation;
 
 fn bench_sort(c: &mut Criterion) {
     let mut group = c.benchmark_group("sort");
@@ -52,5 +33,5 @@ fn bench_sort(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sort, bench_knuth);
+criterion_group!(benches, bench_sort);
 criterion_main!(benches);

@@ -10,7 +10,7 @@
 
 use crate::{par_cfg, seq_cfg};
 use ri_core::engine::{OutputSummary, Problem, Registry, RunConfig, RunReport, WorkloadSpec};
-use ri_core::harmonic;
+use ri_core::theory::{delaunay_incircle_bound, harmonic, log2_ceil, separating_dependence_bound};
 use ri_geometry::PointDistribution;
 use ri_graph::generators::{gnm, planted_sccs, random_dag, rmat};
 use ri_graph::CsrGraph;
@@ -219,7 +219,7 @@ fn table1(reg: &Registry, log2n: u64) -> Table {
     );
     let spec = WorkloadSpec::new(n, seed);
     let specials = |k: f64| format!("specials ≤ {k}H_n = {:.1}", k * hn);
-    let rounds = format!("⌈log₂ n⌉+1 = {}", log2n + 1);
+    let rounds = format!("⌈log₂ n⌉+1 = {}", log2_ceil(n) + 1);
     // (row, problem, workload, run seed, Type 1?, work, prediction). LE-lists
     // and SCC draw their processing orders from the run seed.
     let rows: [(_, _, _, _, _, Work, _); 7] = [
@@ -239,7 +239,7 @@ fn table1(reg: &Registry, log2n: u64) -> Table {
             seed,
             true,
             |r| field(&r.0, "incircle_tests") as u64,
-            format!("O(log n), 24nlnn={:.1e}", 24.0 * n as f64 * (n as f64).ln()),
+            format!("O(log n), 24nlnn={:.1e}", delaunay_incircle_bound(n)),
         ),
         (
             "2d linear program (2)",
@@ -578,7 +578,7 @@ fn dependence_counts(reg: &Registry, seeds: u64) -> Table {
     );
     let seq = seq_cfg();
     for n in sizes(10, 16) {
-        let bound = 2.0 * n as f64 * (n as f64).ln();
+        let bound = separating_dependence_bound(n);
         let [comps, visits] = sweep(seeds, |seed| {
             let spec = WorkloadSpec::new(n, seed);
             let comps = field(&solve(reg, "sort", &spec, &seq).0, "comparisons");

@@ -194,12 +194,6 @@ impl FaultPlan {
         None
     }
 
-    /// The first `n` entries of the fault schedule — what a soak
-    /// harness diffs to assert same-seed ⇒ same-schedule.
-    pub fn schedule(&self, n: u64) -> Vec<Option<FaultKind>> {
-        (0..n).map(|i| self.fault_for(i)).collect()
-    }
-
     /// The canonical spec string — `parse(plan.spec())` round-trips.
     pub fn spec(&self) -> String {
         let mut parts = vec![format!("seed={}", self.seed)];
@@ -301,6 +295,11 @@ pub fn backoff_jitter_ms(key_hash: u64, attempt: u32, span: u64) -> u64 {
 mod tests {
     use super::*;
 
+    /// The first `n` entries of `plan`'s fault schedule.
+    fn schedule(plan: &FaultPlan, n: u64) -> Vec<Option<FaultKind>> {
+        (0..n).map(|i| plan.fault_for(i)).collect()
+    }
+
     #[test]
     fn empty_and_off_clear() {
         assert_eq!(FaultPlan::parse("").unwrap(), None);
@@ -344,14 +343,14 @@ mod tests {
         let b = FaultPlan::parse("seed=7,latency=0.2:10,drop=0.2,error=0.2")
             .unwrap()
             .unwrap();
-        assert_eq!(a.schedule(4096), b.schedule(4096));
+        assert_eq!(schedule(&a, 4096), schedule(&b, 4096));
     }
 
     #[test]
     fn different_seed_different_schedule() {
         let a = FaultPlan::parse("seed=1,drop=0.5").unwrap().unwrap();
         let b = FaultPlan::parse("seed=2,drop=0.5").unwrap().unwrap();
-        assert_ne!(a.schedule(4096), b.schedule(4096));
+        assert_ne!(schedule(&a, 4096), schedule(&b, 4096));
     }
 
     #[test]
@@ -359,7 +358,7 @@ mod tests {
         let plan = FaultPlan::parse("seed=9,latency=0.25:5,drop=0.25,error=0.25")
             .unwrap()
             .unwrap();
-        let sched = plan.schedule(8192);
+        let sched = schedule(&plan, 8192);
         let count = |want: fn(&FaultKind) -> bool| {
             sched
                 .iter()

@@ -77,7 +77,6 @@
 //! let (_, report) = runner.solve("chain", |cfg| ((), execute_type1(&mut algo, cfg)));
 //! assert_eq!(report.depth, 3); // the dependence depth of the chain
 //! assert_eq!(report.mode, ExecMode::Parallel);
-//! assert_eq!(report.total_items(), 4);
 //! ```
 
 pub mod envelope;

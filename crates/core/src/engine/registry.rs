@@ -381,6 +381,21 @@ impl std::fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
+/// The largest `n` [`Registry::construct`] and
+/// [`Registry::construct_incremental`] accept: 2^24, 56× the largest size
+/// any tool here uses (lp's 300,000 in the benchmark). Every constructor
+/// allocates Θ(n) up front, so a larger `n` would abort the process on a
+/// failed allocation rather than fail the one request.
+const MAX_N: usize = 1 << 24;
+
+/// Rejects an `n` above [`MAX_N`] before any constructor allocates for it.
+fn within_ceiling(spec: &WorkloadSpec) -> Result<(), String> {
+    if spec.n > MAX_N {
+        return Err(format!("n = {} is above the ceiling of {MAX_N}", spec.n));
+    }
+    Ok(())
+}
+
 // `Arc` rather than `Box` so the generic fallback can carry a clone of
 // the one-shot constructor into its re-solve loop.
 type Constructor =
@@ -498,16 +513,6 @@ impl Registry {
             .collect()
     }
 
-    /// Number of registered problems.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no problems are registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     fn entry(&self, name: &str) -> Result<&RegistryEntry, RegistryError> {
         self.entries
             .iter()
@@ -518,24 +523,29 @@ impl Registry {
             })
     }
 
-    /// Construct `name`'s problem instance from `spec`.
+    /// Construct `name`'s problem instance from `spec`; an `n` above
+    /// 2^24 is a bad workload.
     pub fn construct(
         &self,
         name: &str,
         spec: &WorkloadSpec,
     ) -> Result<Box<dyn ErasedProblem>, RegistryError> {
         let entry = self.entry(name)?;
-        (entry.ctor)(spec).map_err(|message| RegistryError::BadWorkload {
+        let bad = |message: String| RegistryError::BadWorkload {
             name: name.to_string(),
             message,
-        })
+        };
+        within_ceiling(spec).map_err(bad)?;
+        (entry.ctor)(spec).map_err(bad)
     }
 
     /// Construct `name`'s **streaming** instance from `spec` (whose `n`
     /// is the session capacity). Problems with a native incremental
     /// adapter get it; the rest get the generic re-solve-prefix
     /// fallback, validated here against the full-capacity spec so a bad
-    /// shape or parameter fails at open time rather than mid-stream.
+    /// shape or parameter fails at open time rather than mid-stream. An
+    /// `n` above 2^24 is a bad workload, as in
+    /// [`construct`](Registry::construct).
     pub fn construct_incremental(
         &self,
         name: &str,
@@ -546,6 +556,7 @@ impl Registry {
             name: name.to_string(),
             message,
         };
+        within_ceiling(spec).map_err(bad)?;
         let stream: Box<dyn PrefixStream> = match &entry.incremental {
             Some(open) => open(spec).map_err(bad)?,
             None => {
@@ -772,6 +783,21 @@ mod tests {
             err.to_string(),
             "bad workload for `fixed`: n must be positive"
         );
+    }
+
+    #[test]
+    fn sizes_above_the_ceiling_are_bad_workloads() {
+        let r = min3_reg();
+        assert!(r.construct("sum", &WorkloadSpec::new(MAX_N, 0)).is_ok());
+        for n in [MAX_N + 1, 1 << 50] {
+            let spec = WorkloadSpec::new(n, 0);
+            let message =
+                format!("bad workload for `sum`: n = {n} is above the ceiling of {MAX_N}");
+            let err = r.construct("sum", &spec).err().unwrap();
+            assert_eq!(err.to_string(), message);
+            let err = r.construct_incremental("sum", &spec).err().unwrap();
+            assert_eq!(err.to_string(), message);
+        }
     }
 
     #[test]

@@ -126,11 +126,6 @@ impl RunReport {
         self.rounds.total_work()
     }
 
-    /// Total items across rounds.
-    pub fn total_items(&self) -> usize {
-        self.rounds.total_items()
-    }
-
     /// Sum of per-prefix sub-round counts (Type 2 parallel depth measure).
     pub fn total_sub_rounds(&self) -> usize {
         self.sub_rounds.iter().sum()
@@ -342,7 +337,6 @@ mod tests {
     #[test]
     fn aggregation_over_rounds() {
         let r = sample();
-        assert_eq!(r.total_items(), 35);
         assert_eq!(r.total_work(), 155);
         assert_eq!(r.rounds.rounds(), 3);
         assert_eq!(r.total_sub_rounds(), 5);

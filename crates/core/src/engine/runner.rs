@@ -341,11 +341,6 @@ impl Runner {
         rayon::cached_pool(width.max(1))
     }
 
-    /// The configuration this runner applies.
-    pub fn config(&self) -> &RunConfig {
-        &self.cfg
-    }
-
     /// Run `op` on the calling thread under this runner's parallelism: at
     /// the width of the cached pool for its thread count, or strictly
     /// inline when the config resolves to one worker (sequential mode or

@@ -330,11 +330,6 @@ impl FeedState {
         self.absorbed
     }
 
-    /// Batches fed so far.
-    pub fn batches(&self) -> usize {
-        self.batches
-    }
-
     /// Absorb `count` elements: returns `(batch_index, lo, hi)` — the
     /// 0-based batch number and the revealed half-open prefix range —
     /// or an error for an empty batch or one past the capacity.
@@ -444,7 +439,6 @@ mod tests {
         assert!(state.advance(2).is_err(), "overfeed");
         assert_eq!(state.advance(1).unwrap(), (2, 9, 10));
         assert_eq!(state.absorbed(), 10);
-        assert_eq!(state.batches(), 3);
         assert!(state.advance(1).is_err(), "stream already complete");
     }
 }

@@ -19,7 +19,8 @@
 //!   needs: the echoed request (which replays the run exactly), the
 //!   shard that served it, the mode-invariant answer, and the trace.
 //! * [`WitnessLog`] — an append-only JSONL log of records (the router
-//!   writes one line per routed solve) plus [`read_log`] to load it back.
+//!   writes one line per routed solve) plus [`read_any_log`] to load it
+//!   back.
 //! * [`replay`] — re-execute a record through a local [`Registry`] and
 //!   assert answer + trace equality: the cross-shard / cross-process
 //!   answer-equality gate. A divergence means a broken build, a
@@ -207,15 +208,6 @@ impl WitnessRecord {
             answer: resp.summary.answer().to_vec(),
             trace: RoundTrace::from_report(&resp.report),
         }
-    }
-
-    /// This record's [`witness_key`] (the cache key the router uses).
-    pub fn key(&self) -> String {
-        witness_key(
-            &self.request.problem,
-            &self.request.workload,
-            &self.request.config,
-        )
     }
 
     /// The record as a JSON [`Value`].
@@ -449,31 +441,10 @@ impl WitnessLog {
     }
 }
 
-/// Load every record from a JSONL witness log. Blank lines are skipped;
-/// a malformed line fails the whole load (a witness log is an integrity
-/// artifact — partial reads would hide corruption).
-pub fn read_log(path: impl AsRef<Path>) -> io::Result<Vec<WitnessRecord>> {
-    let text = std::fs::read_to_string(path.as_ref())?;
-    let mut records = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record = WitnessRecord::from_json(line).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("witness log line {}: {e}", i + 1),
-            )
-        })?;
-        records.push(record);
-    }
-    Ok(records)
-}
-
 /// Load every entry from a JSONL witness log that may mix one-shot
 /// [`WitnessRecord`] lines and `"kind":"stream-batch"` lines. Blank
-/// lines are skipped; a malformed line fails the whole load, like
-/// [`read_log`].
+/// lines are skipped; a malformed line fails the whole load (a witness
+/// log is an integrity artifact — partial reads would hide corruption).
 pub fn read_any_log(path: impl AsRef<Path>) -> io::Result<Vec<LogEntry>> {
     let text = std::fs::read_to_string(path.as_ref())?;
     let mut entries = Vec::new();
@@ -879,14 +850,15 @@ mod tests {
             log.append(r).unwrap();
         }
         assert_eq!(log.appended(), 5);
-        let loaded = read_log(&path).unwrap();
-        assert_eq!(loaded, records);
-        for r in &loaded {
+        let loaded = read_any_log(&path).unwrap();
+        let want: Vec<LogEntry> = records.iter().cloned().map(LogEntry::Solve).collect();
+        assert_eq!(loaded, want);
+        for r in &records {
             assert!(replay(&reg, r).is_ok());
         }
         // A corrupted line fails the whole load.
         std::fs::write(&path, "not json\n").unwrap();
-        assert!(read_log(&path).is_err());
+        assert!(read_any_log(&path).is_err());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -6,8 +6,6 @@
 //! general parallel execution scheme per class. This crate implements that
 //! framework:
 //!
-//! * [`depgraph`] — explicit iteration dependence graphs (Definition 1) and
-//!   their depth `D(G)`, the quantity Theorem 2.1 bounds.
 //! * [`type1`] — the round scheduler for **Type 1** algorithms (k-bounded
 //!   dependences; §2.1): each round runs every iteration whose dependences
 //!   are satisfied. The number of rounds equals the dependence depth.
@@ -20,8 +18,8 @@
 //!   the previous round's state and then combine, tolerating (bounded)
 //!   redundant work.
 //! * [`theory`] — the closed-form quantities the experiments compare
-//!   against: harmonic numbers, the paper's expected special-iteration and
-//!   dependence counts.
+//!   against: harmonic numbers, the Type 3 round count, the expected
+//!   dependence and InCircle counts.
 //! * [`engine`] — the **unified execution engine**: one [`Runner`] over
 //!   all three executor schedules, configured by a [`RunConfig`] (seed,
 //!   mode, worker threads, instrumentation) and producing one
@@ -37,19 +35,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod depgraph;
 pub mod engine;
 pub mod theory;
 pub mod type1;
 pub mod type2;
 pub mod type3;
 
-pub use depgraph::DependenceGraph;
 pub use engine::{
     ErasedProblem, ExecMode, OutputSummary, Problem, Registry, RunConfig, RunReport, Runner,
     ServeError, ServeErrorKind, ServeRequest, ServeResponse, WorkloadSpec,
 };
-pub use ri_pram::{Permutation, RoundLog};
+pub use ri_pram::RoundLog;
 pub use theory::{harmonic, log2_ceil};
 pub use type1::Type1Algorithm;
 pub use type2::Type2Algorithm;

@@ -39,12 +39,6 @@ pub fn delaunay_incircle_bound(n: usize) -> f64 {
     24.0 * n as f64 * (n.max(1) as f64).ln()
 }
 
-/// The looser `36 n ln n` bound the paper also derives (and attributes to
-/// the GKS-style accounting) — the ablation without Fact 4.1's savings.
-pub fn delaunay_incircle_bound_loose(n: usize) -> f64 {
-    36.0 * n as f64 * (n.max(1) as f64).ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,6 +73,7 @@ mod tests {
     #[test]
     fn bounds_monotone() {
         assert!(separating_dependence_bound(100) < separating_dependence_bound(1000));
-        assert!(delaunay_incircle_bound(100) < delaunay_incircle_bound_loose(100));
+        assert!(delaunay_incircle_bound(100) < delaunay_incircle_bound(1000));
+        assert_eq!(delaunay_incircle_bound(1), 0.0);
     }
 }

@@ -110,7 +110,6 @@ mod tests {
         let report = run_parallel(&mut toy);
         assert_eq!(report.rounds.rounds(), 3);
         assert_eq!(report.depth, 3);
-        assert_eq!(report.total_items(), 4);
         // Per-round placement: each iteration ran in the round equal to its
         // depth in the DAG (0 and 3 immediately; 1 and 2 one level apart).
         assert_eq!(toy.ran_round, vec![0, 1, 2, 0]);
@@ -140,7 +139,6 @@ mod tests {
         let mut toy = Toy::new(vec![vec![], vec![0], vec![1], vec![]]);
         let report = execute_type1(&mut toy, &RunConfig::new().sequential());
         assert_eq!(report.depth, 4, "sequential depth is the iteration count");
-        assert_eq!(report.total_items(), 4);
         // In sequential mode `begin_round(k)` fires per iteration.
         assert_eq!(toy.ran_round, vec![0, 1, 2, 3]);
     }

@@ -152,7 +152,8 @@ mod tests {
         }
         assert_eq!(report.rounds.rounds(), prefix_rounds(1000).len());
         assert_eq!(report.depth, prefix_rounds(1000).len());
-        assert_eq!(report.total_items(), 1000);
+        let items: usize = report.rounds.entries().iter().map(|&(i, _)| i).sum();
+        assert_eq!(items, 1000);
     }
 
     #[test]

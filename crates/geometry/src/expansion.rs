@@ -41,15 +41,6 @@ pub fn two_product(a: f64, b: f64) -> (f64, f64) {
     (x, y)
 }
 
-/// Exact square (slightly cheaper than `two_product(a, a)` conceptually;
-/// kept as the FMA form for clarity).
-#[inline]
-pub fn square(a: f64) -> (f64, f64) {
-    let x = a * a;
-    let y = a.mul_add(a, -x);
-    (x, y)
-}
-
 /// `a·b − c·d` as an exact 4-component expansion (ascending magnitude).
 ///
 /// This is the "2x2 determinant" building block of both predicates.

@@ -7,8 +7,7 @@
 //! adversarially degenerate inputs it guarantees the right answer.
 
 use crate::expansion::{
-    estimate, fast_expansion_sum, negate, scale_expansion, sign, square, two_product_diff,
-    two_two_diff,
+    fast_expansion_sum, negate, scale_expansion, sign, two_product_diff, two_two_diff,
 };
 use crate::point::Point2;
 
@@ -183,22 +182,6 @@ fn incircle_exact(a: Point2, b: Point2, c: Point2, d: Point2) -> i32 {
     sign(&det)
 }
 
-/// Approximate signed "power" of point `d` against the circumcircle of CCW
-/// triangle `(a, b, c)` — positive inside. Useful for diagnostics only; use
-/// the exact predicates for decisions.
-pub fn incircle_value_approx(a: Point2, b: Point2, c: Point2, d: Point2) -> f64 {
-    let _ = estimate(&[0.0]); // keep the helper linked for doc purposes
-    let adx = a.x - d.x;
-    let bdx = b.x - d.x;
-    let cdx = c.x - d.x;
-    let ady = a.y - d.y;
-    let bdy = b.y - d.y;
-    let cdy = c.y - d.y;
-    (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-        + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
-        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
-}
-
 #[inline]
 fn sign_f64(x: f64) -> i32 {
     if x > 0.0 {
@@ -208,14 +191,6 @@ fn sign_f64(x: f64) -> i32 {
     } else {
         0
     }
-}
-
-/// Exact square helper re-exported for tests of the expansion layer.
-#[doc(hidden)]
-pub fn lift_exact(p: Point2) -> Vec<f64> {
-    let (x1, x0) = square(p.x);
-    let (y1, y0) = square(p.y);
-    fast_expansion_sum(&[x0, x1], &[y0, y1])
 }
 
 /// `a·b − c·d` exact sign — exposed for the LP crate's pivot tests.

@@ -66,11 +66,6 @@ impl CsrGraph {
         self.targets.len()
     }
 
-    /// Is the graph weighted?
-    pub fn is_weighted(&self) -> bool {
-        self.weights.is_some()
-    }
-
     /// Out-degree of `u`.
     pub fn degree(&self, u: u32) -> usize {
         self.offsets[u as usize + 1] - self.offsets[u as usize]
@@ -130,7 +125,6 @@ mod tests {
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.neighbors(0), &[1]);
         assert_eq!(g.degree(1), 1);
-        assert!(!g.is_weighted());
     }
 
     #[test]
@@ -145,7 +139,6 @@ mod tests {
         let g = CsrGraph::from_weighted_edges(3, &[(0, 1), (0, 2)], &[2.5, 0.5]);
         let es: Vec<(u32, f64)> = g.edges(0).collect();
         assert_eq!(es, vec![(1, 2.5), (2, 0.5)]);
-        assert!(g.is_weighted());
     }
 
     #[test]

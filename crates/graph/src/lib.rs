@@ -12,8 +12,8 @@
 //! * [`search`] — sequential BFS and Dijkstra, the δ-**pruned** Dijkstra
 //!   that Cohen's LE-list construction needs (§6.1: *"drop the
 //!   initialization of the tentative distances ... the search will only
-//!   explore S and its outgoing edges"*), partition-restricted reachability
-//!   for the SCC algorithm (§6.2), and a parallel frontier BFS.
+//!   explore S and its outgoing edges"*), and partition-restricted
+//!   reachability for the SCC algorithm (§6.2).
 //!
 //! All searches report their *visit counts* into a caller-owned
 //! [`SearchWork`] so the experiments can verify the `O(log n)`-factor work
@@ -28,6 +28,5 @@ pub mod search;
 
 pub use csr::CsrGraph;
 pub use search::{
-    bfs_distances, dijkstra_distances, parallel_bfs_distances, pruned_dijkstra,
-    reachable_in_partition, SearchWork,
+    bfs_distances, dijkstra_distances, pruned_dijkstra, reachable_in_partition, SearchWork,
 };

@@ -11,16 +11,10 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use rayon::prelude::*;
-
 use crate::csr::CsrGraph;
 
 /// Unreachable marker for integer distances.
 pub const INF_U32: u32 = u32::MAX;
-
-/// Estimated nanoseconds to expand one frontier vertex of the parallel
-/// BFS (a handful of neighbour claims).
-const FRONTIER_NS: u64 = 20;
 
 /// The work of one or more searches.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -67,33 +61,6 @@ pub fn bfs_distances(g: &CsrGraph, src: u32) -> Vec<u32> {
         frontier = next;
     }
     dist
-}
-
-/// Parallel frontier BFS distances from `src` (atomic claim per vertex).
-/// Matches [`bfs_distances`] exactly.
-pub fn parallel_bfs_distances(g: &CsrGraph, src: u32) -> Vec<u32> {
-    use std::sync::atomic::{AtomicU32, Ordering};
-    let n = g.num_vertices();
-    let dist: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(INF_U32)).collect();
-    dist[src as usize].store(0, Ordering::Relaxed);
-    let mut frontier = vec![src];
-    let mut d = 0u32;
-    while !frontier.is_empty() {
-        d += 1;
-        frontier = frontier
-            .par_iter()
-            .with_cost(FRONTIER_NS)
-            .flat_map_iter(|&u| {
-                g.neighbors(u).iter().filter_map(|&v| {
-                    dist[v as usize]
-                        .compare_exchange(INF_U32, d, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok()
-                        .then_some(v)
-                })
-            })
-            .collect();
-    }
-    dist.into_iter().map(|a| a.into_inner()).collect()
 }
 
 /// Sequential Dijkstra distances from `src` (`f64::INFINITY` where
@@ -494,18 +461,6 @@ mod tests {
         let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         assert_eq!(bfs_distances(&g, 0), vec![0, 1, 2, 3]);
         assert_eq!(bfs_distances(&g, 3), vec![INF_U32, INF_U32, INF_U32, 0]);
-    }
-
-    #[test]
-    fn parallel_bfs_matches_sequential() {
-        for seed in 0..3 {
-            let g = gnm(500, 2000, seed, false);
-            for src in [0u32, 17, 499] {
-                assert_eq!(parallel_bfs_distances(&g, src), bfs_distances(&g, src));
-            }
-        }
-        let g = grid2d(40);
-        assert_eq!(parallel_bfs_distances(&g, 0), bfs_distances(&g, 0));
     }
 
     #[test]

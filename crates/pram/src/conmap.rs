@@ -29,23 +29,9 @@ pub struct PairSlots {
 }
 
 impl PairSlots {
-    /// Both slots filled?
-    pub fn is_full(&self) -> bool {
-        self.a.is_some() && self.b.is_some()
-    }
-
     /// Iterate over the filled values.
     pub fn iter(&self) -> impl Iterator<Item = u64> {
         self.a.into_iter().chain(self.b)
-    }
-
-    /// Given one of the two values, the other one (if present).
-    pub fn other(&self, v: u64) -> Option<u64> {
-        match (self.a, self.b) {
-            (Some(x), o) if x == v => o,
-            (o, Some(y)) if y == v => o,
-            _ => None,
-        }
     }
 }
 
@@ -77,17 +63,12 @@ impl ConcurrentPairMap {
     }
 
     /// Number of distinct keys inserted.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.occupied.load(Ordering::Acquire)
     }
 
-    /// True if no key was ever inserted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Table slot count (for load-factor decisions).
-    pub fn slots(&self) -> usize {
+    fn slots(&self) -> usize {
         self.keys.len()
     }
 
@@ -246,13 +227,9 @@ mod tests {
         m.insert(42, 1);
         m.insert(42, 2);
         let s = m.get(42);
-        assert!(s.is_full());
         let mut vs: Vec<u64> = s.iter().collect();
         vs.sort_unstable();
         assert_eq!(vs, vec![1, 2]);
-        assert_eq!(s.other(1), Some(2));
-        assert_eq!(s.other(2), Some(1));
-        assert_eq!(s.other(3), None);
     }
 
     #[test]

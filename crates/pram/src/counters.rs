@@ -38,20 +38,6 @@ impl RoundLog {
         self.entries.iter().map(|&(_, w)| w).sum()
     }
 
-    /// Total items across rounds.
-    pub fn total_items(&self) -> usize {
-        self.entries.iter().map(|&(i, _)| i).sum()
-    }
-
-    /// Largest single round (items, work).
-    pub fn max_round(&self) -> (usize, u64) {
-        self.entries
-            .iter()
-            .copied()
-            .max_by_key(|&(i, _)| i)
-            .unwrap_or((0, 0))
-    }
-
     /// The raw `(items, work)` entries, one per round.
     pub fn entries(&self) -> &[(usize, u64)] {
         &self.entries
@@ -70,14 +56,13 @@ mod tests {
         log.record(5, 5);
         assert_eq!(log.rounds(), 3);
         assert_eq!(log.total_work(), 155);
-        assert_eq!(log.total_items(), 35);
-        assert_eq!(log.max_round(), (20, 50));
+        assert_eq!(log.entries(), &[(10, 100), (20, 50), (5, 5)]);
     }
 
     #[test]
     fn empty_log() {
         let log = RoundLog::new();
         assert_eq!(log.rounds(), 0);
-        assert_eq!(log.max_round(), (0, 0));
+        assert_eq!(log.total_work(), 0);
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The paper analyses its algorithms on the CRCW PRAM in the *work-depth*
 //! model. This crate is the shared-memory substrate standing in for that
-//! model: every primitive the seven algorithms rely on is implemented here on
-//! top of [`rayon`]'s work-stealing scheduler and `std::sync::atomic`.
+//! model: the primitives the algorithms call, built on [`rayon`]'s crews
+//! (scoped helper threads that split a region's chunks through a shared
+//! cursor) and `std::sync::atomic`.
 //!
 //! Provided primitives and their PRAM counterparts:
 //!
@@ -11,8 +12,6 @@
 //! |---|---|---|
 //! | [`scan`] | parallel prefix sums | processor allocation / compaction |
 //! | [`pack`](mod@crate::pack) | filter & pack | compaction after InCircle filtering (§4) |
-//! | [`reduce`] | min / min-index reductions | "find earliest violating iteration" (§2.2, §5) |
-//! | [`priority`] | priority-write cells | priority-write CRCW (§3, §6.2) |
 //! | [`radix`] | stable parallel LSD radix sort | integer sorting for semisort |
 //! | [`semisort`] | group-by-key | combine steps of Type 3 algorithms (§6) |
 //! | [`conmap`] | concurrent fixed-capacity hash maps | face hashmap of parallel DT (§4) |
@@ -20,6 +19,12 @@
 //! | [`hash`] | fast non-cryptographic hashing | hashing for semisort / hash tables |
 //! | [`counters`] | round instrumentation | measuring work and depth (rounds) |
 //! | [`scratch`] | reusable per-thread scratch buffers | amortising per-round allocation |
+//!
+//! The paper's priority writes (§3) need no module: sort's parallel round,
+//! their one user, calls `AtomicU64::fetch_min`, and the Type 2 executor
+//! finds the earliest special iteration with the crew's `find_first`. No
+//! solve calls [`exclusive_scan_usize`], [`pack()`] or [`radix_sort_u64`]:
+//! they stay for the repository benchmark's per-primitive probes.
 //!
 //! All primitives are deterministic given their inputs (and seeds), which is
 //! what lets the algorithm crates assert *parallel output == sequential
@@ -44,9 +49,7 @@ pub mod counters;
 pub mod hash;
 pub mod pack;
 pub mod permutation;
-pub mod priority;
 pub mod radix;
-pub mod reduce;
 pub mod scan;
 pub mod scratch;
 pub mod semisort;
@@ -54,15 +57,10 @@ pub mod semisort;
 pub use conmap::{ConcurrentPairMap, PairSlots};
 pub use counters::RoundLog;
 pub use hash::{hash_u64, FxBuildHasher, FxHasher};
-pub use pack::{pack, pack_indices, pack_indices_where, pack_indices_where_into, pack_into};
-pub use permutation::{
-    knuth_shuffle_parallel, knuth_shuffle_sequential, knuth_targets, random_permutation,
-    random_permutation_par, shuffle, Permutation,
-};
-pub use priority::{MinIndex, PriorityCell};
+pub use pack::{pack, pack_indices_where_into};
+pub use permutation::{random_permutation, shuffle};
 pub use radix::{radix_sort_by_key, radix_sort_u64};
-pub use reduce::{min_float_index, min_index, min_index_by_key};
-pub use scan::{exclusive_scan_inplace, exclusive_scan_usize};
+pub use scan::exclusive_scan_usize;
 pub use scratch::{put_vec, take_vec, ScratchStats};
 pub use semisort::{semisort_by_key, Grouped};
 

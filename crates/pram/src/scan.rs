@@ -24,17 +24,12 @@ const SCAN_NS: u64 = 1;
 /// ```
 pub fn exclusive_scan_usize(values: &[usize]) -> (Vec<usize>, usize) {
     let mut out = values.to_vec();
-    let total = exclusive_scan_inplace(&mut out);
+    let total = scan_inplace_at(&mut out, SCAN_NS);
     (out, total)
 }
 
-/// In-place exclusive prefix sum; returns the grand total.
-pub fn exclusive_scan_inplace(values: &mut [usize]) -> usize {
-    scan_inplace_at(values, SCAN_NS)
-}
-
-/// [`exclusive_scan_inplace`] with each element declared to cost
-/// `item_ns` to the go-parallel rule.
+/// In-place exclusive prefix sum with each element declared to cost
+/// `item_ns` to the go-parallel rule; returns the grand total.
 fn scan_inplace_at(values: &mut [usize], item_ns: u64) -> usize {
     let n = values.len();
     if n == 0 {
@@ -80,19 +75,6 @@ fn scan_seq(values: &mut [usize]) -> usize {
         acc += x;
     }
     acc
-}
-
-/// Exclusive max-scan: `out[i] = max(values[..i])`, with `identity` for
-/// `out[0]`. Used by tests validating monotone filtering in the Type 3
-/// combine steps (drop entries whose distance is not a running minimum).
-pub fn exclusive_scan_max(values: &[u64], identity: u64) -> Vec<u64> {
-    let mut out = Vec::with_capacity(values.len());
-    let mut acc = identity;
-    for &v in values {
-        out.push(acc);
-        acc = acc.max(v);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -145,11 +127,5 @@ mod tests {
         let (pre, total) = exclusive_scan_usize(&v);
         assert_eq!(total, 0);
         assert!(pre.iter().all(|&x| x == 0));
-    }
-
-    #[test]
-    fn max_scan() {
-        let out = exclusive_scan_max(&[3, 1, 4, 1, 5], 0);
-        assert_eq!(out, vec![0, 3, 3, 4, 4]);
     }
 }

@@ -47,11 +47,6 @@ impl<T> Grouped<T> {
             .iter()
             .map(move |&(k, s, e)| (k, &self.records[s..e]))
     }
-
-    /// Number of distinct keys.
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
 }
 
 /// Group `records` by `key`, stably.
@@ -260,7 +255,7 @@ mod tests {
             covered += e - s;
         }
         assert_eq!(covered, data.len());
-        assert_eq!(grouped.num_groups(), 97);
+        assert_eq!(grouped.groups.len(), 97);
     }
 
     #[test]
@@ -292,7 +287,7 @@ mod tests {
     fn all_same_key_single_group() {
         let data = vec![(7u64, 'x'); 1000];
         let grouped = semisort_by_key(data, |&(k, _)| k);
-        assert_eq!(grouped.num_groups(), 1);
+        assert_eq!(grouped.groups.len(), 1);
         assert_eq!(grouped.groups[0], (7, 0, 1000));
     }
 
@@ -300,12 +295,12 @@ mod tests {
     fn all_distinct_keys() {
         let data: Vec<(u64, ())> = (0..5000u64).map(|i| (i, ())).collect();
         let grouped = semisort_by_key(data, |&(k, _)| k);
-        assert_eq!(grouped.num_groups(), 5000);
+        assert_eq!(grouped.groups.len(), 5000);
     }
 
     #[test]
     fn empty_input() {
         let grouped = semisort_by_key(Vec::<(u64, ())>::new(), |&(k, _)| k);
-        assert_eq!(grouped.num_groups(), 0);
+        assert_eq!(grouped.groups.len(), 0);
     }
 }

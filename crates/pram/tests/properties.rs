@@ -2,10 +2,7 @@
 //! agree with an obvious sequential reference on arbitrary inputs.
 
 use proptest::prelude::*;
-use ri_pram::{
-    exclusive_scan_usize, min_index, pack, radix_sort_by_key, semisort_by_key, ConcurrentPairMap,
-    Permutation,
-};
+use ri_pram::{exclusive_scan_usize, pack, radix_sort_by_key, semisort_by_key, ConcurrentPairMap};
 
 proptest! {
     #[test]
@@ -55,16 +52,6 @@ proptest! {
     }
 
     #[test]
-    fn min_index_matches_reference(items in proptest::collection::vec(any::<i64>(), 0..2000)) {
-        let want = items
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, x)| (x, i))
-            .map(|(i, _)| i);
-        prop_assert_eq!(min_index(&items), want);
-    }
-
-    #[test]
     fn semisort_partitions_input(keys in proptest::collection::vec(0u64..64, 0..2000)) {
         let data: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
         let grouped = semisort_by_key(data.clone(), |&(k, _)| k);
@@ -84,15 +71,6 @@ proptest! {
             for w in recs.windows(2) {
                 prop_assert!(w[0].1 < w[1].1);
             }
-        }
-    }
-
-    #[test]
-    fn permutation_is_bijective(n in 0usize..2000, seed in any::<u64>()) {
-        let p = Permutation::uniform(n, seed);
-        prop_assert_eq!(p.len(), n);
-        for k in 0..n {
-            prop_assert_eq!(p.rank[p.order[k]], k);
         }
     }
 

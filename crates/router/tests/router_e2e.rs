@@ -4,14 +4,14 @@
 //! fresh single process.
 
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parallel_ri::registry;
 use ri_core::engine::json::{self, Value};
-use ri_core::engine::witness::{read_log, replay};
+use ri_core::engine::witness::{read_any_log, replay, LogEntry, WitnessRecord};
 use ri_core::engine::{RunConfig, ServeRequest, WorkloadSpec};
 use ri_router::{BackendSpec, BackendTarget, Router, RouterConfig};
 use ri_serve::http::ClientConn;
@@ -40,6 +40,18 @@ fn temp_witness(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("ri-router-e2e-{tag}-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
     path
+}
+
+/// The one-shot records of a witness log; these tests stream nothing.
+fn solve_records(path: &Path) -> Vec<WitnessRecord> {
+    let entries = read_any_log(path).expect("witness log loads");
+    entries
+        .into_iter()
+        .map(|entry| match entry {
+            LogEntry::Solve(record) => record,
+            LogEntry::Stream(_) => panic!("stream-batch record in a solve-only log"),
+        })
+        .collect()
 }
 
 fn solve_body(problem: &str, n: usize, wseed: u64, cseed: u64) -> String {
@@ -154,7 +166,7 @@ fn routes_caches_witnesses_and_replays() {
 
     // The witness gate: one record per non-cached 200, each replaying
     // bit-identically (answer AND round trace) in this fresh process.
-    let records = read_log(&witness).expect("witness log loads");
+    let records = solve_records(&witness);
     assert_eq!(records.len(), first_bodies.len());
     let reg = registry();
     for record in &records {
@@ -237,7 +249,7 @@ fn kill_shard_mid_burst_loses_nothing() {
 
     // Replay the whole log in this (single, fresh) process: every answer
     // and trace must reproduce no matter which shard originally solved it.
-    let records = read_log(&witness).expect("witness log loads");
+    let records = solve_records(&witness);
     assert_eq!(records.len(), CLIENTS * PER_CLIENT);
     let reg = registry();
     for record in &records {

@@ -173,6 +173,14 @@ fn error_classes_answer_structured_envelopes() {
     );
     expect_error(resp, ServeErrorKind::BadWorkload, "bad workload");
 
+    // A size past the registry's ceiling is rejected before any
+    // constructor allocates for it, so the server lives on to answer.
+    let resp = post_solve(
+        &server,
+        "{\"problem\":\"sort\",\"workload\":{\"n\":1125899906842624}}",
+    );
+    expect_error(resp, ServeErrorKind::BadWorkload, "n past the ceiling");
+
     // Seeds that cannot round-trip through JSON.
     let resp = post_solve(
         &server,
@@ -208,14 +216,14 @@ fn error_classes_answer_structured_envelopes() {
     let resp = http::request(addr, "GET", "/bogus", None, Duration::from_secs(10)).unwrap();
     expect_error(resp, ServeErrorKind::NotFound, "unknown path");
 
-    // The `errored` counter must equal the error responses issued (11
+    // The `errored` counter must equal the error responses issued (12
     // above) — each failure counted exactly once, whether it failed at
     // parse, admission or solve stage.
     let health = http::request(addr, "GET", "/healthz", None, Duration::from_secs(10)).unwrap();
     let doc = ri_core::engine::json::parse(&health.body).expect("healthz JSON");
     assert_eq!(
         doc.get("errored").and_then(Value::as_usize),
-        Some(11),
+        Some(12),
         "errored counter must count each failed request once: {}",
         health.body
     );

@@ -102,19 +102,6 @@ mod tests {
             d < 6 * 14,
             "tree depth {d} suspiciously large for random order"
         );
-        // The iteration dependence graph records each node's tree parent
-        // (the last — subsuming — dependence on its search path, as §3
-        // observes the transitive reduction is the tree itself); its depth
-        // (in nodes) is the tree height.
-        let mut depgraph = ri_core::DependenceGraph::with_nodes(n);
-        for side in [&r.tree.left, &r.tree.right] {
-            for (parent, &child) in side.iter().enumerate() {
-                if child != NONE {
-                    depgraph.add_dep(parent, child as usize);
-                }
-            }
-        }
-        assert_eq!(depgraph.depth(), d);
     }
 
     #[test]

@@ -130,11 +130,6 @@ pub fn vocabulary(problem: &str) -> Option<&'static ShapeVocabulary> {
     VOCABULARY.iter().find(|v| v.problem == problem)
 }
 
-/// The hostile shapes of `problem` (empty for unknown problems).
-pub fn hostile_shapes(problem: &str) -> &'static [&'static str] {
-    vocabulary(problem).map(|v| v.hostile).unwrap_or(&[])
-}
-
 /// Every shape name `problem` accepts, benign first.
 pub fn all_shapes(problem: &str) -> Vec<&'static str> {
     vocabulary(problem)

@@ -13,8 +13,8 @@
 //!
 //! | Module | Contents | Paper |
 //! |---|---|---|
-//! | [`framework`] | dependence graphs, Type 1/2/3 executors, the `Runner` engine | §2 |
-//! | [`pram`] | parallel primitives (priority writes, scans, semisort, ...) | Prelims |
+//! | [`framework`] | Type 1/2/3 executors, the `Runner` engine | §2 |
+//! | [`pram`] | parallel primitives (scans, radix sort, semisort, ...) | Prelims |
 //! | [`geometry`] | exact predicates, shapes, point distributions | §4–5 |
 //! | [`graph`] | CSR digraphs, generators, searches | §6 |
 //! | [`sort`] | incremental BST sorting (Type 1) | §3 |
@@ -71,7 +71,7 @@ mod registry;
 
 pub use registry::registry;
 
-/// The §2 framework: dependence graphs and the three executors.
+/// The §2 framework: the three executors and the engine.
 pub mod framework {
     pub use ri_core::*;
 }
@@ -144,14 +144,14 @@ pub mod prelude {
         execute_type1, execute_type2, execute_type3, ErasedProblem, ExecMode, OutputSummary, Phase,
         Problem, Registry, RunConfig, RunReport, Runner, WorkloadSpec,
     };
-    pub use ri_core::{harmonic, DependenceGraph, Permutation};
+    pub use ri_core::harmonic;
     pub use ri_delaunay::{DelaunayProblem, DtOutput};
     pub use ri_enclosing::{EnclosingProblem, SedOutput};
     pub use ri_geometry::{Point2, PointDistribution};
     pub use ri_graph::CsrGraph;
     pub use ri_le_lists::{LeListsOutput, LeListsProblem};
     pub use ri_lp::{LpInstance, LpInstanceD, LpOutcome, LpOutcomeD, LpProblem, LpProblemD};
-    pub use ri_pram::{knuth_shuffle_parallel, knuth_shuffle_sequential, random_permutation};
+    pub use ri_pram::random_permutation;
     pub use ri_scc::{
         canonical_labels, scc_parallel_deterministic, tarjan_scc, SccOutput, SccProblem,
     };

@@ -35,7 +35,7 @@ fn small_spec(name: &str) -> WorkloadSpec {
 fn registry_lists_every_problem() {
     let reg = registry();
     assert_eq!(reg.names(), ALL_PROBLEMS.to_vec());
-    assert_eq!(reg.len(), ALL_PROBLEMS.len());
+    assert_eq!(reg.names().len(), ALL_PROBLEMS.len());
 }
 
 #[test]

@@ -5,24 +5,6 @@
 use parallel_ri::prelude::*;
 
 #[test]
-fn knuth_shuffle_scales_and_matches() {
-    let n = 1 << 16;
-    let h = parallel_ri::pram::knuth_targets(n, 5);
-    let seq = parallel_ri::pram::knuth_shuffle_sequential(&h);
-    let (par, rounds) = parallel_ri::pram::knuth_shuffle_parallel(&h);
-    assert_eq!(seq, par);
-    assert!(
-        rounds < 8 * 16,
-        "shuffle dependence depth {rounds} not O(log n)"
-    );
-    // And the result is the uniform permutation family the algorithms
-    // consume: feed it through the sorter as a round-trip.
-    let (sorted, _) = SortProblem::new(&par).solve(&RunConfig::new());
-    let recovered: Vec<usize> = sorted.sorted_indices.iter().map(|&i| par[i]).collect();
-    assert_eq!(recovered, (0..n).collect::<Vec<_>>());
-}
-
-#[test]
 fn deterministic_scc_agrees_with_eager_on_all_families() {
     use parallel_ri::graph::generators as gen;
     let n = 1 << 10;
