@@ -60,17 +60,19 @@ const SIZES: &[(&str, usize)] = &[
 /// the zero-allocation round engine (measured ≈0.9 on the dev host);
 /// Type 2/3 problems inherently redo some checks in parallel mode, so
 /// their budgets sit above 1 by the paper's constant factors, plus
-/// headroom for CI timer noise.
+/// headroom for CI timer noise. The Type 3 budgets (sort-batch, le-lists,
+/// scc) are the highest ratio of 12 runs of the CI command on the 2-vCPU
+/// development host plus 0.2, rounded up to a tenth.
 const PAR1_BUDGETS: &[(&str, f64)] = &[
     ("sort", 1.4),
-    ("sort-batch", 1.9),
+    ("sort-batch", 1.3),
     ("delaunay", 1.5),
     ("lp", 1.6),
     ("lp-d", 1.5),
     ("closest-pair", 1.8),
     ("enclosing", 1.7),
-    ("le-lists", 2.0),
-    ("scc", 1.7),
+    ("le-lists", 1.9),
+    ("scc", 1.4),
 ];
 
 /// Sequential runs faster than this are too short to gate on: a ±1 ms

@@ -9,6 +9,7 @@
 //! ends with its shape check: what the paper predicts its columns show.
 
 use crate::{par_cfg, seq_cfg};
+use ri_core::engine::registry::MAX_N;
 use ri_core::engine::{OutputSummary, Problem, Registry, RunConfig, RunReport, WorkloadSpec};
 use ri_core::theory::{delaunay_incircle_bound, harmonic, log2_ceil, separating_dependence_bound};
 use ri_geometry::PointDistribution;
@@ -42,16 +43,23 @@ fn listing() -> String {
 
 /// `ri report <claim> [arg] [--json]`: the claim's table, with its appendix
 /// under `--json`; no claim, the listing. An absent or unparsable argument
-/// takes the claim's default.
+/// takes the claim's default. A `log2_n` whose `2^log2_n` is above the
+/// registry's [`MAX_N`] is an error before anything is built.
 pub fn run(reg: &Registry, args: &[String]) -> Result<String, String> {
     let Some((claim, args)) = args.split_first() else {
         return Ok(listing());
     };
-    let Some(&(_, _, default, build)) = CLAIMS.iter().find(|c| c.0 == claim) else {
+    let Some(&(_, param, default, build)) = CLAIMS.iter().find(|c| c.0 == claim) else {
         return Err(format!("unknown claim `{claim}`; claims:\n{}", listing()));
     };
     let arg = args.iter().find(|a| !a.starts_with("--"));
-    let mut table = build(reg, arg.and_then(|s| s.parse().ok()).unwrap_or(default));
+    let arg = arg.and_then(|s| s.parse().ok()).unwrap_or(default);
+    if param == "log2_n" && arg > u64::from(MAX_N.ilog2()) {
+        return Err(format!(
+            "{claim}: n = 2^{arg} is above the ceiling of {MAX_N}"
+        ));
+    }
+    let mut table = build(reg, arg);
     if !args.iter().any(|a| a == "--json") {
         table.appendix.clear();
     }
@@ -439,19 +447,21 @@ fn special_iterations(reg: &Registry, seeds: u64) -> Table {
 /// LE-list lengths and Type 3 work: Cohen's `O(log n)` whp list length
 /// (average exactly `H_n` on strongly-reachable weighted graphs) and
 /// Theorem 6.2's `O(W_SP log n)` work with constant-factor parallel
-/// overhead.
+/// overhead, with the parallel combine's redundant entries per vertex.
 fn lelist_lengths(reg: &Registry, seeds: u64) -> Table {
     let mut t = Table::new(
         format!("LE-list lengths and work ({seeds} seeds per config)"),
-        "graph | n | avg len | H_n | max | par visits | seq visits | ratio",
+        "graph | n | avg len | H_n | max | par visits | seq visits | ratio | redundant/vertex",
         "Shape checks: weighted graphs track H_n exactly (avg) with an O(log n)\n\
          max; the parallel/sequential visit ratio is a small constant — the\n\
-         Type 3 'extra work' of Theorem 2.6. Unweighted grids truncate lists\n\
-         by integer distance ties (the paper assumes distinct distances).",
+         Type 3 'extra work' of Theorem 2.6 — so the redundant entries per\n\
+         vertex grow only as the lists do, at about a third of H_n. Unweighted\n\
+         grids truncate lists by integer distance ties (the paper assumes\n\
+         distinct distances).",
     );
     for n in sizes(11, 14) {
         for (name, degree) in [("gnm-w deg4", 4.0), ("gnm-w deg16", 16.0)] {
-            let [avg_len, max_len, par_visits, seq_visits] = sweep(seeds, |seed| {
+            let [avg_len, max_len, par_visits, seq_visits, redundant] = sweep(seeds, |seed| {
                 let spec = WorkloadSpec::new(n, seed).param(degree);
                 let cfg = RunConfig::new().seed(seed ^ 0x1e).instrument(false);
                 let [seq, par] = seq_par(reg, "le-lists", &spec, cfg);
@@ -460,6 +470,7 @@ fn lelist_lengths(reg: &Registry, seeds: u64) -> Table {
                     field(&par.0, "max_list_len"),
                     field(&par.0, "visits"),
                     field(&seq.0, "visits"),
+                    field(&par.0, "redundant_entries") / n as f64,
                 ]
                 .map(Some)
             });
@@ -473,6 +484,7 @@ fn lelist_lengths(reg: &Registry, seeds: u64) -> Table {
                 fixed(pv, 0),
                 fixed(sv, 0),
                 fixed(pv.zip(sv).map(|(p, s)| p / s), 2),
+                fixed(redundant.mean(), 2),
             ]);
         }
         // High-diameter grid (unweighted): lists truncate at diameter. The
@@ -492,6 +504,7 @@ fn lelist_lengths(reg: &Registry, seeds: u64) -> Table {
             par.visits.to_string(),
             seq.visits.to_string(),
             format!("{:.2}", par.visits as f64 / seq.visits.max(1) as f64),
+            format!("{:.2}", par.redundant_entries as f64 / nn as f64),
         ]);
     }
     t
@@ -614,9 +627,9 @@ fn dependence_histogram(_: &Registry, log2n: u64) -> Table {
     for seed in 0..seeds {
         let keys = random_permutation(n, seed);
         let (out, _) = ri_sort::BatchSortProblem::new(&keys).solve(&par);
-        let counts = &out.left_dep_histogram;
+        let counts = out.left_dep_histogram();
         hist.resize(hist.len().max(counts.len()), 0);
-        for (h, c) in hist.iter_mut().zip(counts) {
+        for (h, c) in hist.iter_mut().zip(&counts) {
             *h += c;
         }
     }
@@ -704,6 +717,18 @@ mod tests {
             let arg = if arg == "log2_n" { "6" } else { "0" };
             let table = run(&reg, &[claim.into(), arg.into()]).unwrap();
             assert!(table.contains("\n---"), "{claim}: {table}");
+        }
+    }
+
+    #[test]
+    fn sizes_above_the_registry_ceiling_are_errors_before_anything_is_built() {
+        // Both return before their claim builds an instance: a 2^40-key
+        // permutation would abort the test on its allocation.
+        let reg = registry();
+        for (claim, log2_n) in [("table1", 25), ("dependence_histogram", 40)] {
+            let err = run(&reg, &[claim.into(), log2_n.to_string()]).unwrap_err();
+            let want = format!("{claim}: n = 2^{log2_n} is above the ceiling of {MAX_N}");
+            assert_eq!(err, want);
         }
     }
 

@@ -386,7 +386,7 @@ impl std::error::Error for RegistryError {}
 /// any tool here uses (lp's 300,000 in the benchmark). Every constructor
 /// allocates Θ(n) up front, so a larger `n` would abort the process on a
 /// failed allocation rather than fail the one request.
-const MAX_N: usize = 1 << 24;
+pub const MAX_N: usize = 1 << 24;
 
 /// Rejects an `n` above [`MAX_N`] before any constructor allocates for it.
 fn within_ceiling(spec: &WorkloadSpec) -> Result<(), String> {

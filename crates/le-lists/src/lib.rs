@@ -12,9 +12,11 @@
 //!   only visits vertices the source improves.
 //! * Parallel mode — the Type 3 execution: doubling rounds of sources
 //!   search *in parallel against the previous round's δ array*, and a
-//!   combine step (semisort by target, then a running-minimum filter in
-//!   source order) discards the redundant entries, reproducing the
-//!   sequential lists exactly.
+//!   combine step folds the round's finds into δ in source order: a find
+//!   enters `L(u)` only if it beats `δ(u)` so far. That discards the
+//!   redundant entries and reproduces the sequential lists exactly. (The
+//!   paper collects each target's finds with a semisort; targets are
+//!   independent, so one pass in source order gives the same lists.)
 //!
 //! Theorem 6.2: the parallel version does `O(W_SP(n,m) log n)` expected
 //! work over `O(log n)` rounds. Lemma 6.1 establishes the separating

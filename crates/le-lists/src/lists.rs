@@ -4,7 +4,7 @@
 use ri_core::engine::{execute_type3, RunConfig};
 use ri_core::Type3Algorithm;
 use ri_graph::{dijkstra_distances, pruned_dijkstra, CsrGraph, SearchWork};
-use ri_pram::{semisort_by_key, RoundLog};
+use ri_pram::RoundLog;
 
 /// Estimated nanoseconds per vertex a pruned search settles, with its
 /// edge scans (230–340 ns measured). The search from the `k`-th source
@@ -120,38 +120,25 @@ impl Type3Algorithm for ParState<'_> {
     }
 
     fn combine(&mut self, lo: usize, outputs: &mut Vec<Self::Output>) -> u64 {
-        // Flatten in iteration order: (target, source iteration, distance).
-        // The flat record buffer comes from the engine's scratch arena and
-        // goes back below, so every round reuses one allocation.
-        let mut records: Vec<(u32, u32, f64)> = ri_pram::take_vec();
+        // One pass in source order. Targets are independent and each one's
+        // finds arrive in source order, so a find enters L(u) exactly when
+        // it beats δ(u) so far: the sequential entries. The rest were found
+        // against the stale δ and are redundant.
         let mut round_work = SearchWork::default();
         self.combined = lo + outputs.len();
         for (off, (found, work)) in outputs.drain(..).enumerate() {
-            let k = (lo + off) as u32;
+            let src = self.order[lo + off] as u32;
             round_work += work;
             for (u, d) in found {
-                records.push((u, k, d));
-            }
-        }
-        // Semisort by target; stability keeps each group in source order.
-        let grouped = semisort_by_key(records, |&(u, _, _)| u as u64);
-        for (ukey, recs) in grouped.iter() {
-            let u = ukey as usize;
-            let mut current = self.delta[u];
-            for &(_, k, d) in recs {
-                // Keep exactly the sequential entries: distances must be
-                // running strict minima (redundant finds come from the
-                // stale δ and are dropped here).
-                if d < current {
-                    current = d;
-                    self.lists[u].push((self.order[k as usize] as u32, d));
+                let u = u as usize;
+                if d < self.delta[u] {
+                    self.delta[u] = d;
+                    self.lists[u].push((src, d));
                 } else {
                     self.redundant += 1;
                 }
             }
-            self.delta[u] = current;
         }
-        ri_pram::put_vec(grouped.records);
         self.work += round_work;
         round_work.total()
     }
@@ -205,8 +192,136 @@ pub fn le_lists_brute_force(g: &CsrGraph, order: &[usize]) -> Vec<Vec<(u32, f64)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ri_core::engine::{Runner, WorkloadSpec};
     use ri_graph::generators::{gnm, gnm_weighted, grid2d};
     use ri_pram::random_permutation;
+
+    /// A per-iteration cost dear enough that every round of two or more
+    /// sources forms a crew at width > 1 on any host.
+    const DEAR_NS: u64 = 1_000_000;
+
+    /// The grouped combine the solve ran before its one-pass fold, kept as
+    /// the reference: flatten the round into `(target, source iteration,
+    /// distance)` records, semisort them by target (stable, so each group
+    /// stays in source order) and keep each group's running strict minima.
+    fn grouped_combine(
+        st: &mut ParState,
+        lo: usize,
+        outputs: &mut Vec<(Vec<(u32, f64)>, SearchWork)>,
+    ) -> u64 {
+        let mut records: Vec<(u32, u32, f64)> = Vec::new();
+        let mut round_work = SearchWork::default();
+        st.combined = lo + outputs.len();
+        for (off, (found, work)) in outputs.drain(..).enumerate() {
+            let k = (lo + off) as u32;
+            round_work += work;
+            records.extend(found.into_iter().map(|(u, d)| (u, k, d)));
+        }
+        let grouped = ri_pram::semisort_by_key(records, |&(u, _, _)| u as u64);
+        for (ukey, recs) in grouped.iter() {
+            let u = ukey as usize;
+            let mut current = st.delta[u];
+            for &(_, k, d) in recs {
+                if d < current {
+                    current = d;
+                    st.lists[u].push((st.order[k as usize] as u32, d));
+                } else {
+                    st.redundant += 1;
+                }
+            }
+            st.delta[u] = current;
+        }
+        st.work += round_work;
+        round_work.total()
+    }
+
+    /// The solve's round state with the one-pass combine or the grouped
+    /// reference, at the solve's per-item cost or a declared one.
+    struct Harness<'a> {
+        st: ParState<'a>,
+        reference: bool,
+        item_ns: Option<u64>,
+    }
+
+    impl Type3Algorithm for Harness<'_> {
+        type Output = (Vec<(u32, f64)>, SearchWork);
+
+        fn len(&self) -> usize {
+            self.st.len()
+        }
+
+        fn run_iteration(&self, k: usize) -> Self::Output {
+            self.st.run_iteration(k)
+        }
+
+        fn item_ns(&self) -> u64 {
+            self.item_ns.unwrap_or_else(|| self.st.item_ns())
+        }
+
+        fn combine(&mut self, lo: usize, outputs: &mut Vec<Self::Output>) -> u64 {
+            if self.reference {
+                grouped_combine(&mut self.st, lo, outputs)
+            } else {
+                self.st.combine(lo, outputs)
+            }
+        }
+    }
+
+    /// The final round state of a parallel run at `width` threads, and the
+    /// crew regions the run started.
+    fn run_at<'a>(
+        g: &'a CsrGraph,
+        order: &'a [usize],
+        width: usize,
+        reference: bool,
+        item_ns: Option<u64>,
+    ) -> (ParState<'a>, u64) {
+        let st = ParState {
+            g,
+            order,
+            delta: vec![f64::INFINITY; g.num_vertices()],
+            lists: vec![Vec::new(); g.num_vertices()],
+            work: SearchWork::default(),
+            redundant: 0,
+            combined: 0,
+        };
+        let mut h = Harness {
+            st,
+            reference,
+            item_ns,
+        };
+        let runner = Runner::new(RunConfig::new().parallel().threads(width));
+        let (_, report) = runner.solve("le-lists", |cfg| ((), execute_type3(&mut h, cfg)));
+        (h.st, report.regions)
+    }
+
+    #[test]
+    fn one_pass_combine_matches_the_grouped_reference() {
+        for shape in ["gnm-weighted", "gnm", "grid", "rmat", "deep-path"] {
+            for seed in 0..3 {
+                let spec = WorkloadSpec::new(400, seed).shape(shape);
+                let g = crate::registry::build_graph(&spec).unwrap();
+                let order = random_permutation(g.num_vertices(), seed ^ 0x1e);
+                let (want, _) = run_at(&g, &order, 1, true, None);
+                assert!(want.redundant > 0, "{shape}/{seed}: no redundant finds");
+                for width in [1, 2, 4] {
+                    for item_ns in [None, Some(DEAR_NS)] {
+                        let tag = format!("{shape}/{seed} at width {width}, cost {item_ns:?}");
+                        let (got, regions) = run_at(&g, &order, width, false, item_ns);
+                        assert!(regions == 0 || width > 1, "{tag}: a crew at width 1");
+                        assert!(
+                            regions > 0 || width == 1 || item_ns.is_none(),
+                            "{tag}: no crew"
+                        );
+                        assert_lists_equal(&got.lists, &want.lists, &tag);
+                        assert_eq!(got.delta, want.delta, "{tag}: δ");
+                        assert_eq!(got.redundant, want.redundant, "{tag}: redundant");
+                        assert_eq!(got.work.visits, want.work.visits, "{tag}: visits");
+                    }
+                }
+            }
+        }
+    }
 
     fn assert_lists_equal(a: &[Vec<(u32, f64)>], b: &[Vec<(u32, f64)>], tag: &str) {
         assert_eq!(a.len(), b.len(), "{tag}: length");

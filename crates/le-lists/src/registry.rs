@@ -25,7 +25,7 @@ pub fn register(reg: &mut Registry) {
     );
 }
 
-fn build_graph(spec: &WorkloadSpec) -> Result<CsrGraph, String> {
+pub(crate) fn build_graph(spec: &WorkloadSpec) -> Result<CsrGraph, String> {
     // An Err (not a panic) below the minimum lets the streaming
     // fallback report small prefixes as pending rather than die.
     if spec.n < 2 {

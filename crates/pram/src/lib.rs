@@ -13,7 +13,7 @@
 //! | [`scan`] | parallel prefix sums | processor allocation / compaction |
 //! | [`pack`](mod@crate::pack) | filter & pack | compaction after InCircle filtering (§4) |
 //! | [`radix`] | stable parallel LSD radix sort | integer sorting for semisort |
-//! | [`semisort`] | group-by-key | combine steps of Type 3 algorithms (§6) |
+//! | [`semisort`] | group-by-key | collecting each LE-list's contributions (§6.1) |
 //! | [`conmap`] | concurrent fixed-capacity hash maps | face hashmap of parallel DT (§4) |
 //! | [`permutation`] | seeded random permutations | the random insertion order itself |
 //! | [`hash`] | fast non-cryptographic hashing | hashing for semisort / hash tables |
@@ -23,8 +23,10 @@
 //! The paper's priority writes (§3) need no module: sort's parallel round,
 //! their one user, calls `AtomicU64::fetch_min`, and the Type 2 executor
 //! finds the earliest special iteration with the crew's `find_first`. No
-//! solve calls [`exclusive_scan_usize`], [`pack()`] or [`radix_sort_u64`]:
-//! they stay for the repository benchmark's per-primitive probes.
+//! solve calls [`exclusive_scan_usize`], [`pack()`], [`radix_sort_u64`] or
+//! [`semisort_by_key`] (the Type 3 combines fold each round in iteration
+//! order instead of grouping it): they stay for the repository
+//! benchmark's per-primitive probes.
 //!
 //! All primitives are deterministic given their inputs (and seeds), which is
 //! what lets the algorithm crates assert *parallel output == sequential

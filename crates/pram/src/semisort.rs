@@ -6,8 +6,10 @@
 //! order of hashed keys), which is why it is cheaper than sorting in theory
 //! ([Gu–Shun–Sun–Blelloch 2015] achieve linear work). Both paths below
 //! produce exactly a stable sort of the records by hashed key, so equal
-//! keys are contiguous and each group's records keep their input order,
-//! which the LE-list combine step relies on.
+//! keys are contiguous and each group's records keep their input order.
+//! No solve calls it: the LE-list and SCC combines fold each round in
+//! iteration order, and their tests keep the grouped combines on this
+//! semisort as references.
 //!
 //! - **Inline**, whenever the radix sort would run inline (at width 1 and
 //!   for inputs too small to pay for a crew): every key is hashed once,

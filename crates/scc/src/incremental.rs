@@ -4,7 +4,7 @@ use ri_core::engine::{execute_type3, RunConfig};
 use ri_core::Type3Algorithm;
 use ri_graph::{reachable_in_partition, CsrGraph, SearchWork};
 use ri_pram::hash::{hash_combine, hash_u64};
-use ri_pram::{semisort_by_key, RoundLog};
+use ri_pram::RoundLog;
 
 /// Estimated nanoseconds per iteration of a large parallel round: a
 /// forward and a backward reachability search inside the center's
@@ -15,6 +15,9 @@ pub(crate) const SEARCH_PAIR_NS: u64 = 40;
 /// Partition label of vertices already assigned to an SCC: no restricted
 /// search ever matches it (searches start from undone vertices only).
 const DONE: u64 = u64::MAX;
+
+/// Ends the forward centers in a vertex's signature chain.
+const SEPARATOR: u64 = 0x5eed_5eed;
 
 /// Result of an SCC run.
 #[derive(Debug)]
@@ -131,6 +134,15 @@ struct ParState<'a> {
     work: SearchWork,
     per_vertex: Vec<u32>,
     queries: u64,
+    /// The combine's dense per-vertex state: the last round touching u
+    /// (`1 + lo`), u's signature in it, `k + 1` for the last center `k`
+    /// whose forward set held u, and `k + 1` for the first center reaching
+    /// u both ways (0: none; a carved vertex is never reached again).
+    stamp: Vec<u32>,
+    sig: Vec<u64>,
+    mark: Vec<u32>,
+    carve: Vec<u32>,
+    touched: Vec<usize>,
 }
 
 /// One search's footprint: the vertices reached forward and backward, and
@@ -173,85 +185,68 @@ impl Type3Algorithm for ParState<'_> {
     }
 
     fn combine(&mut self, lo: usize, outputs: &mut Vec<Self::Output>) -> u64 {
-        // Flatten to (vertex, center iteration k, direction) records.
-        // The flat buffer (and the per-group center lists below) come from
-        // the engine's scratch arena, so every round reuses allocations.
-        const FWD: u32 = 0;
-        const BWD: u32 = 1;
-        let mut records: Vec<(u32, u32, u32)> = ri_pram::take_vec();
+        // Eager refinement: a vertex's signature chains its old label, the
+        // centers reaching it forward, a separator and those reaching it
+        // backward, each ascending: forward sets go first, in center order,
+        // then backward ones. The minimum common center carves the vertex.
+        let round = 1 + lo as u32;
         let mut round_work = SearchWork::default();
-        for (off, out) in outputs.drain(..).enumerate() {
+        for (off, fp) in outputs.iter().enumerate() {
+            let Some(fp) = fp else { continue };
+            self.queries += 1;
+            round_work += fp.work;
+            for &u in &fp.fwd {
+                self.link(u, round, ((lo + off) as u64) << 1, false);
+            }
+        }
+        for &u in &self.touched {
+            self.sig[u] = hash_combine(self.sig[u], SEPARATOR);
+        }
+        for (off, fp) in outputs.drain(..).enumerate() {
+            let Some(fp) = fp else { continue };
             let k = (lo + off) as u32;
-            if let Some(fp) = out {
-                self.queries += 1;
-                round_work += fp.work;
-                for u in fp.fwd {
-                    records.push((u, k, FWD));
-                }
-                for u in fp.bwd {
-                    records.push((u, k, BWD));
+            for &u in &fp.fwd {
+                self.mark[u as usize] = k + 1;
+            }
+            for &u in &fp.bwd {
+                let u = self.link(u, round, ((k as u64) << 1) | 1, true);
+                if self.mark[u] == k + 1 && self.carve[u] == 0 {
+                    self.carve[u] = k + 1;
                 }
             }
         }
-        for &(u, _, _) in &records {
-            self.per_vertex[u as usize] += 1;
-        }
-
-        // Group the searches touching each vertex. Stability keeps each
-        // group in center order (records were appended in k order).
-        let grouped = semisort_by_key(records, |&(u, _, _)| u as u64);
-        let mut fwd_ks: Vec<u32> = ri_pram::take_vec();
-        let mut bwd_ks: Vec<u32> = ri_pram::take_vec();
-        for (ukey, recs) in grouped.iter() {
-            let u = ukey as usize;
-            if self.part[u] == DONE {
-                // Can happen only if u was carved in an *earlier* round and
-                // a search still saw it — impossible with frozen partitions
-                // (DONE vertices are excluded), so this is a hard error.
-                unreachable!("search reached DONE vertex {u}");
-            }
-            fwd_ks.clear();
-            bwd_ks.clear();
-            fwd_ks.extend(recs.iter().filter(|r| r.2 == FWD).map(|r| r.1));
-            bwd_ks.extend(recs.iter().filter(|r| r.2 == BWD).map(|r| r.1));
-            // Minimum common center: u belongs to that center's SCC.
-            let common = first_common(&fwd_ks, &bwd_ks);
-            if let Some(c) = common {
+        for u in self.touched.drain(..) {
+            if self.carve[u] != 0 {
                 self.part[u] = DONE;
-                self.comp[u] = self.order[c as usize] as u32;
+                self.comp[u] = self.order[self.carve[u] as usize - 1] as u32;
             } else {
-                // Eager refinement: any search separating two vertices cuts
-                // them apart — the signature is (old label, fwd set, bwd set).
-                let mut sig = hash_u64(self.part[u]);
-                for &k in &fwd_ks {
-                    sig = hash_combine(sig, (k as u64) << 1);
-                }
-                sig = hash_combine(sig, 0x5eed_5eed);
-                for &k in &bwd_ks {
-                    sig = hash_combine(sig, ((k as u64) << 1) | 1);
-                }
-                self.part[u] = sig & !(1 << 63); // keep clear of DONE
+                self.part[u] = self.sig[u] & !(1 << 63); // keep clear of DONE
             }
         }
-        ri_pram::put_vec(fwd_ks);
-        ri_pram::put_vec(bwd_ks);
-        ri_pram::put_vec(grouped.records);
         self.work += round_work;
         round_work.total()
     }
 }
 
-/// First element present in both ascending lists.
-fn first_common(a: &[u32], b: &[u32]) -> Option<u32> {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Equal => return Some(a[i]),
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
+impl ParState<'_> {
+    /// Counts a search reaching `u` and appends `center` to u's signature,
+    /// which the round's first touch starts at u's old label (and the
+    /// separator, once `backward`).
+    fn link(&mut self, u: u32, round: u32, center: u64, backward: bool) -> usize {
+        let u = u as usize;
+        if self.stamp[u] != round {
+            debug_assert_ne!(self.part[u], DONE, "search reached carved vertex {u}");
+            self.stamp[u] = round;
+            self.sig[u] = hash_u64(self.part[u]);
+            if backward {
+                self.sig[u] = hash_combine(self.sig[u], SEPARATOR);
+            }
+            self.touched.push(u);
         }
+        self.sig[u] = hash_combine(self.sig[u], center);
+        self.per_vertex[u] += 1;
+        u
     }
-    None
 }
 
 /// Type 3 parallel SCC (Algorithm 2 applied to Algorithm 7): same
@@ -270,6 +265,11 @@ pub(crate) fn scc_parallel_impl(g: &CsrGraph, order: &[usize]) -> SccResult {
         work: SearchWork::default(),
         per_vertex: vec![0u32; n],
         queries: 0,
+        stamp: vec![0; n],
+        sig: vec![0; n],
+        mark: vec![0; n],
+        carve: vec![0; n],
+        touched: Vec::new(),
     };
     let inner = execute_type3(&mut st, &RunConfig::new().parallel());
     debug_assert!(st.comp.iter().all(|&c| c != u32::MAX));
@@ -289,8 +289,161 @@ pub(crate) fn scc_parallel_impl(g: &CsrGraph, order: &[usize]) -> SccResult {
 mod tests {
     use super::*;
     use crate::{canonical_labels, tarjan_scc};
+    use ri_core::engine::{Runner, WorkloadSpec};
     use ri_graph::generators::{gnm, planted_sccs, random_dag, rmat};
     use ri_pram::random_permutation;
+
+    /// A per-iteration cost dear enough that every round of two or more
+    /// centers forms a crew at width > 1 on any host.
+    const DEAR_NS: u64 = 1_000_000;
+
+    /// The grouped combine the solve ran before its two in-order passes,
+    /// kept as the reference: flatten the round into `(vertex, center,
+    /// direction)` records, semisort them by vertex (stable, so each group
+    /// stays in center order), then per vertex carve by the first common
+    /// center or hash the signature.
+    fn grouped_combine(st: &mut ParState, lo: usize, outputs: &mut Vec<Option<Footprint>>) -> u64 {
+        const FWD: u32 = 0;
+        const BWD: u32 = 1;
+        let mut records: Vec<(u32, u32, u32)> = Vec::new();
+        let mut round_work = SearchWork::default();
+        for (off, out) in outputs.drain(..).enumerate() {
+            let k = (lo + off) as u32;
+            if let Some(fp) = out {
+                st.queries += 1;
+                round_work += fp.work;
+                records.extend(fp.fwd.iter().map(|&u| (u, k, FWD)));
+                records.extend(fp.bwd.iter().map(|&u| (u, k, BWD)));
+            }
+        }
+        for &(u, _, _) in &records {
+            st.per_vertex[u as usize] += 1;
+        }
+        let grouped = ri_pram::semisort_by_key(records, |&(u, _, _)| u as u64);
+        for (ukey, recs) in grouped.iter() {
+            let u = ukey as usize;
+            assert_ne!(st.part[u], DONE, "search reached carved vertex {u}");
+            let ks = |dir| recs.iter().filter(move |r| r.2 == dir).map(|r| r.1);
+            let (fwd_ks, bwd_ks): (Vec<u32>, Vec<u32>) = (ks(FWD).collect(), ks(BWD).collect());
+            if let Some(&c) = fwd_ks.iter().find(|k| bwd_ks.binary_search(k).is_ok()) {
+                st.part[u] = DONE;
+                st.comp[u] = st.order[c as usize] as u32;
+            } else {
+                let mut sig = hash_u64(st.part[u]);
+                for &k in &fwd_ks {
+                    sig = hash_combine(sig, (k as u64) << 1);
+                }
+                sig = hash_combine(sig, 0x5eed_5eed);
+                for &k in &bwd_ks {
+                    sig = hash_combine(sig, ((k as u64) << 1) | 1);
+                }
+                st.part[u] = sig & !(1 << 63);
+            }
+        }
+        st.work += round_work;
+        round_work.total()
+    }
+
+    /// The solve's round state with the in-order combine or the grouped
+    /// reference, at the solve's per-item cost or a declared one, keeping
+    /// the partition after every round.
+    struct Harness<'a> {
+        st: ParState<'a>,
+        reference: bool,
+        item_ns: u64,
+        parts: Vec<Vec<u64>>,
+    }
+
+    impl Type3Algorithm for Harness<'_> {
+        type Output = Option<Footprint>;
+
+        fn len(&self) -> usize {
+            self.st.len()
+        }
+
+        fn run_iteration(&self, k: usize) -> Self::Output {
+            self.st.run_iteration(k)
+        }
+
+        fn item_ns(&self) -> u64 {
+            self.item_ns
+        }
+
+        fn combine(&mut self, lo: usize, outputs: &mut Vec<Self::Output>) -> u64 {
+            let work = if self.reference {
+                grouped_combine(&mut self.st, lo, outputs)
+            } else {
+                self.st.combine(lo, outputs)
+            };
+            self.parts.push(self.st.part.clone());
+            work
+        }
+    }
+
+    /// A parallel run at `width` threads: its final round state, the
+    /// partition after every round and the crew regions it started.
+    fn run_at<'a>(
+        g: &'a CsrGraph,
+        order: &'a [usize],
+        width: usize,
+        reference: bool,
+        item_ns: u64,
+    ) -> (ParState<'a>, Vec<Vec<u64>>, u64) {
+        let n = g.num_vertices();
+        let mut h = Harness {
+            st: ParState {
+                g,
+                gt: g.transpose(),
+                order,
+                part: vec![0; n],
+                comp: vec![u32::MAX; n],
+                work: SearchWork::default(),
+                per_vertex: vec![0; n],
+                queries: 0,
+                stamp: vec![0; n],
+                sig: vec![0; n],
+                mark: vec![0; n],
+                carve: vec![0; n],
+                touched: Vec::new(),
+            },
+            reference,
+            item_ns,
+            parts: Vec::new(),
+        };
+        let runner = Runner::new(RunConfig::new().parallel().threads(width));
+        let (_, report) = runner.solve("scc", |cfg| ((), execute_type3(&mut h, cfg)));
+        (h.st, h.parts, report.regions)
+    }
+
+    #[test]
+    fn in_order_combine_matches_the_grouped_reference() {
+        for shape in ["gnm", "dag", "rmat", "planted", "grid", "deep-path"] {
+            for seed in 0..3 {
+                let spec = WorkloadSpec::new(500, seed).shape(shape);
+                let g = crate::registry::build_graph(&spec).unwrap();
+                let order = random_permutation(g.num_vertices(), seed ^ 0x5cc5);
+                let (want, want_parts, _) = run_at(&g, &order, 1, true, SEARCH_PAIR_NS);
+                for width in [1, 2, 4] {
+                    for item_ns in [SEARCH_PAIR_NS, DEAR_NS] {
+                        let tag = format!("{shape}/{seed} at width {width}, {item_ns} ns");
+                        let (got, parts, regions) = run_at(&g, &order, width, false, item_ns);
+                        assert!(regions == 0 || width > 1, "{tag}: a crew at width 1");
+                        assert!(
+                            regions > 0 || width == 1 || item_ns != DEAR_NS,
+                            "{tag}: no crew"
+                        );
+                        for (r, (a, b)) in parts.iter().zip(&want_parts).enumerate() {
+                            assert_eq!(a, b, "{tag}: partition after round {r}");
+                        }
+                        assert_eq!(parts.len(), want_parts.len(), "{tag}: rounds");
+                        assert_eq!(got.comp, want.comp, "{tag}: comp");
+                        assert_eq!(got.per_vertex, want.per_vertex, "{tag}: visits");
+                        assert_eq!(got.queries, want.queries, "{tag}: queries");
+                    }
+                }
+            }
+        }
+    }
 
     fn check_against_tarjan(g: &CsrGraph, seed: u64, tag: &str) {
         let n = g.num_vertices();

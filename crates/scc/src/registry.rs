@@ -27,7 +27,7 @@ use crate::{canonical_labels, SccProblem};
 
 /// Build the full workload digraph from `spec`: the shared path of the
 /// one-shot constructor and the streaming adapter's open.
-fn build_graph(spec: &WorkloadSpec) -> Result<CsrGraph, String> {
+pub(crate) fn build_graph(spec: &WorkloadSpec) -> Result<CsrGraph, String> {
     if spec.n == 0 {
         return Err("scc needs at least 1 vertex".into());
     }

@@ -13,23 +13,17 @@
 //! the "extra work" of Type 3 is the intra-round comparisons that a
 //! sequential run would have avoided via separation.
 //!
-//! This module also instruments **Lemma 2.5**: for every key `j` and every
-//! round `i`, it records how many round-`i` keys have a *left dependence*
-//! to `j` (a comparison where `j` descends right). The lemma predicts a
-//! geometric tail `P[l] ≤ 2^{-l}`; the bench harness plots the measured
-//! histogram.
+//! This module also measures **Lemma 2.5**: for every key `j` and every
+//! round `i`, how many round-`i` keys have a *left dependence* to `j` (a
+//! comparison where `j` descends right). The lemma predicts a geometric
+//! tail `P[l] ≤ 2^{-l}`; [`left_dep_histogram`] counts it from the final
+//! tree, and the bench harness plots it.
 
 use ri_core::engine::{execute_type3, RunConfig};
-use ri_core::{prefix_rounds, Type3Algorithm};
+use ri_core::Type3Algorithm;
 use ri_pram::RoundLog;
 
 use crate::tree::{Bst, NONE};
-
-/// Upper bound on doubling rounds: `⌈log₂ n⌉ + 1 ≤ 64` for any `n` that
-/// fits in memory. Keeping the per-probe left-dependence counters in a
-/// fixed array of this size (instead of a heap vector per probed key)
-/// makes the search phase allocation-free.
-const MAX_ROUNDS: usize = 64;
 
 /// Estimated nanoseconds per frozen-tree search of a large parallel round
 /// (160–340 ns measured in the rounds of 2k–50k keys).
@@ -46,9 +40,6 @@ pub struct BatchSortResult {
     pub comparisons: u64,
     /// Per-round log (`rounds() = ⌈log₂ n⌉ + 1` by construction).
     pub log: RoundLog,
-    /// `left_dep_histogram[l]` = number of (key, earlier-round) pairs with
-    /// exactly `l` left dependences from that round (Lemma 2.5 data).
-    pub left_dep_histogram: Vec<u64>,
 }
 
 /// Slot in the frozen tree where a probing key landed.
@@ -63,8 +54,6 @@ enum Slot {
 struct Probe {
     key: usize,
     slot: Slot,
-    /// Left dependences per earlier round (index = round).
-    left_hits: [u16; MAX_ROUNDS],
     /// Comparisons the search made.
     comparisons: u32,
 }
@@ -72,10 +61,8 @@ struct Probe {
 struct BatchState<'a, T> {
     keys: &'a [T],
     tree: Bst,
-    round_of: Vec<u16>,
     search_comparisons: u64,
     resolve_comparisons: u64,
-    histogram: Vec<u64>,
 }
 
 impl<T: Ord + Sync> Type3Algorithm for BatchState<'_, T> {
@@ -86,7 +73,6 @@ impl<T: Ord + Sync> Type3Algorithm for BatchState<'_, T> {
     }
 
     fn run_iteration(&self, k: usize) -> Probe {
-        let mut left_hits = [0u16; MAX_ROUNDS];
         let mut comparisons = 0u32;
         let mut slot = Slot::Root;
         let mut cur = self.tree.root;
@@ -97,9 +83,6 @@ impl<T: Ord + Sync> Type3Algorithm for BatchState<'_, T> {
                 slot = Slot::Left(cur as u32);
                 cur = self.tree.left[node];
             } else {
-                // Descending right: `node`'s key is less than `k`'s — a
-                // *left* dependence from node's round to iteration k.
-                left_hits[self.round_of[node] as usize] += 1;
                 slot = Slot::Right(cur as u32);
                 cur = self.tree.right[node];
             }
@@ -107,7 +90,6 @@ impl<T: Ord + Sync> Type3Algorithm for BatchState<'_, T> {
         Probe {
             key: k,
             slot,
-            left_hits,
             comparisons,
         }
     }
@@ -118,8 +100,7 @@ impl<T: Ord + Sync> Type3Algorithm for BatchState<'_, T> {
 
     /// The round's recorded work is its conflict-resolution comparisons;
     /// the probes' search comparisons count toward the run's total.
-    fn combine(&mut self, lo: usize, outputs: &mut Vec<Probe>) -> u64 {
-        let round = self.round_of[lo] as usize;
+    fn combine(&mut self, _lo: usize, outputs: &mut Vec<Probe>) -> u64 {
         let resolved_before = self.resolve_comparisons;
 
         // Resolve conflicts in one allocation-free pass. Probes drain in
@@ -127,14 +108,12 @@ impl<T: Ord + Sync> Type3Algorithm for BatchState<'_, T> {
         // tree, so the *first* probe to reach a slot is exactly the
         // earliest colliding key — it takes the slot — and every later
         // collider descends from that winner through the subtree the
-        // round has grown below it (all this-round keys, so right-steps
-        // are intra-round left dependences). This interleaves the old
-        // per-group resolution without changing any insertion order
-        // within a subtree: groups live in disjoint subtrees.
+        // round has grown below it. This interleaves the old per-group
+        // resolution without changing any insertion order within a
+        // subtree: groups live in disjoint subtrees.
         for p in outputs.drain(..) {
             let k = p.key;
             self.search_comparisons += u64::from(p.comparisons);
-            let mut hits = p.left_hits;
             let slot_child = match p.slot {
                 Slot::Root => &mut self.tree.root,
                 Slot::Left(q) => &mut self.tree.left[q as usize],
@@ -150,7 +129,6 @@ impl<T: Ord + Sync> Type3Algorithm for BatchState<'_, T> {
                     let child = if self.keys[k] < self.keys[node] {
                         &mut self.tree.left[node]
                     } else {
-                        hits[round] += 1;
                         &mut self.tree.right[node]
                     };
                     if *child == NONE {
@@ -160,16 +138,6 @@ impl<T: Ord + Sync> Type3Algorithm for BatchState<'_, T> {
                     cur = *child;
                 }
             }
-
-            // Fold the probe into the Lemma 2.5 histogram: one sample per
-            // (key, round ≤ current) pair.
-            for &l in hits.iter().take(round + 1) {
-                let l = l as usize;
-                if self.histogram.len() <= l {
-                    self.histogram.resize(l + 1, 0);
-                }
-                self.histogram[l] += 1;
-            }
         }
 
         self.resolve_comparisons - resolved_before
@@ -178,25 +146,11 @@ impl<T: Ord + Sync> Type3Algorithm for BatchState<'_, T> {
 
 /// Sort by batched (Type 3) BST insertion. Keys must be distinct.
 pub(crate) fn batch_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> BatchSortResult {
-    let n = keys.len();
-    let rounds = prefix_rounds(n);
-    assert!(
-        rounds.len() <= MAX_ROUNDS,
-        "doubling schedule exceeds MAX_ROUNDS"
-    );
-    let mut round_of = vec![0u16; n];
-    for (r, &(lo, hi)) in rounds.iter().enumerate() {
-        for x in round_of.iter_mut().take(hi).skip(lo) {
-            *x = r as u16;
-        }
-    }
     let mut state = BatchState {
         keys,
-        tree: Bst::new(n),
-        round_of,
+        tree: Bst::new(keys.len()),
         search_comparisons: 0,
         resolve_comparisons: 0,
-        histogram: Vec::new(),
     };
     let log = execute_type3(&mut state, &RunConfig::new().parallel()).rounds;
     let sorted_indices = state.tree.in_order_par();
@@ -205,15 +159,230 @@ pub(crate) fn batch_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> BatchSortResult 
         sorted_indices,
         comparisons: state.search_comparisons + state.resolve_comparisons,
         log,
-        left_dep_histogram: state.histogram,
     }
+}
+
+/// Lemma 2.5's histogram of the batch schedule that builds `tree`: `[l]`
+/// counts the (key, round ≤ the key's round) pairs with exactly `l` left
+/// dependences from that round. Key `k` is inserted in round `64 −
+/// k.leading_zeros()`, and its left dependences from round `i` are its
+/// right turns at round-`i` ancestors, in its search or its conflict
+/// resolution. One DFS counts them.
+pub(crate) fn left_dep_histogram(tree: &Bst) -> Vec<u64> {
+    /// A node to visit, a right turn to take into a child, or one to undo.
+    enum Step {
+        Visit(u64),
+        Turn(u64, usize),
+        Back(usize),
+    }
+    let mut histogram = Vec::new();
+    // Right turns per round on the path from the root.
+    let mut turns = [0usize; u64::BITS as usize + 1];
+    let mut stack = vec![Step::Visit(tree.root)];
+    while let Some(step) = stack.pop() {
+        match step {
+            Step::Visit(NONE) => {}
+            Step::Visit(k) => {
+                let r = (u64::BITS - k.leading_zeros()) as usize;
+                for &l in &turns[..=r] {
+                    if histogram.len() <= l {
+                        histogram.resize(l + 1, 0);
+                    }
+                    histogram[l] += 1;
+                }
+                let (left, right) = (tree.left[k as usize], tree.right[k as usize]);
+                stack.extend([Step::Back(r), Step::Turn(right, r), Step::Visit(left)]);
+            }
+            Step::Turn(child, r) => {
+                turns[r] += 1;
+                stack.push(Step::Visit(child));
+            }
+            Step::Back(r) => turns[r] -= 1,
+        }
+    }
+    histogram
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sequential::sequential_bst_sort_impl;
+    use crate::workloads::shaped_keys;
+    use ri_core::engine::Runner;
+    use ri_core::prefix_rounds;
     use ri_pram::random_permutation;
+
+    /// A per-search cost dear enough that every round of two or more keys
+    /// forms a crew at width > 1 on any host.
+    const DEAR_NS: u64 = 1_000_000;
+
+    /// The batch state this module ran before the histogram left the solve,
+    /// kept as the reference: every probe carries its left dependences per
+    /// round (`round_of` gives each node's round), conflict resolution adds
+    /// the intra-round ones, and the combine folds each probe into the
+    /// histogram.
+    struct Reference<'a> {
+        keys: &'a [usize],
+        tree: Bst,
+        round_of: Vec<u16>,
+        comparisons: u64,
+        histogram: Vec<u64>,
+        item_ns: u64,
+    }
+
+    impl Type3Algorithm for Reference<'_> {
+        type Output = (Probe, [u16; 64]);
+
+        fn len(&self) -> usize {
+            self.keys.len()
+        }
+
+        fn run_iteration(&self, k: usize) -> Self::Output {
+            let mut left_hits = [0u16; 64];
+            let mut comparisons = 0u32;
+            let mut slot = Slot::Root;
+            let mut cur = self.tree.root;
+            while cur != NONE {
+                comparisons += 1;
+                let node = cur as usize;
+                if self.keys[k] < self.keys[node] {
+                    slot = Slot::Left(cur as u32);
+                    cur = self.tree.left[node];
+                } else {
+                    left_hits[self.round_of[node] as usize] += 1;
+                    slot = Slot::Right(cur as u32);
+                    cur = self.tree.right[node];
+                }
+            }
+            let probe = Probe {
+                key: k,
+                slot,
+                comparisons,
+            };
+            (probe, left_hits)
+        }
+
+        fn item_ns(&self) -> u64 {
+            self.item_ns
+        }
+
+        fn combine(&mut self, lo: usize, outputs: &mut Vec<Self::Output>) -> u64 {
+            let round = self.round_of[lo] as usize;
+            for (p, mut hits) in outputs.drain(..) {
+                let k = p.key;
+                self.comparisons += u64::from(p.comparisons);
+                let slot_child = match p.slot {
+                    Slot::Root => &mut self.tree.root,
+                    Slot::Left(q) => &mut self.tree.left[q as usize],
+                    Slot::Right(q) => &mut self.tree.right[q as usize],
+                };
+                if *slot_child == NONE {
+                    *slot_child = k as u64;
+                } else {
+                    let mut cur = *slot_child;
+                    loop {
+                        self.comparisons += 1;
+                        let node = cur as usize;
+                        let child = if self.keys[k] < self.keys[node] {
+                            &mut self.tree.left[node]
+                        } else {
+                            hits[round] += 1;
+                            &mut self.tree.right[node]
+                        };
+                        if *child == NONE {
+                            *child = k as u64;
+                            break;
+                        }
+                        cur = *child;
+                    }
+                }
+                for &l in hits.iter().take(round + 1) {
+                    let l = l as usize;
+                    if self.histogram.len() <= l {
+                        self.histogram.resize(l + 1, 0);
+                    }
+                    self.histogram[l] += 1;
+                }
+            }
+            0
+        }
+    }
+
+    /// The solve's batch state at a declared per-search cost.
+    struct Costed<'a>(BatchState<'a, usize>, u64);
+
+    impl Type3Algorithm for Costed<'_> {
+        type Output = Probe;
+
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        fn run_iteration(&self, k: usize) -> Probe {
+            self.0.run_iteration(k)
+        }
+
+        fn item_ns(&self) -> u64 {
+            self.1
+        }
+
+        fn combine(&mut self, lo: usize, outputs: &mut Vec<Probe>) -> u64 {
+            self.0.combine(lo, outputs)
+        }
+    }
+
+    /// Runs `algo` in parallel mode at `width` threads; returns the crew
+    /// regions the run started.
+    fn regions_at(algo: &mut impl Type3Algorithm, width: usize) -> u64 {
+        let runner = Runner::new(RunConfig::new().parallel().threads(width));
+        let (_, report) = runner.solve("sort-batch", |cfg| ((), execute_type3(algo, cfg)));
+        report.regions
+    }
+
+    #[test]
+    fn lean_probes_and_the_tree_dfs_match_the_per_probe_fold() {
+        for shape in ["random", "nearly-sorted", "reverse", "organ-pipe"] {
+            for seed in 0..3 {
+                let keys = shaped_keys(3000, seed, shape, None).unwrap();
+                let mut round_of = vec![0u16; keys.len()];
+                for (r, (lo, hi)) in prefix_rounds(keys.len()).into_iter().enumerate() {
+                    round_of[lo..hi].fill(r as u16);
+                }
+                let mut want = Reference {
+                    keys: &keys,
+                    tree: Bst::new(keys.len()),
+                    round_of,
+                    comparisons: 0,
+                    histogram: Vec::new(),
+                    item_ns: SEARCH_NS,
+                };
+                regions_at(&mut want, 1);
+                for width in [1, 2, 4] {
+                    for item_ns in [SEARCH_NS, DEAR_NS] {
+                        let tag = format!("{shape}/{seed} at width {width}, {item_ns} ns");
+                        let state = BatchState {
+                            keys: &keys,
+                            tree: Bst::new(keys.len()),
+                            search_comparisons: 0,
+                            resolve_comparisons: 0,
+                        };
+                        let mut got = Costed(state, item_ns);
+                        let regions = regions_at(&mut got, width);
+                        assert!(regions == 0 || width > 1, "{tag}: a crew at width 1");
+                        assert!(
+                            regions > 0 || width == 1 || item_ns != DEAR_NS,
+                            "{tag}: no crew"
+                        );
+                        let got = got.0;
+                        assert_eq!(got.tree, want.tree, "{tag}: tree");
+                        let comparisons = got.search_comparisons + got.resolve_comparisons;
+                        assert_eq!(comparisons, want.comparisons, "{tag}: comparisons");
+                        assert_eq!(left_dep_histogram(&got.tree), want.histogram, "{tag}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn sorts_correctly() {
@@ -260,7 +429,7 @@ mod tests {
         // measured histogram decays at least geometrically past l = 2.
         let keys = random_permutation(1 << 14, 13);
         let r = batch_bst_sort_impl(&keys);
-        let h = &r.left_dep_histogram;
+        let h = &left_dep_histogram(&r.tree);
         let total: u64 = h.iter().sum();
         assert!(total > 0);
         for l in 3..h.len().saturating_sub(1) {

@@ -5,7 +5,7 @@
 use ri_core::engine::{ExecMode, Problem, RunConfig, RunReport, Runner};
 use ri_pram::RoundLog;
 
-use crate::batch::batch_bst_sort_impl;
+use crate::batch::{batch_bst_sort_impl, left_dep_histogram};
 use crate::parallel::parallel_bst_sort_impl;
 use crate::sequential::sequential_bst_sort_impl;
 use crate::tree::Bst;
@@ -21,11 +21,6 @@ pub struct SortOutput {
     pub sorted_indices: Vec<usize>,
     /// Total key comparisons.
     pub comparisons: u64,
-    /// Lemma 2.5 instrumentation, filled only by the batch (Type 3)
-    /// variant's parallel runs: `left_dep_histogram[l]` = number of
-    /// (key, earlier-round) pairs with exactly `l` left dependences from
-    /// that round. Empty for every other run.
-    pub left_dep_histogram: Vec<u64>,
 }
 
 impl SortOutput {
@@ -34,8 +29,15 @@ impl SortOutput {
             tree,
             sorted_indices,
             comparisons,
-            left_dep_histogram: Vec::new(),
         }
+    }
+
+    /// Lemma 2.5's histogram for the batch (Type 3) schedule, counted from
+    /// the tree that every variant and mode builds (Theorem 3.2): `[l]` =
+    /// (key, round ≤ the key's round) pairs with `l` left dependences
+    /// from that round.
+    pub fn left_dep_histogram(&self) -> Vec<u64> {
+        left_dep_histogram(&self.tree)
     }
 
     /// The classic insertion loop, shared by both problems' sequential
@@ -129,10 +131,7 @@ impl<T: Ord + Sync> Problem for BatchSortProblem<'_, T> {
                 ExecMode::Sequential => SortOutput::sequential(self.keys),
                 ExecMode::Parallel | ExecMode::Relaxed { .. } => {
                     let r = batch_bst_sort_impl(self.keys);
-                    let out = SortOutput {
-                        left_dep_histogram: r.left_dep_histogram,
-                        ..SortOutput::new(r.tree, r.sorted_indices, r.comparisons)
-                    };
+                    let out = SortOutput::new(r.tree, r.sorted_indices, r.comparisons);
                     (out, Some(r.log))
                 }
             });
