@@ -40,7 +40,7 @@
 //! In plain mode requests round-robin over the problem list (default:
 //! every registered problem), all with workload size `--n`, one
 //! connection per request — concurrency C exercises C simultaneous
-//! solves end to end: admission, queueing, the shared pool, response
+//! solves end to end: admission, queueing, the server's width, response
 //! serialization.
 //!
 //! With `--stream`, the generator drives the streaming session protocol

@@ -385,7 +385,7 @@ pub struct ServeResponse {
     /// The workload that was constructed.
     pub workload: WorkloadSpec,
     /// The config the run actually used (a server may clamp `threads` to
-    /// its shared pool width; the echo documents the effective value).
+    /// its own width; the echo documents the effective value).
     pub config: RunConfig,
     /// The output digest (`answer` is mode-invariant).
     pub summary: OutputSummary,

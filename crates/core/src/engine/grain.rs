@@ -9,7 +9,7 @@
 //! when the installed width is above 1 and
 //! `len × item_ns ≥` [`PAYOFF`] `×` [`region_ns`]`(width)`, where
 //! `region_ns` is the spawn-and-join cost of `width − 1` helpers, measured
-//! once per width when the pool is built. Otherwise the round runs inline
+//! once per width on its first fetch. Otherwise the round runs inline
 //! on the calling thread — same results, zero scheduler involvement
 //! (`RunReport::{regions, helper_spawns}` stay 0). Width 1 (sequential
 //! mode, `threads == 1` configs) never reaches the rule.

@@ -8,18 +8,18 @@
 //! through [`execute_type1`] / [`execute_type2`] / [`execute_type3`].
 //!
 //! A parallel run executes on the calling thread with its ambient width
-//! set by the process-wide pool cached for the resolved thread count.
-//! The pool fixes that width; it does not lend its workers. Under
-//! `#![forbid(unsafe_code)]` borrowed data can only cross threads through
-//! `std::thread::scope`, so every crew region and every `join` spawns its
-//! own scoped helper threads (the report's `regions` and `helper_spawns`
-//! count them). Each executor round therefore asks the one go-parallel
-//! rule ([`grain`]) with the algorithm's per-item cost (`item_ns`): a
-//! round gets a crew only when its items times that cost cover
-//! [`grain::PAYOFF`] times the crew's measured spawn cost, and otherwise
-//! runs inline. Sequential-mode runs and `threads == 1` configs set width
-//! 1 and execute inline on the caller — they never reach the rule, and
-//! their reports carry zero scheduler overhead.
+//! set to the resolved thread count (a `rayon::ThreadPool` width token,
+//! which owns no threads). Under `#![forbid(unsafe_code)]` borrowed data
+//! can only cross threads through `std::thread::scope`, so every crew
+//! region and every `join` spawns its own scoped helper threads (the
+//! report's `regions` and `helper_spawns` count them). Each executor
+//! round therefore asks the one go-parallel rule ([`grain`]) with the
+//! algorithm's per-item cost (`item_ns`): a round gets a crew only when
+//! its items times that cost cover [`grain::PAYOFF`] times the crew's
+//! measured spawn cost, and otherwise runs inline. Sequential-mode runs
+//! and `threads == 1` configs set width 1 and execute inline on the
+//! caller — they never reach the rule, and their reports carry zero
+//! scheduler overhead.
 
 use rayon::prelude::*;
 
@@ -323,35 +323,29 @@ impl Runner {
         Runner { cfg }
     }
 
-    /// Eagerly build (or fetch) the cached persistent pool for `threads`
-    /// workers (`0` means the machine default). This replaces the old
-    /// first-call-wins `install_global`: pool width is now **explicit
-    /// per-caller config**, so two serving tiers in one process — or N
-    /// router-spawned backend processes — can each pin their own width
-    /// (pools are cached per width and shared by everyone who asks for
-    /// that width). Callers that want every solve clamped to a fixed
-    /// width set `config.threads` on each request; nothing is decided by
-    /// process-global state.
-    pub fn pool(threads: usize) -> std::sync::Arc<rayon::ThreadPool> {
+    /// The width token for `threads` (`0` means the machine default),
+    /// with that width's region cost measured on its first fetch. The
+    /// token owns no threads; it is only the width that
+    /// [`rayon::ThreadPool::install`] sets. A caller that wants every
+    /// solve clamped to one width (a server) fetches it once and sets
+    /// `config.threads` to its width on each request, so nothing is
+    /// decided by process-global state and servers in one process can
+    /// pin different widths.
+    pub fn pool(threads: usize) -> rayon::ThreadPool {
         let width = if threads == 0 {
             rayon::current_num_threads()
         } else {
             threads
         };
-        rayon::cached_pool(width.max(1))
+        rayon::cached_pool(width)
     }
 
-    /// Run `op` on the calling thread under this runner's parallelism: at
-    /// the width of the cached pool for its thread count, or strictly
-    /// inline when the config resolves to one worker (sequential mode or
-    /// `threads == 1`), so sequential reports carry zero scheduler
+    /// Run `op` on the calling thread at this runner's width. At width 1
+    /// (sequential mode or `threads == 1`) every combinator and `join`
+    /// under `op` runs inline, so sequential reports carry zero scheduler
     /// overhead.
     pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
-        let threads = self.cfg.resolved_threads();
-        if threads <= 1 {
-            return rayon::run_sequential(op);
-        }
-        rayon::cached_pool(threads).install(op)
+        Runner::pool(self.cfg.resolved_threads()).install(op)
     }
 
     /// Run `solve` under this runner's config — at the config's width,
@@ -377,9 +371,12 @@ impl Runner {
             self.cfg.clone()
         };
         let threads = self.cfg.resolved_threads();
+        // Fetched before the clock starts: a width's first fetch measures
+        // its region cost, which is no part of the solve.
+        let width = Runner::pool(threads);
         let workspace = RoundScratch::begin();
         let t0 = std::time::Instant::now();
-        let (out, mut report) = self.install(|| solve(&cfg));
+        let (out, mut report) = width.install(|| solve(&cfg));
         report.algorithm = algorithm.to_string();
         report.mode = self.cfg.mode;
         if relaxed {

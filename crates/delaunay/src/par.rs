@@ -78,13 +78,15 @@ const CLASSIFY_NS: u64 = 30;
 const FIRE_NS: u64 = 500;
 
 /// Fire `tasks` (pure reads of the arena, private outputs) by parallel
-/// divide-and-conquer: [`rayon::join`] splits the slice in half while the
-/// go-parallel rule admits the half's work at `fire_ns` per task, and
-/// concatenation preserves task order. `join`'s thread budget halves per
-/// fork, so the whole divide tree spawns at most `threads − 1` helpers
-/// regardless of task count.
+/// divide-and-conquer: [`rayon::join`] splits the slice in half while it
+/// holds at least two tasks and the go-parallel rule admits its work at
+/// `fire_ns` per task, and concatenation preserves task order. `join`'s
+/// thread budget halves per fork, so the whole divide tree spawns at most
+/// `threads − 1` helpers regardless of task count.
 fn fire_tasks(mesh: &Mesh, tasks: &[Task], fire_ns: u64) -> Vec<NewTri> {
-    if !grain::goes_parallel(tasks.len(), fire_ns) {
+    // The rule can admit one task's declared cost, and a one-task slice
+    // would split into itself and an empty one.
+    if tasks.len() < 2 || !grain::goes_parallel(tasks.len(), fire_ns) {
         return tasks.iter().map(|task| fire_one(mesh, task)).collect();
     }
     let (lo, hi) = tasks.split_at(tasks.len() / 2);
@@ -309,6 +311,18 @@ mod tests {
                 assert_eq!(seq.stats, par.stats);
             }
         });
+    }
+
+    #[test]
+    fn one_task_slices_fire_at_any_declared_cost() {
+        // At u64::MAX ns per task the rule admits every non-empty slice,
+        // so every firing splits down to one-task slices, which must run
+        // inline instead of splitting again.
+        let pts = workload(60, 5, PointDistribution::UniformSquare);
+        let seq = delaunay_sequential_impl(&pts);
+        let par = rayon::cached_pool(4).install(|| delaunay_rounds(&pts, 0, u64::MAX));
+        assert_eq!(sorted_tris(&seq.mesh), sorted_tris(&par.mesh));
+        assert_eq!(seq.stats, par.stats);
     }
 
     #[test]

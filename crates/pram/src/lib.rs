@@ -39,8 +39,8 @@
 //! installed width. Everything else — all work at width 1, and inputs
 //! too small to pay for a crew — runs as a plain sequential loop on the
 //! caller. Block counts *within* a parallel primitive come from
-//! [`rayon::recommended_splits`], which adapts to the installed pool's
-//! width (a few blocks per worker so the crew's dynamic cursor can
+//! [`rayon::recommended_splits`], which adapts to the installed width
+//! (a few blocks per crew member so the crew's dynamic cursor can
 //! balance uneven blocks).
 
 #![forbid(unsafe_code)]

@@ -26,8 +26,8 @@ fn usage_text() -> &'static str {
      POST /stream (+ /stream/<id>/batch, GET/DELETE /stream/<id>),\n\
      GET /problems and GET /healthz. --addr defaults to 127.0.0.1:8077; port 0\n\
      binds an ephemeral port (printed on the `listening on` line). --threads\n\
-     sizes the one shared solve pool (0 = machine default); --executors bounds\n\
-     concurrent solves; --max-inflight is the admission gate; --deadline-ms\n\
+     sets the one width every solve runs at (0 = machine default); --executors\n\
+     bounds concurrent solves; --max-inflight is the admission gate; --deadline-ms\n\
      bounds queue wait; --max-body-bytes bounds request bodies;\n\
      --max-connections bounds simultaneous connection handlers; --shard-id\n\
      names this process in /healthz (set by ri-router when it spawns shards);\n\

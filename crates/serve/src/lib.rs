@@ -2,7 +2,7 @@
 //!
 //! The ROADMAP's serving milestone: an HTTP/1.1-over-TCP transport for the
 //! `{problem, workload, config}` → `{summary, report}` contract the `ri`
-//! CLI fixed in PR 2, built on the PR 3 persistent thread pool. std-only,
+//! CLI fixed, running every solve at one server-wide width. std-only,
 //! dependency-free, `#![forbid(unsafe_code)]`.
 //!
 //! ## Endpoints
@@ -48,15 +48,13 @@
 //!    arrival time. A fixed set of **executor threads** drains the queue;
 //!    a request that waited past `deadline_ms` is answered
 //!    `504 deadline-exceeded` without being solved.
-//! 3. **One pool per server**: at startup the server resolves
-//!    `cfg.threads` and builds its pool through [`Runner::pool`] (the
-//!    process-wide cache keyed by width); every parallel solve is
-//!    clamped to that pool's width, so N concurrent requests share one
-//!    set of pool workers instead of building per-request pools (the
-//!    spawn-counter regression test asserts exactly this). Pool choice
-//!    is explicit per-[`ServeConfig`], not first-call-wins process
-//!    state: several in-process servers (as the router tests spawn) can
-//!    pin different widths.
+//! 3. **One width per server**: at startup the server resolves
+//!    `cfg.threads` to a width through [`Runner::pool`] (which measures
+//!    that width's region cost once); every parallel solve is clamped to
+//!    that width, whatever width its client asked for. The width is
+//!    explicit per-[`ServeConfig`], not first-call-wins process state:
+//!    several in-process servers (as the router tests spawn) can pin
+//!    different widths.
 //!
 //! Shutdown is graceful: the acceptor stops, queued requests drain
 //! through the executors (each still gets its response), and worker
@@ -92,7 +90,7 @@ use session::{SessionConfig, SessionManager};
 pub struct ServeConfig {
     /// Bind address, `host:port` (`port` 0 = ephemeral).
     pub addr: String,
-    /// Width of the shared solve pool (`0` = machine default). Parallel
+    /// Width every solve runs at (`0` = machine default). Parallel
     /// requests are clamped to this width; the echoed `config.threads`
     /// documents the effective value.
     pub threads: usize,
@@ -232,7 +230,7 @@ impl ChaosState {
 struct Shared {
     registry: Registry,
     cfg: ServeConfig,
-    /// Effective width of the shared pool (resolved from `cfg.threads`).
+    /// Effective solve width (resolved from `cfg.threads`).
     pool_width: usize,
     /// Sender side of the solve queue; taken (set to `None`) at shutdown
     /// so executors see disconnect once the queue drains and late
@@ -278,16 +276,16 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind, install the shared pool, and start the acceptor and
+    /// Bind, fix the solve width, and start the acceptor and
     /// executor threads. Returns once the listener is accepting.
     pub fn start(registry: Registry, cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
 
-        // ONE pool for this server, built now: per-request solves reuse
-        // it instead of paying pool construction. The width comes from
-        // this config alone (0 = machine default) — other servers in the
-        // same process are free to pin different widths.
+        // ONE width for this server, fixed (and its region cost measured)
+        // now rather than on the first request. It comes from this config
+        // alone (0 = machine default) — other servers in the same process
+        // are free to pin different widths.
         let pool = Runner::pool(cfg.threads);
         let pool_width = pool.current_num_threads();
 
@@ -350,7 +348,7 @@ impl Server {
         self.addr
     }
 
-    /// Width of the shared solve pool.
+    /// The width every solve runs at.
     pub fn pool_width(&self) -> usize {
         self.shared.pool_width
     }
@@ -682,8 +680,8 @@ fn handle_solve(
         }
     };
     // Clamp multi-threaded solves (parallel and relaxed alike) to the
-    // shared pool: one pool serves every request, whatever widths clients
-    // ask for. The response's config echo documents the effective width.
+    // server's width, whatever widths clients ask for. The response's
+    // config echo documents the effective width.
     if request.config.mode != ExecMode::Sequential {
         request.config.threads = Some(shared.pool_width);
     }
@@ -744,7 +742,7 @@ fn handle_solve(
 
 /// `POST /stream`: open a streaming session. Admission, duplicate-id
 /// and byte-cap checks live in the [`SessionManager`]; this handler
-/// parses, clamps the config to the shared pool (like `/solve`), and
+/// parses, clamps the config to the server's width (like `/solve`), and
 /// answers with the session-info document.
 fn handle_stream_open(
     shared: &Arc<Shared>,

@@ -13,8 +13,8 @@ use ri_core::engine::{
 use ri_serve::http;
 use ri_serve::{ServeConfig, Server};
 
-/// One shared width for every server in this test binary: servers built
-/// at the same width share one cached pool (`Runner::pool`).
+/// One shared width for every server in this test binary (each fixes it
+/// through `Runner::pool`).
 const POOL_WIDTH: usize = 2;
 
 fn start_server(cfg_mut: impl FnOnce(&mut ServeConfig)) -> Server {

@@ -1,11 +1,14 @@
-//! Integration tests for the persistent thread pool underneath the engine:
-//! pool reuse across `Runner::solve` calls, nested parallelism staying
-//! on-pool, panic propagation, spawn accounting, and property-based
-//! sequential-equivalence of every combinator under randomized stealing at
-//! 1–8 threads.
+//! Integration tests for the parallel substrate underneath the engine:
+//! nested parallelism keeping the installed width, width-1 configs
+//! running inline, panic propagation, and property-based
+//! sequential-equivalence at widths 1–8 of every combinator shape the
+//! solves call.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use rayon::prelude::*;
+use rayon::ParIter;
 use ri_core::engine::{Problem, RunConfig, Runner};
 use ri_pram::random_permutation;
 use ri_sort::SortProblem;
@@ -14,38 +17,9 @@ use ri_sort::SortProblem;
 /// a crew under the go-parallel rule, so these tests exercise real crews.
 const DEAR_NS: u64 = 1_000_000;
 
-/// Two engine runs with the same thread count reuse one cached pool: the
-/// worker thread ids are identical and no new worker threads are spawned
-/// by the second run.
-#[test]
-fn runner_runs_reuse_one_pool_with_stable_worker_ids() {
-    let keys = random_permutation(20_000, 5);
-    let problem = SortProblem::new(&keys);
-    let cfg = RunConfig::new().parallel().threads(3);
-
-    let (first, _) = problem.solve(&cfg);
-    let pool_after_first = rayon::cached_pool(3);
-    let ids_after_first = pool_after_first.worker_ids();
-
-    let (second, _) = problem.solve(&cfg);
-    let pool_after_second = rayon::cached_pool(3);
-
-    assert_eq!(first.sorted_indices, second.sorted_indices);
-    assert!(
-        std::sync::Arc::ptr_eq(&pool_after_first, &pool_after_second),
-        "both runs must resolve to one cached pool"
-    );
-    assert_eq!(
-        pool_after_second.worker_ids(),
-        ids_after_first,
-        "worker ids must be stable across runs"
-    );
-    assert_eq!(ids_after_first.len(), 3);
-}
-
 /// Parallel work started from inside an installed run — including from
-/// crew helper threads — sees the pool's width, not the machine default:
-/// nested parallelism stays sized by the pool.
+/// crew helper threads — sees the installed width, not the machine
+/// default: nested parallelism stays sized by it.
 #[test]
 fn nested_parallelism_from_workers_stays_on_pool() {
     let runner = Runner::new(RunConfig::new().parallel().threads(5));
@@ -72,7 +46,7 @@ fn nested_parallelism_from_workers_stays_on_pool() {
     );
 }
 
-/// A `threads == 1` config must bypass the pool entirely: the whole run
+/// A `threads == 1` config runs at width 1: the whole run
 /// executes inline on this thread, spawning no helper threads (the
 /// helper-spawn counter is per-thread, so concurrent tests cannot
 /// perturb it).
@@ -119,92 +93,135 @@ fn panics_propagate_through_parallel_regions() {
     assert!(msg.contains("90123"), "payload lost: {msg:?}");
 }
 
-/// A panic in a `'static` job stolen by a pool worker is caught: the
-/// worker survives, the payload is kept, and later jobs still run.
-#[test]
-fn panics_in_stolen_pool_jobs_leave_the_pool_alive() {
-    let pool = rayon::cached_pool(2);
-    let before = pool.panic_count();
-    pool.spawn(|| panic!("stolen job panicked"));
-    pool.wait_idle();
-    assert_eq!(pool.panic_count(), before + 1);
-    let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let done2 = std::sync::Arc::clone(&done);
-    pool.spawn(move || done2.store(true, std::sync::atomic::Ordering::SeqCst));
-    pool.wait_idle();
-    assert!(done.load(std::sync::atomic::Ordering::SeqCst));
+/// Outputs of the combinator property, one per shape the solves call:
+/// chunked zip, element zip, fold-reduce, first match, enumerate-map,
+/// collect into a reused buffer, and weighted owned blocks.
+type Shapes = (
+    Vec<u64>,
+    Vec<u64>,
+    (u64, u64),
+    Option<usize>,
+    Vec<u64>,
+    Vec<u64>,
+    Vec<u64>,
+);
+
+/// Sequential references for the combinator property.
+fn reference_shapes(xs: &[u64]) -> Shapes {
+    let next = |i: usize| xs.get(i + 1).copied().unwrap_or(0);
+    let sum = xs.iter().map(|&x| x % 1000).sum();
+    let enumerated = xs.iter().enumerate();
+    (
+        xs.iter().map(|&x| x.wrapping_mul(3) ^ 1).collect(),
+        xs.iter().map(|&x| x ^ 0xff).collect(),
+        (sum, xs.iter().copied().max().unwrap_or(0)),
+        xs.iter().position(|&x| x % 97 == 13),
+        enumerated
+            .map(|(i, &x)| x.wrapping_add(next(i)).wrapping_mul(i as u64 + 1))
+            .collect(),
+        xs.iter().map(|&x| x / 3).collect(),
+        xs.iter().map(|&x| x.rotate_left(9)).collect(),
+    )
 }
 
-/// Outputs of the reference pipeline: mapped values, filtered sum, first
-/// match, and zip-enumerate pairs.
-type PipelineOutputs = (Vec<u64>, u64, Option<u64>, Vec<(usize, u64)>);
+/// The same shapes through the combinators at the installed width, with
+/// a per-element cost that puts every multi-item pipeline on a crew.
+fn parallel_shapes(xs: &[u64]) -> Shapes {
+    let n = xs.len();
+    let chunk = n.div_ceil(rayon::recommended_splits()).max(1);
+    let next = |i: usize| xs.get(i + 1).copied().unwrap_or(0);
 
-/// Sequential references for the combinator equivalence property.
-fn reference_pipeline(xs: &[u64]) -> PipelineOutputs {
-    let mapped: Vec<u64> = xs.iter().map(|&x| x.wrapping_mul(3) ^ 1).collect();
-    let sum: u64 = xs
-        .iter()
-        .filter(|&&x| x % 3 == 0)
-        .map(|&x| x / 2)
-        .fold(0u64, u64::wrapping_add);
-    let first_big = xs.iter().copied().find(|&x| x % 97 == 13);
-    let enumerated: Vec<(usize, u64)> = xs
-        .iter()
-        .zip(xs.iter().skip(1))
-        .map(|(&a, &b)| a.wrapping_add(b))
+    // Blocked primitives: mutable chunks paired with read chunks.
+    let mut chunk_zip = vec![0u64; n];
+    chunk_zip
+        .par_chunks_mut(chunk)
+        .zip(xs.par_chunks(chunk))
+        .with_cost(DEAR_NS)
+        .for_each(|(out, src)| {
+            for (o, &x) in out.iter_mut().zip(src) {
+                *o = x.wrapping_mul(3) ^ 1;
+            }
+        });
+
+    // Sort's write phase: element pairs visited for their side effects.
+    let cells: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+    xs.par_iter()
+        .zip(cells.par_iter())
+        .with_cost(DEAR_NS)
+        .for_each(|(&x, cell)| cell.store(x ^ 0xff, Ordering::Relaxed));
+    let zip_for_each = cells.into_iter().map(AtomicU64::into_inner).collect();
+
+    // Seidel's clip: per-chunk accumulators, then one merge.
+    let fold_reduce = xs
+        .par_iter()
+        .with_cost(DEAR_NS)
+        .map(|&x| (x % 1000, x))
+        .fold(|| (0u64, 0u64), |(s, m), (a, x)| (s + a, m.max(x)))
+        .reduce(|| (0, 0), |(s, m), (t, k)| (s + t, m.max(k)));
+
+    // The Type 2 executor's earliest special.
+    let first_match = (0..n)
+        .into_par_iter()
+        .with_cost(DEAR_NS)
+        .find_first(|&i| xs[i] % 97 == 13);
+
+    // Semisort's group table: pipeline indices through a fused chain.
+    let enumerate_map = xs
+        .par_iter()
         .enumerate()
+        .with_cost(DEAR_NS)
+        .map(|(i, &x)| x.wrapping_add(next(i)).wrapping_mul(i as u64 + 1))
         .collect();
-    (mapped, sum, first_big, enumerated)
+
+    // The Type 3 executor's round outputs: a reused buffer still holding
+    // the items of an earlier, longer round.
+    let mut collected = vec![u64::MAX; n + 17];
+    (0..n)
+        .into_par_iter()
+        .with_cost(DEAR_NS)
+        .map(|k| xs[k] / 3)
+        .collect_into_vec(&mut collected);
+
+    // Radix's scatter: owned block pairs weighted by their length.
+    let mut weighted = vec![0u64; n];
+    let blocks: Vec<(&[u64], &mut [u64])> =
+        xs.chunks(chunk).zip(weighted.chunks_mut(chunk)).collect();
+    ParIter::from_vec(blocks)
+        .with_weight(chunk)
+        .with_cost(DEAR_NS)
+        .for_each(|(src, out)| {
+            for (o, &x) in out.iter_mut().zip(src) {
+                *o = x.rotate_left(9);
+            }
+        });
+
+    (
+        chunk_zip,
+        zip_for_each,
+        fold_reduce,
+        first_match,
+        enumerate_map,
+        collected,
+        weighted,
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every combinator path — fused map/collect, filter+map+reduce,
-    /// find_first, zip+enumerate, fold, flat_map_iter, pack/scan — equals
-    /// its sequential reference under randomized stealing at 1–8 threads
-    /// (the declared cost puts every multi-item pipeline on a crew).
+    /// Every combinator shape the solves call equals its sequential
+    /// reference at widths 1–8 (the declared cost puts every multi-item
+    /// pipeline on a crew at widths above 1).
     #[test]
     fn combinators_match_sequential_at_any_width(
         xs in proptest::collection::vec(any::<u64>(), 0..6000),
         threads in 1usize..=8,
     ) {
         let runner = Runner::new(RunConfig::new().parallel().threads(threads));
-        let (want_map, want_sum, want_first, want_enum) = reference_pipeline(&xs);
-        let (got_map, got_sum, got_first, got_enum) = runner.install(|| {
-            let m: Vec<u64> = xs
-                .par_iter()
-                .with_cost(DEAR_NS)
-                .map(|&x| x.wrapping_mul(3) ^ 1)
-                .collect();
-            let s: u64 = xs
-                .par_iter()
-                .with_cost(DEAR_NS)
-                .copied()
-                .filter(|&x| x % 3 == 0)
-                .map(|x| x / 2)
-                .reduce(|| 0u64, u64::wrapping_add);
-            let f = xs
-                .par_iter()
-                .with_cost(DEAR_NS)
-                .find_first(|&&x| x % 97 == 13)
-                .copied();
-            let e: Vec<(usize, u64)> = xs
-                .par_iter()
-                .with_cost(DEAR_NS)
-                .zip(xs[1.min(xs.len())..].par_iter())
-                .map(|(&a, &b)| a.wrapping_add(b))
-                .enumerate()
-                .collect();
-            (m, s, f, e)
-        });
-        prop_assert_eq!(got_map, want_map);
-        prop_assert_eq!(got_sum, want_sum);
-        prop_assert_eq!(got_first, want_first);
-        prop_assert_eq!(got_enum, want_enum);
+        prop_assert_eq!(runner.install(|| parallel_shapes(&xs)), reference_shapes(&xs));
     }
 
-    /// The pram primitives built on the pool agree with their references
+    /// The pram primitives agree with their references
     /// at every width too (scan feeds pack; radix must stay stable).
     #[test]
     fn primitives_match_sequential_at_any_width(
