@@ -21,8 +21,8 @@
 //! `--gate-scaling` fails the run when a problem's `scaling` at any width
 //! `w` up to the host's core count exceeds [`SCALING_BOUND`] (same skip
 //! rule; `--threads` must include 1): parallel mode must never lose to its
-//! own width-1 run, which is what the scheduler's per-item cost constants
-//! promise. `scaling` is the median over repeats of par@w / par@1, each
+//! own width-1 run, which is what the go-parallel rule's measured
+//! per-item costs promise. `scaling` is the median over repeats of par@w / par@1, each
 //! pair timed back to back. A width whose solve spawned no helper thread
 //! ran the width-1 code path, so its ratio is noise and the gate skips it
 //! (the JSON's per-width `helper_spawns` shows which).

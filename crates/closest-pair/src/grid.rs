@@ -5,10 +5,6 @@ use ri_core::Type2Algorithm;
 use ri_geometry::Point2;
 use ri_pram::hash::FxHashMap;
 
-/// Estimated nanoseconds per specialness check: nine grid-cell lookups
-/// and a scan of the few points they hold.
-const NEIGHBORHOOD_NS: u64 = 120;
-
 /// The end of a cell's chain.
 const NONE: u32 = u32::MAX;
 
@@ -124,10 +120,6 @@ impl Type2Algorithm for GridState<'_> {
             return k >= 1; // the second point always sets r
         }
         self.nearest_earlier(k).is_some_and(|(_, d)| d < self.r_sq)
-    }
-
-    fn item_ns(&self) -> u64 {
-        NEIGHBORHOOD_NS
     }
 
     fn run_regular(&mut self, _k: usize) {}
@@ -300,10 +292,6 @@ mod tests {
                     return k >= 1;
                 }
                 self.nearest_earlier(k).is_some_and(|(_, d)| d < self.r_sq)
-            }
-
-            fn item_ns(&self) -> u64 {
-                NEIGHBORHOOD_NS
             }
 
             fn run_regular(&mut self, _k: usize) {}

@@ -13,13 +13,14 @@
 //! can only cross threads through `std::thread::scope`, so every crew
 //! region and every `join` spawns its own scoped helper threads (the
 //! report's `regions` and `helper_spawns` count them). Each executor
-//! round therefore asks the one go-parallel rule ([`grain`]) with the
-//! algorithm's per-item cost (`item_ns`): a round gets a crew only when
-//! its items times that cost cover [`grain::PAYOFF`] times the crew's
-//! measured spawn cost, and otherwise runs inline. Sequential-mode runs
-//! and `threads == 1` configs set width 1 and execute inline on the
-//! caller — they never reach the rule, and their reports carry zero
-//! scheduler overhead.
+//! round therefore asks the one go-parallel rule ([`grain`]) at the
+//! nanoseconds per item of the executor's latest round
+//! ([`grain::RoundCost`]; [`grain::DEFAULT_ITEM_NS`] before the first):
+//! a round gets a crew only when its items times that cost cover
+//! [`grain::PAYOFF`] times the crew's measured spawn cost, and otherwise
+//! runs inline. Sequential-mode runs and `threads == 1` configs set width
+//! 1 and execute inline on the caller — they never reach the rule, read
+//! no clock, and their reports carry zero scheduler overhead.
 
 use rayon::prelude::*;
 
@@ -395,24 +396,26 @@ impl Runner {
     }
 }
 
-/// Evaluate `test` (about `item_ns` each) on every item into `flags`
-/// (cleared first): a round the go-parallel rule admits splits into a few
-/// chunks per crew member for the crew's cursor to balance; other rounds
-/// evaluate inline on the caller without paying region setup.
+/// Evaluate `test` on every item into `flags` (cleared first): a round
+/// the go-parallel rule admits at `cost`'s price splits into a few chunks
+/// per crew member for the crew's cursor to balance; other rounds
+/// evaluate inline on the caller without paying region setup. Either way
+/// the round prices the next one.
 fn fill_flags<T: Sync>(
     flags: &mut Vec<bool>,
     items: &[T],
-    item_ns: u64,
+    cost: &mut grain::RoundCost,
     test: impl Fn(&T) -> bool + Sync,
 ) {
     flags.clear();
-    if grain::goes_parallel(items.len(), item_ns) {
+    let t0 = cost.start();
+    if cost.goes_parallel(items.len()) {
         flags.resize(items.len(), false);
         let chunk = items.len().div_ceil(rayon::recommended_splits());
         flags
             .par_chunks_mut(chunk)
             .zip(items.par_chunks(chunk))
-            .with_cost(item_ns)
+            .with_cost(cost.ns_per_item())
             .for_each(|(fs, xs)| {
                 for (f, x) in fs.iter_mut().zip(xs) {
                     *f = test(x);
@@ -421,6 +424,7 @@ fn fill_flags<T: Sync>(
     } else {
         flags.extend(items.iter().map(test));
     }
+    cost.stop(t0, items.len());
 }
 
 /// The Type 1 executor (§2.1): parallel mode runs rounds of all ready
@@ -454,6 +458,7 @@ pub fn execute_type1<A: Type1Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
             remaining.extend(0..n);
             let mut next: Vec<usize> = scratch::take_vec();
             let mut flags: Vec<bool> = scratch::take_vec();
+            let mut cost = grain::RoundCost::new();
             let mut round = 0usize;
             while !remaining.is_empty() {
                 algo.begin_round(round);
@@ -462,8 +467,8 @@ pub fn execute_type1<A: Type1Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
                 // round: iterations that run together are mutually
                 // independent, so any order gives the sequential
                 // algorithm's result). Rounds too small to pay for a crew
-                // — the long tail — check inline.
-                fill_flags(&mut flags, &remaining, algo.item_ns(), |&k| algo.ready(k));
+                // at the latest round's price check inline.
+                fill_flags(&mut flags, &remaining, &mut cost, |&k| algo.ready(k));
                 // Run-and-compact in one pass over the reused buffers.
                 let mut ran = 0usize;
                 next.clear();
@@ -522,6 +527,7 @@ pub fn execute_type2<A: Type2Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
             report.stamp_rounds(None, report.checks);
         }
         ExecMode::Parallel | ExecMode::Relaxed { .. } => {
+            let mut cost = grain::RoundCost::new();
             let mut lo = 0usize;
             let mut width = 1usize;
             while lo < n {
@@ -537,17 +543,19 @@ pub fn execute_type2<A: Type2Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
                     // the earliest special iteration (min-reduction).
                     // Tails too small to pay for a crew — every early
                     // prefix, every tail after a late special, and every
-                    // tail of cheap checks — scan inline.
-                    let item_ns = algo.item_ns();
-                    let l = if grain::goes_parallel(hi - j, item_ns) {
+                    // tail of cheap checks — scan inline. The scan prices
+                    // the next one by the checks up to the special it met.
+                    let t0 = cost.start();
+                    let l = if cost.goes_parallel(hi - j) {
                         (j..hi)
                             .into_par_iter()
-                            .with_cost(item_ns)
+                            .with_cost(cost.ns_per_item())
                             .find_first(|&k| algo.is_special(k))
                             .unwrap_or(hi)
                     } else {
                         (j..hi).find(|&k| algo.is_special(k)).unwrap_or(hi)
                     };
+                    cost.stop(t0, (l + 1).min(hi) - j);
                     for k in j..l {
                         algo.run_regular(k);
                     }
@@ -597,22 +605,25 @@ pub fn execute_type3<A: Type3Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
         ExecMode::Parallel | ExecMode::Relaxed { .. } => {
             let rounds = prefix_rounds(n);
             report.depth = rounds.len();
+            let mut cost = grain::RoundCost::new();
             for (lo, hi) in rounds {
                 // Rounds too small to pay for a crew (the first log n of
                 // them combined hold fewer items than the last) run
-                // inline on the caller. The cost is asked per round: it
-                // may depend on the state the previous rounds built.
-                let item_ns = algo.item_ns();
-                if grain::goes_parallel(hi - lo, item_ns) {
+                // inline on the caller. Each round's iterations, which see
+                // the state the previous rounds built, price the next
+                // round (the combine is not timed).
+                let t0 = cost.start();
+                if cost.goes_parallel(hi - lo) {
                     (lo..hi)
                         .into_par_iter()
-                        .with_cost(item_ns)
+                        .with_cost(cost.ns_per_item())
                         .map(|k| algo.run_iteration(k))
                         .collect_into_vec(&mut outputs);
                 } else {
                     outputs.clear();
                     outputs.extend((lo..hi).map(|k| algo.run_iteration(k)));
                 }
+                cost.stop(t0, hi - lo);
                 let work = algo.combine(lo, &mut outputs);
                 report.record_round(hi - lo, work);
             }

@@ -49,12 +49,6 @@ pub trait Type2Algorithm: Sync {
     /// Called concurrently; must be read-only.
     fn is_special(&self, k: usize) -> bool;
 
-    /// Estimated nanoseconds per `is_special` check: the executor's
-    /// per-item cost for the go-parallel rule ([`crate::engine::grain`]).
-    fn item_ns(&self) -> u64 {
-        crate::engine::grain::DEFAULT_ITEM_NS
-    }
-
     /// Run a regular (O(1)) iteration.
     fn run_regular(&mut self, k: usize);
 

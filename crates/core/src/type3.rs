@@ -38,13 +38,6 @@ pub trait Type3Algorithm: Sync {
     /// Called concurrently for all iterations of a round (`&self`).
     fn run_iteration(&self, k: usize) -> Self::Output;
 
-    /// Estimated nanoseconds per `run_iteration` of the next round: the
-    /// executor's per-item cost for the go-parallel rule
-    /// ([`crate::engine::grain`]), asked once per round.
-    fn item_ns(&self) -> u64 {
-        crate::engine::grain::DEFAULT_ITEM_NS
-    }
-
     /// Combine one round's outputs (iterations `lo..lo+outputs.len()`, in
     /// iteration order; earlier iterations have priority). Returns the work
     /// performed this round (for the logs).

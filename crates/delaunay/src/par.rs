@@ -16,6 +16,7 @@
 
 use rayon::prelude::*;
 
+use ri_core::engine::grain::RoundCost;
 use ri_core::engine::{grain, scratch};
 use ri_geometry::Point2;
 use ri_pram::{ConcurrentPairMap, RoundLog};
@@ -69,23 +70,17 @@ struct NewTri {
     stats: DtStats,
 }
 
-/// Estimated nanoseconds per candidate face of the activity check (a face
-/// map lookup and two conflict-list heads; 25–45 ns measured).
-const CLASSIFY_NS: u64 = 30;
-
-/// Estimated nanoseconds per fired task (a conflict-list merge with its
-/// InCircle tests; 430–690 ns measured).
-const FIRE_NS: u64 = 500;
-
 /// Fire `tasks` (pure reads of the arena, private outputs) by parallel
 /// divide-and-conquer: [`rayon::join`] splits the slice in half while it
 /// holds at least two tasks and the go-parallel rule admits its work at
-/// `fire_ns` per task, and concatenation preserves task order. `join`'s
-/// thread budget halves per fork, so the whole divide tree spawns at most
-/// `threads − 1` helpers regardless of task count.
+/// `fire_ns` per task (the latest firing's), and concatenation
+/// preserves task order. `join`'s thread budget halves per fork, so the
+/// whole divide tree spawns at most `threads − 1` helpers regardless of
+/// task count.
 fn fire_tasks(mesh: &Mesh, tasks: &[Task], fire_ns: u64) -> Vec<NewTri> {
-    // The rule can admit one task's declared cost, and a one-task slice
-    // would split into itself and an empty one.
+    // The rule can admit one task (forced crews admit any non-empty
+    // slice), and a one-task slice would split into itself and an empty
+    // one.
     if tasks.len() < 2 || !grain::goes_parallel(tasks.len(), fire_ns) {
         return tasks.iter().map(|task| fire_one(mesh, task)).collect();
     }
@@ -129,13 +124,10 @@ fn fire_one(mesh: &Mesh, task: &Task) -> NewTri {
 /// Algorithm 5: parallel incremental Delaunay triangulation of `points`
 /// taken in the given (random) order. Same preconditions as the sequential
 /// version; produces the identical triangulation and work counters.
+///
+/// The activity check and the firing each price their next round from
+/// their latest one ([`RoundCost`]).
 pub(crate) fn delaunay_parallel_impl(points: &[Point2]) -> DtResult {
-    delaunay_rounds(points, CLASSIFY_NS, FIRE_NS)
-}
-
-/// Algorithm 5's rounds, with the per-face and per-task costs the
-/// go-parallel rule weighs for the activity check and the firing.
-fn delaunay_rounds(points: &[Point2], classify_ns: u64, fire_ns: u64) -> DtResult {
     let order = seed_order(points);
     let points_in_order: Vec<Point2> = order.iter().map(|&i| points[i]).collect();
     let n = points_in_order.len();
@@ -163,17 +155,19 @@ fn delaunay_rounds(points: &[Point2], classify_ns: u64, fire_ns: u64) -> DtResul
     candidates.dedup();
 
     let mut log = RoundLog::new();
+    let (mut classify_cost, mut fire_cost) = (RoundCost::new(), RoundCost::new());
     while !candidates.is_empty() {
         // Activity check: which candidate faces may fire? Rounds too small
         // to pay for a crew (the long tail) check inline; either way the
         // task list reuses one scratch buffer across rounds.
         let classify = |key: u64| classify_face(&face_map, &mesh, key);
         tasks.clear();
-        if grain::goes_parallel(candidates.len(), classify_ns) {
+        let t0 = classify_cost.start();
+        if classify_cost.goes_parallel(candidates.len()) {
             let chunk = candidates.len().div_ceil(rayon::recommended_splits());
             let parts: Vec<Vec<Task>> = candidates
                 .par_chunks(chunk)
-                .with_cost(classify_ns)
+                .with_cost(classify_cost.ns_per_item())
                 .map(|keys| keys.iter().filter_map(|&key| classify(key)).collect())
                 .collect();
             for p in parts {
@@ -182,12 +176,20 @@ fn delaunay_rounds(points: &[Point2], classify_ns: u64, fire_ns: u64) -> DtResul
         } else {
             tasks.extend(candidates.iter().filter_map(|&key| classify(key)));
         }
+        classify_cost.stop(t0, candidates.len());
         if tasks.is_empty() {
             break;
         }
 
-        // Fire all active faces by join recursion over the task slice.
-        let new_tris: Vec<NewTri> = fire_tasks(&mesh, &tasks, fire_ns);
+        // Fire all active faces, by join recursion over the task slice
+        // where the firing's price admits it.
+        let t0 = fire_cost.start();
+        let new_tris: Vec<NewTri> = if fire_cost.goes_parallel(tasks.len()) {
+            fire_tasks(&mesh, &tasks, fire_cost.ns_per_item())
+        } else {
+            tasks.iter().map(|task| fire_one(&mesh, task)).collect()
+        };
+        fire_cost.stop(t0, tasks.len());
 
         // Commit phase: append to the arena, rewire the face map, and
         // gather the touched faces as the next round's candidates.
@@ -291,38 +293,30 @@ mod tests {
 
     #[test]
     fn crews_and_joins_build_the_sequential_triangulation() {
-        // Declare the activity checks, then the firings, dear enough that
-        // every round with more than one face pays, so the crew path and
-        // the join path each really run (one at a time, so the spawn
-        // counters tell them apart: crews count regions, joins do not).
+        // Forced crews admit every non-empty round, so the activity checks
+        // run on crews and the firings join, down to one-task slices that
+        // must fire inline instead of splitting again. At width 2 a check
+        // crew spawns one helper per region and a firing one helper per
+        // round of two or more tasks, so helpers beyond the regions are
+        // the firings' joins.
         let pts = workload(2000, 11, PointDistribution::UniformSquare);
         let seq = delaunay_sequential_impl(&pts);
         let counters = || (rayon::crew_regions(), rayon::helper_threads_spawned());
-        rayon::cached_pool(4).install(|| {
-            let before = counters();
-            let crews = delaunay_rounds(&pts, 1_000_000, 0);
-            let after = counters();
-            assert!(after.0 > before.0, "activity checks must form crews");
-            let joins = delaunay_rounds(&pts, 0, 1_000_000);
-            assert_eq!(counters().0, after.0, "firings open no crew region");
-            assert!(counters().1 > after.1, "firings must join");
-            for par in [crews, joins] {
-                assert_eq!(sorted_tris(&seq.mesh), sorted_tris(&par.mesh));
-                assert_eq!(seq.stats, par.stats);
-            }
-        });
-    }
-
-    #[test]
-    fn one_task_slices_fire_at_any_declared_cost() {
-        // At u64::MAX ns per task the rule admits every non-empty slice,
-        // so every firing splits down to one-task slices, which must run
-        // inline instead of splitting again.
-        let pts = workload(60, 5, PointDistribution::UniformSquare);
-        let seq = delaunay_sequential_impl(&pts);
-        let par = rayon::cached_pool(4).install(|| delaunay_rounds(&pts, 0, u64::MAX));
-        assert_eq!(sorted_tris(&seq.mesh), sorted_tris(&par.mesh));
-        assert_eq!(seq.stats, par.stats);
+        for width in [2, 4] {
+            rayon::with_region_ns(0, || {
+                rayon::cached_pool(width).install(|| {
+                    let before = counters();
+                    let par = delaunay_parallel_impl(&pts);
+                    let (regions, helpers) = (counters().0 - before.0, counters().1 - before.1);
+                    assert!(regions > 0, "activity checks must form crews");
+                    if width == 2 {
+                        assert!(helpers > regions, "firings must join");
+                    }
+                    assert_eq!(sorted_tris(&seq.mesh), sorted_tris(&par.mesh));
+                    assert_eq!(seq.stats, par.stats);
+                })
+            });
+        }
     }
 
     #[test]

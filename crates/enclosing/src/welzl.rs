@@ -5,11 +5,6 @@ use ri_core::engine::{execute_type2, RunConfig, RunReport};
 use ri_core::Type2Algorithm;
 use ri_geometry::{circumcircle, diametral_disk, Disk, Point2};
 
-/// Estimated nanoseconds per containment test (a few flops over a point
-/// read in order): the per-item cost of the executor's specialness
-/// checks.
-const CONTAINS_NS: u64 = 1;
-
 struct WelzlState<'a> {
     points: &'a [Point2],
     disk: Option<Disk>,
@@ -85,10 +80,6 @@ impl Type2Algorithm for WelzlState<'_> {
             None => true, // second point initializes the disk
             Some(d) => d.strictly_excludes(self.points[k]),
         }
-    }
-
-    fn item_ns(&self) -> u64 {
-        CONTAINS_NS
     }
 
     // The test that decided iteration `k` is counted when `k` commits, so

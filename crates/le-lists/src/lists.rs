@@ -6,12 +6,6 @@ use ri_core::Type3Algorithm;
 use ri_graph::{dijkstra_distances, pruned_dijkstra, CsrGraph, SearchWork};
 use ri_pram::RoundLog;
 
-/// Estimated nanoseconds per vertex a pruned search settles, with its
-/// edge scans (230–340 ns measured). The search from the `k`-th source
-/// settles about `n / k` vertices (Cohen), so every round of the doubling
-/// schedule costs about `n` of these.
-const VISIT_NS: u64 = 250;
-
 /// The least-element lists plus measurement data.
 #[derive(Debug)]
 pub struct LeListsResult {
@@ -94,8 +88,6 @@ struct ParState<'a> {
     /// Search work of every round combined so far.
     work: SearchWork,
     redundant: u64,
-    /// Iterations combined so far: the next round's first source index.
-    combined: usize,
 }
 
 impl Type3Algorithm for ParState<'_> {
@@ -115,17 +107,12 @@ impl Type3Algorithm for ParState<'_> {
         (found, work)
     }
 
-    fn item_ns(&self) -> u64 {
-        VISIT_NS * self.order.len() as u64 / self.combined.max(1) as u64
-    }
-
     fn combine(&mut self, lo: usize, outputs: &mut Vec<Self::Output>) -> u64 {
         // One pass in source order. Targets are independent and each one's
         // finds arrive in source order, so a find enters L(u) exactly when
         // it beats δ(u) so far: the sequential entries. The rest were found
         // against the stale δ and are redundant.
         let mut round_work = SearchWork::default();
-        self.combined = lo + outputs.len();
         for (off, (found, work)) in outputs.drain(..).enumerate() {
             let src = self.order[lo + off] as u32;
             round_work += work;
@@ -156,7 +143,6 @@ pub(crate) fn le_lists_parallel_impl(g: &CsrGraph, order: &[usize]) -> LeListsRe
         lists: vec![Vec::new(); n],
         work: SearchWork::default(),
         redundant: 0,
-        combined: 0,
     };
     let log = execute_type3(&mut st, &RunConfig::new().parallel()).rounds;
     LeListsResult {
@@ -192,13 +178,9 @@ pub fn le_lists_brute_force(g: &CsrGraph, order: &[usize]) -> Vec<Vec<(u32, f64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ri_core::engine::{Runner, WorkloadSpec};
+    use ri_core::engine::{grain, Runner, WorkloadSpec};
     use ri_graph::generators::{gnm, gnm_weighted, grid2d};
     use ri_pram::random_permutation;
-
-    /// A per-iteration cost dear enough that every round of two or more
-    /// sources forms a crew at width > 1 on any host.
-    const DEAR_NS: u64 = 1_000_000;
 
     /// The grouped combine the solve ran before its one-pass fold, kept as
     /// the reference: flatten the round into `(target, source iteration,
@@ -211,7 +193,6 @@ mod tests {
     ) -> u64 {
         let mut records: Vec<(u32, u32, f64)> = Vec::new();
         let mut round_work = SearchWork::default();
-        st.combined = lo + outputs.len();
         for (off, (found, work)) in outputs.drain(..).enumerate() {
             let k = (lo + off) as u32;
             round_work += work;
@@ -236,11 +217,10 @@ mod tests {
     }
 
     /// The solve's round state with the one-pass combine or the grouped
-    /// reference, at the solve's per-item cost or a declared one.
+    /// reference.
     struct Harness<'a> {
         st: ParState<'a>,
         reference: bool,
-        item_ns: Option<u64>,
     }
 
     impl Type3Algorithm for Harness<'_> {
@@ -254,10 +234,6 @@ mod tests {
             self.st.run_iteration(k)
         }
 
-        fn item_ns(&self) -> u64 {
-            self.item_ns.unwrap_or_else(|| self.st.item_ns())
-        }
-
         fn combine(&mut self, lo: usize, outputs: &mut Vec<Self::Output>) -> u64 {
             if self.reference {
                 grouped_combine(&mut self.st, lo, outputs)
@@ -267,14 +243,15 @@ mod tests {
         }
     }
 
-    /// The final round state of a parallel run at `width` threads, and the
-    /// crew regions the run started.
+    /// The final round state of a parallel run at `width` threads, every
+    /// round of two or more sources on a crew when `forced`, and the crew
+    /// regions the run started.
     fn run_at<'a>(
         g: &'a CsrGraph,
         order: &'a [usize],
         width: usize,
         reference: bool,
-        item_ns: Option<u64>,
+        forced: bool,
     ) -> (ParState<'a>, u64) {
         let st = ParState {
             g,
@@ -283,15 +260,19 @@ mod tests {
             lists: vec![Vec::new(); g.num_vertices()],
             work: SearchWork::default(),
             redundant: 0,
-            combined: 0,
         };
-        let mut h = Harness {
-            st,
-            reference,
-            item_ns,
-        };
+        let mut h = Harness { st, reference };
         let runner = Runner::new(RunConfig::new().parallel().threads(width));
-        let (_, report) = runner.solve("le-lists", |cfg| ((), execute_type3(&mut h, cfg)));
+        let mut solve = || {
+            runner
+                .solve("le-lists", |cfg| ((), execute_type3(&mut h, cfg)))
+                .1
+        };
+        let report = if forced {
+            grain::with_region_ns(0, solve)
+        } else {
+            solve()
+        };
         (h.st, report.regions)
     }
 
@@ -302,17 +283,14 @@ mod tests {
                 let spec = WorkloadSpec::new(400, seed).shape(shape);
                 let g = crate::registry::build_graph(&spec).unwrap();
                 let order = random_permutation(g.num_vertices(), seed ^ 0x1e);
-                let (want, _) = run_at(&g, &order, 1, true, None);
+                let (want, _) = run_at(&g, &order, 1, true, false);
                 assert!(want.redundant > 0, "{shape}/{seed}: no redundant finds");
                 for width in [1, 2, 4] {
-                    for item_ns in [None, Some(DEAR_NS)] {
-                        let tag = format!("{shape}/{seed} at width {width}, cost {item_ns:?}");
-                        let (got, regions) = run_at(&g, &order, width, false, item_ns);
+                    for forced in [false, true] {
+                        let tag = format!("{shape}/{seed} at width {width}, forced {forced}");
+                        let (got, regions) = run_at(&g, &order, width, false, forced);
                         assert!(regions == 0 || width > 1, "{tag}: a crew at width 1");
-                        assert!(
-                            regions > 0 || width == 1 || item_ns.is_none(),
-                            "{tag}: no crew"
-                        );
+                        assert!(regions > 0 || width == 1 || !forced, "{tag}: no crew");
                         assert_lists_equal(&got.lists, &want.lists, &tag);
                         assert_eq!(got.delta, want.delta, "{tag}: δ");
                         assert_eq!(got.redundant, want.redundant, "{tag}: redundant");

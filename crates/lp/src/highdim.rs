@@ -220,12 +220,6 @@ impl Type2Algorithm for SeidelD<'_> {
         !self.infeasible && self.inst.constraints[k].violation(&self.optimum) > EPS
     }
 
-    fn item_ns(&self) -> u64 {
-        // One d-dimensional dot product per check: about 2 ns per
-        // dimension (4.5–7.5 ns measured at d = 3).
-        self.optimum.len() as u64 * 2
-    }
-
     fn run_regular(&mut self, _k: usize) {}
 
     fn run_special(&mut self, k: usize) {
@@ -443,10 +437,6 @@ mod tests {
 
             fn is_special(&self, k: usize) -> bool {
                 !self.infeasible && self.inst.constraints[k].violation(&self.optimum) > EPS
-            }
-
-            fn item_ns(&self) -> u64 {
-                self.optimum.len() as u64 * 2
             }
 
             fn run_regular(&mut self, _k: usize) {}

@@ -60,9 +60,6 @@ pub enum LpOutcome {
 /// Magnitude of the synthetic bounding box (far outside every workload).
 const BOX_M: f64 = 1e6;
 
-/// Estimated nanoseconds per violation check (one 2-D dot product).
-const CHECK_NS: u64 = 2;
-
 /// Estimated nanoseconds per constraint of the 1-D LP scan (two dot
 /// products and a division).
 const CLIP_NS: u64 = 8;
@@ -189,10 +186,6 @@ impl Type2Algorithm for SeidelState<'_> {
 
     fn is_special(&self, k: usize) -> bool {
         !self.infeasible && !self.inst.constraints[k].satisfied_by(self.optimum)
-    }
-
-    fn item_ns(&self) -> u64 {
-        CHECK_NS
     }
 
     fn run_regular(&mut self, _k: usize) {}

@@ -217,10 +217,6 @@ mod tests {
     use super::*;
     use rayon::prelude::*;
 
-    /// Declared per-writer cost: enough that the writers run on a crew
-    /// and really race at any width above 1.
-    const RACING_NS: u64 = 1_000_000;
-
     #[test]
     fn insert_get_two_sides() {
         let m = ConcurrentPairMap::with_capacity(16);
@@ -253,12 +249,12 @@ mod tests {
     #[test]
     fn concurrent_inserts_distinct_keys() {
         let m = ConcurrentPairMap::with_capacity(100_000);
-        (0..100_000u64)
-            .into_par_iter()
-            .with_cost(RACING_NS)
-            .for_each(|k| {
+        // Forced onto a crew, so the writers really race.
+        crate::forced(|| {
+            (0..100_000u64).into_par_iter().for_each(|k| {
                 m.insert(k, k * 2);
-            });
+            })
+        });
         assert_eq!(m.len(), 100_000);
         for k in (0..100_000u64).step_by(997) {
             assert_eq!(m.get(k).a, Some(k * 2));
@@ -268,14 +264,13 @@ mod tests {
     #[test]
     fn concurrent_pair_inserts_same_key() {
         let m = ConcurrentPairMap::with_capacity(10_000);
-        // Two writers per key racing for the two slots.
-        (0..20_000u64)
-            .into_par_iter()
-            .with_cost(RACING_NS)
-            .for_each(|i| {
+        // Two writers per key racing for the two slots, on a crew.
+        crate::forced(|| {
+            (0..20_000u64).into_par_iter().for_each(|i| {
                 let key = i / 2;
                 m.insert(key, i + 1);
-            });
+            })
+        });
         for key in 0..10_000u64 {
             let s = m.get(key);
             let mut vs: Vec<u64> = s.iter().collect();

@@ -33,7 +33,8 @@
 //! output* in their test suites.
 //!
 //! Each parallel primitive declares its own per-element cost in
-//! nanoseconds and goes parallel only where the scheduler's one
+//! nanoseconds (it has no earlier round to time, unlike the executors'
+//! round sites) and goes parallel only where the scheduler's one
 //! go-parallel rule ([`rayon::goes_parallel`]) admits that much work: at
 //! least `PAYOFF` times the measured spawn-and-join cost of a crew at the
 //! installed width. Everything else — all work at width 1, and inputs
@@ -66,8 +67,10 @@ pub use scan::exclusive_scan_usize;
 pub use scratch::{put_vec, take_vec, ScratchStats};
 pub use semisort::{semisort_by_key, Grouped};
 
-/// Test support: a per-element cost so dear that an input of a few
-/// thousand elements pays for a crew on any host. The parallel-path tests
-/// declare it, so they run crews without sizing inputs from a timing.
+/// Test support: run `op` at width 4 with every non-empty region forced
+/// onto a crew ([`rayon::with_region_ns`]), so the parallel-path tests run
+/// crews without sizing inputs from a timing.
 #[cfg(test)]
-pub(crate) const DEAR_NS: u64 = 1_000_000;
+pub(crate) fn forced<R>(op: impl FnOnce() -> R) -> R {
+    rayon::with_region_ns(0, || rayon::cached_pool(4).install(op))
+}

@@ -25,12 +25,6 @@ const PACK_NS: u64 = 4;
 /// parallel pass (filter and gather per chunk); inputs too small to pay
 /// for a crew run inline on the caller.
 pub fn pack<T: Clone + Send + Sync>(items: &[T], flags: &[bool]) -> Vec<T> {
-    pack_at(items, flags, PACK_NS)
-}
-
-/// [`pack`] with each element declared to cost `item_ns` to the
-/// go-parallel rule.
-fn pack_at<T: Clone + Send + Sync>(items: &[T], flags: &[bool], item_ns: u64) -> Vec<T> {
     assert_eq!(items.len(), flags.len(), "pack: length mismatch");
     let kept = |is: &[T], fs: &[bool]| -> Vec<T> {
         is.iter()
@@ -39,7 +33,7 @@ fn pack_at<T: Clone + Send + Sync>(items: &[T], flags: &[bool], item_ns: u64) ->
             .map(|(x, _)| x.clone())
             .collect()
     };
-    if !rayon::goes_parallel(items.len(), item_ns) {
+    if !rayon::goes_parallel(items.len(), PACK_NS) {
         return kept(items, flags);
     }
     let chunk = items.len().div_ceil(rayon::recommended_splits());
@@ -47,7 +41,7 @@ fn pack_at<T: Clone + Send + Sync>(items: &[T], flags: &[bool], item_ns: u64) ->
     let parts: Vec<Vec<T>> = items
         .par_chunks(chunk)
         .zip(flags.par_chunks(chunk))
-        .with_cost(item_ns)
+        .with_cost(PACK_NS)
         .map(|(is, fs)| kept(is, fs))
         .collect();
     let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
@@ -64,17 +58,8 @@ pub fn pack_indices_where_into<F>(n: usize, pred: F, out: &mut Vec<usize>)
 where
     F: Fn(usize) -> bool + Sync,
 {
-    pack_indices_where_into_at(n, pred, out, PACK_NS);
-}
-
-/// [`pack_indices_where_into`] with each index declared to cost `item_ns`
-/// to the go-parallel rule.
-fn pack_indices_where_into_at<F>(n: usize, pred: F, out: &mut Vec<usize>, item_ns: u64)
-where
-    F: Fn(usize) -> bool + Sync,
-{
     out.clear();
-    if !rayon::goes_parallel(n, item_ns) {
+    if !rayon::goes_parallel(n, PACK_NS) {
         out.extend((0..n).filter(|&i| pred(i)));
         return;
     }
@@ -82,7 +67,7 @@ where
     let chunk = n.div_ceil(nchunks);
     let parts: Vec<Vec<usize>> = (0..nchunks)
         .into_par_iter()
-        .with_cost(chunk as u64 * item_ns)
+        .with_cost(chunk as u64 * PACK_NS)
         .map(|c| {
             let lo = c * chunk;
             let hi = ((c + 1) * chunk).min(n);
@@ -118,10 +103,13 @@ mod tests {
         let items: Vec<u64> = (0..200_000).collect();
         let flags: Vec<bool> = items.iter().map(|&x| x % 7 == 0).collect();
         let before = rayon::crew_regions();
-        let got = rayon::cached_pool(4).install(|| pack_at(&items, &flags, crate::DEAR_NS));
+        let got = crate::forced(|| pack(&items, &flags));
         assert!(rayon::crew_regions() > before, "the pack must form a crew");
         let want: Vec<u64> = items.iter().copied().filter(|&x| x % 7 == 0).collect();
         assert_eq!(got, want);
+        // An empty input stays inline (a zero-size chunk would panic).
+        assert!(crate::forced(|| pack::<u64>(&[], &[])).is_empty());
+        assert_eq!(rayon::crew_regions(), before + 1);
     }
 
     #[test]
@@ -134,21 +122,19 @@ mod tests {
 
     #[test]
     fn pack_indices_crew_path_matches_a_sequential_filter() {
-        // Every index pays for a crew on its own, so sizes below the chunk
-        // count form one too (on any host, however slow its spawns).
-        let item_ns = crate::DEAR_NS.max(rayon::PAYOFF * rayon::region_ns(4));
+        // Forced crews admit every non-empty input, so sizes below the
+        // chunk count form one too; an empty one stays inline.
         let pred = |i: usize| i % 3 != 1 && i % 7 != 2;
         let chunks = rayon::cached_pool(4).install(rayon::recommended_splits);
-        let mut sizes = vec![1, 2, chunks - 1];
+        let mut sizes = vec![0, 1, 2, chunks - 1];
         for edge in [chunks, 2 * chunks, 5 * chunks, 997 * chunks] {
             sizes.extend([edge - 1, edge, edge + 1]);
         }
         let mut out = vec![usize::MAX; 4]; // stale contents must be cleared
         for n in sizes {
             let before = rayon::crew_regions();
-            rayon::cached_pool(4)
-                .install(|| pack_indices_where_into_at(n, pred, &mut out, item_ns));
-            assert!(rayon::crew_regions() > before, "n = {n}: no crew formed");
+            crate::forced(|| pack_indices_where_into(n, pred, &mut out));
+            assert_eq!(rayon::crew_regions() > before, n > 0, "n = {n}");
             let want: Vec<usize> = (0..n).filter(|&i| pred(i)).collect();
             assert_eq!(out, want, "n = {n}");
         }

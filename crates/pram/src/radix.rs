@@ -39,28 +39,18 @@ where
     T: Clone + Send + Sync,
     F: Fn(&T) -> u64 + Sync,
 {
-    radix_sort_at(items, key, RADIX_NS);
-}
-
-/// [`radix_sort_by_key`] with each element of a pass declared to cost
-/// `item_ns` to the go-parallel rule.
-pub(crate) fn radix_sort_at<T, F>(items: &mut Vec<T>, key: F, item_ns: u64)
-where
-    T: Clone + Send + Sync,
-    F: Fn(&T) -> u64 + Sync,
-{
     let n = items.len();
     if n <= 1 {
         return;
     }
-    if !rayon::goes_parallel(n, item_ns) {
+    if !rayon::goes_parallel(n, RADIX_NS) {
         items.sort_by_key(|x| key(x));
         return;
     }
     // Skip passes above the highest set bit of any key (common case: small keys).
     let max_key = items
         .par_iter()
-        .with_cost(item_ns)
+        .with_cost(RADIX_NS)
         .map(&key)
         .reduce(|| 0, u64::max);
     let passes = if max_key == 0 {
@@ -91,7 +81,7 @@ where
         hist.fill(0);
         hist.par_chunks_mut(RADIX)
             .zip(src.par_chunks(block))
-            .with_cost(item_ns)
+            .with_cost(RADIX_NS)
             .for_each(|(h, chunk)| {
                 for x in chunk {
                     h[digit(x)] += 1;
@@ -122,7 +112,7 @@ where
         let pairs: Vec<(&[T], Vec<&mut [T]>)> = src.chunks(block).zip(groups).collect();
         ParIter::from_vec(pairs)
             .with_weight(block)
-            .with_cost(item_ns)
+            .with_cost(RADIX_NS)
             .for_each(|(chunk, mut segs)| {
                 let mut cursors = [0u32; RADIX];
                 for x in chunk {
@@ -173,9 +163,12 @@ mod tests {
         let mut want = v.clone();
         want.sort_unstable();
         let before = rayon::crew_regions();
-        rayon::cached_pool(4).install(|| radix_sort_at(&mut v, |&x| x, crate::DEAR_NS));
+        crate::forced(|| radix_sort_u64(&mut v));
         assert!(rayon::crew_regions() > before, "the passes must form crews");
         assert_eq!(v, want);
+        let mut empty: Vec<u64> = Vec::new();
+        crate::forced(|| radix_sort_u64(&mut empty));
+        assert!(empty.is_empty());
     }
 
     #[test]
@@ -198,7 +191,7 @@ mod tests {
         let n = 100_000usize;
         let mut v: Vec<(u64, usize)> = (0..n).map(|i| ((i % 5) as u64, i)).collect();
         let before = rayon::crew_regions();
-        rayon::cached_pool(4).install(|| radix_sort_at(&mut v, |&(k, _)| k, crate::DEAR_NS));
+        crate::forced(|| radix_sort_by_key(&mut v, |&(k, _)| k));
         assert!(rayon::crew_regions() > before, "the passes must form crews");
         for w in v.windows(2) {
             assert!(w[0].0 <= w[1].0);

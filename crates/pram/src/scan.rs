@@ -24,18 +24,14 @@ const SCAN_NS: u64 = 1;
 /// ```
 pub fn exclusive_scan_usize(values: &[usize]) -> (Vec<usize>, usize) {
     let mut out = values.to_vec();
-    let total = scan_inplace_at(&mut out, SCAN_NS);
+    let total = scan_inplace(&mut out);
     (out, total)
 }
 
-/// In-place exclusive prefix sum with each element declared to cost
-/// `item_ns` to the go-parallel rule; returns the grand total.
-fn scan_inplace_at(values: &mut [usize], item_ns: u64) -> usize {
+/// In-place exclusive prefix sum; returns the grand total.
+fn scan_inplace(values: &mut [usize]) -> usize {
     let n = values.len();
-    if n == 0 {
-        return 0;
-    }
-    if !rayon::goes_parallel(n, item_ns) {
+    if !rayon::goes_parallel(n, SCAN_NS) {
         return scan_seq(values);
     }
     let nblocks = rayon::recommended_splits();
@@ -45,7 +41,7 @@ fn scan_inplace_at(values: &mut [usize], item_ns: u64) -> usize {
     let mut block_sums: Vec<usize> = crate::scratch::take_vec();
     values
         .par_chunks(block)
-        .with_cost(item_ns)
+        .with_cost(SCAN_NS)
         .map(|c| c.iter().sum::<usize>())
         .collect_into_vec(&mut block_sums);
     // Scan the (small) block-sum array sequentially.
@@ -54,7 +50,7 @@ fn scan_inplace_at(values: &mut [usize], item_ns: u64) -> usize {
     values
         .par_chunks_mut(block)
         .zip(block_sums.par_iter())
-        .with_cost(item_ns)
+        .with_cost(SCAN_NS)
         .for_each(|(chunk, &offset)| {
             let mut acc = offset;
             for v in chunk {
@@ -114,11 +110,11 @@ mod tests {
     #[test]
     fn matches_reference_large_parallel_path() {
         let v: Vec<usize> = (0..100_000).map(|i| (i * 2654435761) % 17).collect();
-        let mut got = v.clone();
         let before = rayon::crew_regions();
-        let total = rayon::cached_pool(4).install(|| scan_inplace_at(&mut got, crate::DEAR_NS));
+        let got = crate::forced(|| exclusive_scan_usize(&v));
         assert!(rayon::crew_regions() > before, "the scan must form crews");
-        assert_eq!((got, total), reference(&v));
+        assert_eq!(got, reference(&v));
+        assert_eq!(crate::forced(|| exclusive_scan_usize(&[])), (vec![], 0));
     }
 
     #[test]

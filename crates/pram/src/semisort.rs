@@ -20,13 +20,13 @@
 //!   buckets; a group of equal keys shares a bucket, whose sort is then
 //!   O(g log g).
 //! - **Crew**: a stable parallel radix sort on the hashed keys
-//!   ([`radix_sort_by_key`](crate::radix_sort_by_key)), then a parallel
-//!   pack of the group boundaries.
+//!   ([`radix_sort_by_key`]), then a parallel pack of the group
+//!   boundaries.
 
 use rayon::prelude::*;
 
 use crate::hash::hash_u64;
-use crate::radix::{radix_sort_at, RADIX_NS};
+use crate::radix::{radix_sort_by_key, RADIX_NS};
 
 /// Estimated nanoseconds to emit one group's `(key, start, end)` range.
 const GROUP_NS: u64 = 2;
@@ -65,17 +65,7 @@ impl<T> Grouped<T> {
 ///     .collect();
 /// assert_eq!(g1, vec!['a', 'c']); // input order within the group
 /// ```
-pub fn semisort_by_key<T, F>(records: Vec<T>, key: F) -> Grouped<T>
-where
-    T: Clone + Send + Sync,
-    F: Fn(&T) -> u64 + Sync,
-{
-    semisort_at(records, key, RADIX_NS)
-}
-
-/// [`semisort_by_key`] with each element of a radix pass declared to cost
-/// `item_ns` to the go-parallel rule.
-fn semisort_at<T, F>(mut records: Vec<T>, key: F, item_ns: u64) -> Grouped<T>
+pub fn semisort_by_key<T, F>(mut records: Vec<T>, key: F) -> Grouped<T>
 where
     T: Clone + Send + Sync,
     F: Fn(&T) -> u64 + Sync,
@@ -86,12 +76,12 @@ where
             groups: Vec::new(),
         };
     }
-    if !rayon::goes_parallel(records.len(), item_ns) {
+    if !rayon::goes_parallel(records.len(), RADIX_NS) {
         return semisort_inline(records, key);
     }
     // Sort by hashed key: clusters equal keys, spreads digits uniformly so
     // every radix pass is balanced regardless of the key distribution.
-    radix_sort_at(&mut records, |r| hash_u64(key(r)), item_ns);
+    radix_sort_by_key(&mut records, |r| hash_u64(key(r)));
 
     // Group boundaries: positions where the key changes (the boundary
     // index buffer is reused scratch; the group list is returned, so it
@@ -236,11 +226,9 @@ mod tests {
             assert_eq!(inline.groups, want_groups, "inline groups, {case}");
 
             let before = rayon::crew_regions();
-            let crew = rayon::cached_pool(4)
-                .install(|| semisort_at(data.clone(), |&(k, _)| k, crate::DEAR_NS));
-            if data.len() >= 1000 {
-                assert!(rayon::crew_regions() > before, "crew path, {case}");
-            }
+            let crew = crate::forced(|| semisort_by_key(data.clone(), |&(k, _)| k));
+            let crews = rayon::crew_regions() > before;
+            assert_eq!(crews, !data.is_empty(), "crew path, {case}");
             assert_eq!(crew.records, inline.records, "crew records, {case}");
             assert_eq!(crew.groups, inline.groups, "crew groups, {case}");
         }

@@ -29,7 +29,7 @@ use ri_core::Type3Algorithm;
 use ri_graph::{CsrGraph, SearchWork};
 use ri_pram::hash::{hash_combine, hash_u64, FxHashSet};
 
-use crate::incremental::{Footprint, SccResult, SccStats, SEARCH_PAIR_NS};
+use crate::incremental::{Footprint, SccResult, SccStats};
 
 const DONE: u64 = u64::MAX;
 
@@ -70,10 +70,6 @@ impl Type3Algorithm for DetState<'_> {
             return None;
         }
         Some(Footprint::search(self.g, &self.gt, v, &self.part))
-    }
-
-    fn item_ns(&self) -> u64 {
-        SEARCH_PAIR_NS
     }
 
     fn combine(&mut self, lo: usize, outputs: &mut Vec<Self::Output>) -> u64 {

@@ -6,12 +6,6 @@ use ri_graph::{reachable_in_partition, CsrGraph, SearchWork};
 use ri_pram::hash::{hash_combine, hash_u64};
 use ri_pram::RoundLog;
 
-/// Estimated nanoseconds per iteration of a large parallel round: a
-/// forward and a backward reachability search inside the center's
-/// partition, or none once the center is carved (25–75 ns measured in the
-/// rounds of 2k–15k iterations).
-pub(crate) const SEARCH_PAIR_NS: u64 = 40;
-
 /// Partition label of vertices already assigned to an SCC: no restricted
 /// search ever matches it (searches start from undone vertices only).
 const DONE: u64 = u64::MAX;
@@ -180,10 +174,6 @@ impl Type3Algorithm for ParState<'_> {
         Some(Footprint::search(self.g, &self.gt, v, &self.part))
     }
 
-    fn item_ns(&self) -> u64 {
-        SEARCH_PAIR_NS
-    }
-
     fn combine(&mut self, lo: usize, outputs: &mut Vec<Self::Output>) -> u64 {
         // Eager refinement: a vertex's signature chains its old label, the
         // centers reaching it forward, a separator and those reaching it
@@ -289,13 +279,9 @@ pub(crate) fn scc_parallel_impl(g: &CsrGraph, order: &[usize]) -> SccResult {
 mod tests {
     use super::*;
     use crate::{canonical_labels, tarjan_scc};
-    use ri_core::engine::{Runner, WorkloadSpec};
+    use ri_core::engine::{grain, Runner, WorkloadSpec};
     use ri_graph::generators::{gnm, planted_sccs, random_dag, rmat};
     use ri_pram::random_permutation;
-
-    /// A per-iteration cost dear enough that every round of two or more
-    /// centers forms a crew at width > 1 on any host.
-    const DEAR_NS: u64 = 1_000_000;
 
     /// The grouped combine the solve ran before its two in-order passes,
     /// kept as the reference: flatten the round into `(vertex, center,
@@ -345,12 +331,10 @@ mod tests {
     }
 
     /// The solve's round state with the in-order combine or the grouped
-    /// reference, at the solve's per-item cost or a declared one, keeping
-    /// the partition after every round.
+    /// reference, keeping the partition after every round.
     struct Harness<'a> {
         st: ParState<'a>,
         reference: bool,
-        item_ns: u64,
         parts: Vec<Vec<u64>>,
     }
 
@@ -365,10 +349,6 @@ mod tests {
             self.st.run_iteration(k)
         }
 
-        fn item_ns(&self) -> u64 {
-            self.item_ns
-        }
-
         fn combine(&mut self, lo: usize, outputs: &mut Vec<Self::Output>) -> u64 {
             let work = if self.reference {
                 grouped_combine(&mut self.st, lo, outputs)
@@ -380,14 +360,15 @@ mod tests {
         }
     }
 
-    /// A parallel run at `width` threads: its final round state, the
+    /// A parallel run at `width` threads, every round of two or more
+    /// centers on a crew when `forced`: its final round state, the
     /// partition after every round and the crew regions it started.
     fn run_at<'a>(
         g: &'a CsrGraph,
         order: &'a [usize],
         width: usize,
         reference: bool,
-        item_ns: u64,
+        forced: bool,
     ) -> (ParState<'a>, Vec<Vec<u64>>, u64) {
         let n = g.num_vertices();
         let mut h = Harness {
@@ -407,11 +388,19 @@ mod tests {
                 touched: Vec::new(),
             },
             reference,
-            item_ns,
             parts: Vec::new(),
         };
         let runner = Runner::new(RunConfig::new().parallel().threads(width));
-        let (_, report) = runner.solve("scc", |cfg| ((), execute_type3(&mut h, cfg)));
+        let mut solve = || {
+            runner
+                .solve("scc", |cfg| ((), execute_type3(&mut h, cfg)))
+                .1
+        };
+        let report = if forced {
+            grain::with_region_ns(0, solve)
+        } else {
+            solve()
+        };
         (h.st, h.parts, report.regions)
     }
 
@@ -422,16 +411,13 @@ mod tests {
                 let spec = WorkloadSpec::new(500, seed).shape(shape);
                 let g = crate::registry::build_graph(&spec).unwrap();
                 let order = random_permutation(g.num_vertices(), seed ^ 0x5cc5);
-                let (want, want_parts, _) = run_at(&g, &order, 1, true, SEARCH_PAIR_NS);
+                let (want, want_parts, _) = run_at(&g, &order, 1, true, false);
                 for width in [1, 2, 4] {
-                    for item_ns in [SEARCH_PAIR_NS, DEAR_NS] {
-                        let tag = format!("{shape}/{seed} at width {width}, {item_ns} ns");
-                        let (got, parts, regions) = run_at(&g, &order, width, false, item_ns);
+                    for forced in [false, true] {
+                        let tag = format!("{shape}/{seed} at width {width}, forced {forced}");
+                        let (got, parts, regions) = run_at(&g, &order, width, false, forced);
                         assert!(regions == 0 || width > 1, "{tag}: a crew at width 1");
-                        assert!(
-                            regions > 0 || width == 1 || item_ns != DEAR_NS,
-                            "{tag}: no crew"
-                        );
+                        assert!(regions > 0 || width == 1 || !forced, "{tag}: no crew");
                         for (r, (a, b)) in parts.iter().zip(&want_parts).enumerate() {
                             assert_eq!(a, b, "{tag}: partition after round {r}");
                         }

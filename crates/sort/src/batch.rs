@@ -25,10 +25,6 @@ use ri_pram::RoundLog;
 
 use crate::tree::{Bst, NONE};
 
-/// Estimated nanoseconds per frozen-tree search of a large parallel round
-/// (160–340 ns measured in the rounds of 2k–50k keys).
-const SEARCH_NS: u64 = 200;
-
 /// Output of the batch (Type 3) sort.
 #[derive(Debug)]
 pub struct BatchSortResult {
@@ -92,10 +88,6 @@ impl<T: Ord + Sync> Type3Algorithm for BatchState<'_, T> {
             slot,
             comparisons,
         }
-    }
-
-    fn item_ns(&self) -> u64 {
-        SEARCH_NS
     }
 
     /// The round's recorded work is its conflict-resolution comparisons;
@@ -212,10 +204,6 @@ mod tests {
     use ri_core::prefix_rounds;
     use ri_pram::random_permutation;
 
-    /// A per-search cost dear enough that every round of two or more keys
-    /// forms a crew at width > 1 on any host.
-    const DEAR_NS: u64 = 1_000_000;
-
     /// The batch state this module ran before the histogram left the solve,
     /// kept as the reference: every probe carries its left dependences per
     /// round (`round_of` gives each node's round), conflict resolution adds
@@ -227,7 +215,6 @@ mod tests {
         round_of: Vec<u16>,
         comparisons: u64,
         histogram: Vec<u64>,
-        item_ns: u64,
     }
 
     impl Type3Algorithm for Reference<'_> {
@@ -260,10 +247,6 @@ mod tests {
                 comparisons,
             };
             (probe, left_hits)
-        }
-
-        fn item_ns(&self) -> u64 {
-            self.item_ns
         }
 
         fn combine(&mut self, lo: usize, outputs: &mut Vec<Self::Output>) -> u64 {
@@ -308,35 +291,20 @@ mod tests {
         }
     }
 
-    /// The solve's batch state at a declared per-search cost.
-    struct Costed<'a>(BatchState<'a, usize>, u64);
-
-    impl Type3Algorithm for Costed<'_> {
-        type Output = Probe;
-
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-
-        fn run_iteration(&self, k: usize) -> Probe {
-            self.0.run_iteration(k)
-        }
-
-        fn item_ns(&self) -> u64 {
-            self.1
-        }
-
-        fn combine(&mut self, lo: usize, outputs: &mut Vec<Probe>) -> u64 {
-            self.0.combine(lo, outputs)
-        }
-    }
-
-    /// Runs `algo` in parallel mode at `width` threads; returns the crew
-    /// regions the run started.
-    fn regions_at(algo: &mut impl Type3Algorithm, width: usize) -> u64 {
+    /// Runs `algo` in parallel mode at `width` threads, every round of two
+    /// or more keys on a crew when `forced`; returns the crew regions the
+    /// run started.
+    fn regions_at(algo: &mut impl Type3Algorithm, width: usize, forced: bool) -> u64 {
         let runner = Runner::new(RunConfig::new().parallel().threads(width));
-        let (_, report) = runner.solve("sort-batch", |cfg| ((), execute_type3(algo, cfg)));
-        report.regions
+        let mut solve = || {
+            let (_, report) = runner.solve("sort-batch", |cfg| ((), execute_type3(algo, cfg)));
+            report.regions
+        };
+        if forced {
+            rayon::with_region_ns(0, solve)
+        } else {
+            solve()
+        }
     }
 
     #[test]
@@ -354,26 +322,20 @@ mod tests {
                     round_of,
                     comparisons: 0,
                     histogram: Vec::new(),
-                    item_ns: SEARCH_NS,
                 };
-                regions_at(&mut want, 1);
+                regions_at(&mut want, 1, false);
                 for width in [1, 2, 4] {
-                    for item_ns in [SEARCH_NS, DEAR_NS] {
-                        let tag = format!("{shape}/{seed} at width {width}, {item_ns} ns");
-                        let state = BatchState {
+                    for forced in [false, true] {
+                        let tag = format!("{shape}/{seed} at width {width}, forced {forced}");
+                        let mut got = BatchState {
                             keys: &keys,
                             tree: Bst::new(keys.len()),
                             search_comparisons: 0,
                             resolve_comparisons: 0,
                         };
-                        let mut got = Costed(state, item_ns);
-                        let regions = regions_at(&mut got, width);
+                        let regions = regions_at(&mut got, width, forced);
                         assert!(regions == 0 || width > 1, "{tag}: a crew at width 1");
-                        assert!(
-                            regions > 0 || width == 1 || item_ns != DEAR_NS,
-                            "{tag}: no crew"
-                        );
-                        let got = got.0;
+                        assert!(regions > 0 || width == 1 || !forced, "{tag}: no crew");
                         assert_eq!(got.tree, want.tree, "{tag}: tree");
                         let comparisons = got.search_comparisons + got.resolve_comparisons;
                         assert_eq!(comparisons, want.comparisons, "{tag}: comparisons");

@@ -42,8 +42,9 @@
 //! every key's slot three times and writes per-chunk survivor lists,
 //! which costs more than a second thread saves. So the sort runs every
 //! round fused, at every width, until a measurement on a wider crew shows
-//! the concurrent round winning; `bst_sort_rounds` runs it wherever a
-//! declared per-key cost pays, which is how the tests keep it on a crew.
+//! the concurrent round winning: the round declares a per-key cost of 0,
+//! which no measured region cost admits, so it runs only where a test
+//! forces crews (`rayon::with_region_ns(0, ..)`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -74,16 +75,15 @@ enum Cursor {
     Right(u64),
 }
 
-/// Sort by parallel BST insertion (Algorithm 3). Keys must be distinct.
-/// Every round takes the fused pass (see the module docs).
-pub(crate) fn parallel_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> ParSortResult {
-    bst_sort_rounds(keys, 0)
-}
+/// Declared nanoseconds per key of the three-phase concurrent round: 0,
+/// so only a forced crew runs it (see the module docs).
+const CONCURRENT_NS: u64 = 0;
 
-/// Algorithm 3's rounds. A round runs concurrently where the go-parallel
-/// rule admits `crew_ns` per key (a cost declared for the three-phase
-/// round; 0 never pays) and fused inline otherwise.
-fn bst_sort_rounds<T: Ord + Sync>(keys: &[T], crew_ns: u64) -> ParSortResult {
+/// Sort by parallel BST insertion (Algorithm 3). Keys must be distinct.
+/// A round runs concurrently where the go-parallel rule admits
+/// [`CONCURRENT_NS`] per key and fused inline otherwise, which is every
+/// round unless crews are forced.
+pub(crate) fn parallel_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> ParSortResult {
     let n = keys.len();
     let root = AtomicU64::new(NONE);
     let left: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(NONE)).collect();
@@ -109,7 +109,7 @@ fn bst_sort_rounds<T: Ord + Sync>(keys: &[T], crew_ns: u64) -> ParSortResult {
 
     while !active.is_empty() {
         let round_items = active.len();
-        if !grain::goes_parallel(round_items, crew_ns) {
+        if !grain::goes_parallel(round_items, CONCURRENT_NS) {
             // Fused inline round (single thread, iteration order): see the
             // module docs for why this is phase-equivalent. Winners retire
             // in place; losers are compacted forward with a write cursor.
@@ -146,7 +146,7 @@ fn bst_sort_rounds<T: Ord + Sync>(keys: &[T], crew_ns: u64) -> ParSortResult {
             snapshot
                 .par_chunks_mut(chunk)
                 .zip(active.par_chunks(chunk))
-                .with_cost(crew_ns)
+                .with_cost(CONCURRENT_NS)
                 .for_each(|(ss, aa)| {
                     for (s, &(_, c)) in ss.iter_mut().zip(aa) {
                         *s = slot_of(c).load(Ordering::Acquire);
@@ -162,7 +162,7 @@ fn bst_sort_rounds<T: Ord + Sync>(keys: &[T], crew_ns: u64) -> ParSortResult {
             active
                 .par_iter()
                 .zip(snapshot.par_iter())
-                .with_cost(crew_ns)
+                .with_cost(CONCURRENT_NS)
                 .for_each(|(&(i, c), &seen)| {
                     let slot = slot_of(c);
                     if seen == NONE && slot.load(Ordering::Relaxed) > i as u64 {
@@ -175,7 +175,7 @@ fn bst_sort_rounds<T: Ord + Sync>(keys: &[T], crew_ns: u64) -> ParSortResult {
             // per chunk, then drain into the reused `next` buffer in order.
             let parts: Vec<Vec<(usize, Cursor)>> = active
                 .par_chunks(chunk)
-                .with_cost(crew_ns)
+                .with_cost(CONCURRENT_NS)
                 .map(|aa| {
                     aa.iter()
                         .filter_map(|&(i, c)| {
@@ -251,13 +251,13 @@ mod tests {
 
     #[test]
     fn concurrent_rounds_form_crews_and_build_the_sequential_tree() {
-        // Declare the rounds dear enough that every multi-key round pays,
-        // so the three-phase concurrent path really runs on a crew.
+        // Forced crews admit every multi-key round, so the three-phase
+        // concurrent path really runs on a crew.
         let keys = random_permutation(5000, 3);
         let seq = sequential_bst_sort_impl(&keys);
-        rayon::cached_pool(4).install(|| {
+        rayon::with_region_ns(0, || {
             let before = rayon::crew_regions();
-            let par = bst_sort_rounds(&keys, 1_000_000);
+            let par = rayon::cached_pool(4).install(|| parallel_bst_sort_impl(&keys));
             assert!(rayon::crew_regions() > before, "rounds must form crews");
             assert_eq!(par.tree, seq.tree, "Theorem 3.2 violated on a crew");
             assert_eq!(par.comparisons, seq.comparisons);

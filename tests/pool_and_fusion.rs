@@ -2,7 +2,8 @@
 //! nested parallelism keeping the installed width, width-1 configs
 //! running inline, panic propagation, and property-based
 //! sequential-equivalence at widths 1–8 of every combinator shape the
-//! solves call.
+//! solves call. Crews are forced with `rayon::with_region_ns(0, ..)`, so
+//! every non-empty pipeline runs on one at widths above 1.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -13,9 +14,10 @@ use ri_core::engine::{Problem, RunConfig, Runner};
 use ri_pram::random_permutation;
 use ri_sort::SortProblem;
 
-/// A per-element cost large enough that any multi-item pipeline pays for
-/// a crew under the go-parallel rule, so these tests exercise real crews.
-const DEAR_NS: u64 = 1_000_000;
+/// `op` under `runner`'s width with every region forced onto a crew.
+fn forced<R>(runner: &Runner, op: impl FnOnce() -> R) -> R {
+    rayon::with_region_ns(0, || runner.install(op))
+}
 
 /// Parallel work started from inside an installed run — including from
 /// crew helper threads — sees the installed width, not the machine
@@ -23,16 +25,14 @@ const DEAR_NS: u64 = 1_000_000;
 #[test]
 fn nested_parallelism_from_workers_stays_on_pool() {
     let runner = Runner::new(RunConfig::new().parallel().threads(5));
-    let widths: Vec<usize> = runner.install(|| {
+    let widths: Vec<usize> = forced(&runner, || {
         (0..20_000usize)
             .into_par_iter()
-            .with_cost(DEAR_NS)
             .map(|_| {
                 // An inner parallel region launched from whichever thread
                 // (caller or helper) is executing this chunk.
                 let inner: Vec<usize> = (0..4096usize)
                     .into_par_iter()
-                    .with_cost(DEAR_NS)
                     .map(|_| rayon::current_num_threads())
                     .collect();
                 inner[0]
@@ -77,8 +77,8 @@ fn panics_propagate_through_parallel_regions() {
     let runner = Runner::new(RunConfig::new().parallel().threads(4));
     let data: Vec<usize> = (0..100_000).collect();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        runner.install(|| {
-            data.par_iter().with_cost(DEAR_NS).for_each(|&x| {
+        forced(&runner, || {
+            data.par_iter().for_each(|&x| {
                 if x == 90_123 {
                     panic!("iteration {x} failed");
                 }
@@ -124,8 +124,7 @@ fn reference_shapes(xs: &[u64]) -> Shapes {
     )
 }
 
-/// The same shapes through the combinators at the installed width, with
-/// a per-element cost that puts every multi-item pipeline on a crew.
+/// The same shapes through the combinators at the installed width.
 fn parallel_shapes(xs: &[u64]) -> Shapes {
     let n = xs.len();
     let chunk = n.div_ceil(rayon::recommended_splits()).max(1);
@@ -136,7 +135,6 @@ fn parallel_shapes(xs: &[u64]) -> Shapes {
     chunk_zip
         .par_chunks_mut(chunk)
         .zip(xs.par_chunks(chunk))
-        .with_cost(DEAR_NS)
         .for_each(|(out, src)| {
             for (o, &x) in out.iter_mut().zip(src) {
                 *o = x.wrapping_mul(3) ^ 1;
@@ -147,29 +145,23 @@ fn parallel_shapes(xs: &[u64]) -> Shapes {
     let cells: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     xs.par_iter()
         .zip(cells.par_iter())
-        .with_cost(DEAR_NS)
         .for_each(|(&x, cell)| cell.store(x ^ 0xff, Ordering::Relaxed));
     let zip_for_each = cells.into_iter().map(AtomicU64::into_inner).collect();
 
     // Seidel's clip: per-chunk accumulators, then one merge.
     let fold_reduce = xs
         .par_iter()
-        .with_cost(DEAR_NS)
         .map(|&x| (x % 1000, x))
         .fold(|| (0u64, 0u64), |(s, m), (a, x)| (s + a, m.max(x)))
         .reduce(|| (0, 0), |(s, m), (t, k)| (s + t, m.max(k)));
 
     // The Type 2 executor's earliest special.
-    let first_match = (0..n)
-        .into_par_iter()
-        .with_cost(DEAR_NS)
-        .find_first(|&i| xs[i] % 97 == 13);
+    let first_match = (0..n).into_par_iter().find_first(|&i| xs[i] % 97 == 13);
 
     // Semisort's group table: pipeline indices through a fused chain.
     let enumerate_map = xs
         .par_iter()
         .enumerate()
-        .with_cost(DEAR_NS)
         .map(|(i, &x)| x.wrapping_add(next(i)).wrapping_mul(i as u64 + 1))
         .collect();
 
@@ -178,7 +170,6 @@ fn parallel_shapes(xs: &[u64]) -> Shapes {
     let mut collected = vec![u64::MAX; n + 17];
     (0..n)
         .into_par_iter()
-        .with_cost(DEAR_NS)
         .map(|k| xs[k] / 3)
         .collect_into_vec(&mut collected);
 
@@ -188,7 +179,6 @@ fn parallel_shapes(xs: &[u64]) -> Shapes {
         xs.chunks(chunk).zip(weighted.chunks_mut(chunk)).collect();
     ParIter::from_vec(blocks)
         .with_weight(chunk)
-        .with_cost(DEAR_NS)
         .for_each(|(src, out)| {
             for (o, &x) in out.iter_mut().zip(src) {
                 *o = x.rotate_left(9);
@@ -210,19 +200,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every combinator shape the solves call equals its sequential
-    /// reference at widths 1–8 (the declared cost puts every multi-item
-    /// pipeline on a crew at widths above 1).
+    /// reference at widths 1–8 (forced onto a crew at widths above 1).
     #[test]
     fn combinators_match_sequential_at_any_width(
         xs in proptest::collection::vec(any::<u64>(), 0..6000),
         threads in 1usize..=8,
     ) {
         let runner = Runner::new(RunConfig::new().parallel().threads(threads));
-        prop_assert_eq!(runner.install(|| parallel_shapes(&xs)), reference_shapes(&xs));
+        prop_assert_eq!(forced(&runner, || parallel_shapes(&xs)), reference_shapes(&xs));
     }
 
-    /// The pram primitives agree with their references
-    /// at every width too (scan feeds pack; radix must stay stable).
+    /// The pram primitives agree with their references at every width
+    /// too, forced onto crews like the combinators, empty inputs included
+    /// (scan feeds pack; radix must stay stable).
     #[test]
     fn primitives_match_sequential_at_any_width(
         xs in proptest::collection::vec(0usize..1000, 0..6000),
@@ -230,7 +220,7 @@ proptest! {
     ) {
         let runner = Runner::new(RunConfig::new().parallel().threads(threads));
         let flags: Vec<bool> = xs.iter().map(|&x| x % 3 == 0).collect();
-        let (got_scan, got_pack, got_sorted) = runner.install(|| {
+        let (got_scan, got_pack, got_sorted) = forced(&runner, || {
             let scan = ri_pram::exclusive_scan_usize(&xs);
             let packed = ri_pram::pack(&xs, &flags);
             let mut sorted: Vec<(u64, usize)> =

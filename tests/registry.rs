@@ -92,25 +92,22 @@ fn sequential_and_parallel_answers_agree_for_all_problems() {
 
 /// Work counters are summed per item or per chunk after each round, never
 /// bumped from inside a crew, so they — and the per-round work of the
-/// trace — do not depend on how many threads ran the rounds.
+/// trace — do not depend on how many threads ran the rounds. Crews are
+/// forced, so every width above 1 really runs them.
 #[test]
 fn work_counters_are_width_invariant() {
     let reg = registry();
-    for (name, n) in [
-        ("sort-batch", 40_000),
-        ("scc", 60_000),
-        ("le-lists", 8_000),
-        ("enclosing", 50_000),
-    ] {
+    for name in ALL_PROBLEMS {
         let problem = reg
-            .construct(name, &WorkloadSpec::new(n, 5))
+            .construct(name, &small_spec(name))
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let solve =
             |threads: usize| problem.solve_erased(&RunConfig::new().seed(7).threads(threads));
         let (want, want_report) = solve(1);
-        assert!(!want.metrics().is_empty(), "{name}: no work counters");
-        for threads in [2, 4] {
-            let (got, report) = solve(threads);
+        assert!(want_report.rounds.rounds() > 0, "{name}: no round trace");
+        for threads in [2, 4, 8] {
+            let (got, report) = rayon::with_region_ns(0, || solve(threads));
+            assert!(report.regions > 0, "{name} at {threads} threads: no crew");
             assert_eq!(got.answer(), want.answer(), "{name} at {threads} threads");
             assert_eq!(got.metrics(), want.metrics(), "{name} at {threads} threads");
             assert_eq!(

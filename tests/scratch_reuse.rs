@@ -3,7 +3,9 @@
 //! whose scratch pool has already served several runs (warm pool, hits
 //! guaranteed) must produce an `OutputSummary.answer` byte-identical to a
 //! run on a freshly spawned thread (empty pool, misses only) — at every
-//! thread width, parallel and sequential.
+//! thread width, parallel and sequential. Widths above 1 run with crews
+//! forced (`rayon::with_region_ns(0, ..)`), so their rounds really run on
+//! crews.
 
 use proptest::prelude::*;
 
@@ -79,7 +81,11 @@ proptest! {
                     .threads(threads)
                     .instrument(false);
                 for repeat in 0..2 {
-                    let warm = solve_fingerprint(name, n, workload_seed, &cfg);
+                    let warm = if threads > 1 {
+                        rayon::with_region_ns(0, || solve_fingerprint(name, n, workload_seed, &cfg))
+                    } else {
+                        solve_fingerprint(name, n, workload_seed, &cfg)
+                    };
                     prop_assert_eq!(
                         &warm, &fresh,
                         "{} diverged on warm-scratch run {} at {} threads",
@@ -106,8 +112,9 @@ fn repeated_runs_reuse_scratch_and_stay_identical() {
     let reg = registry();
     let cfg = RunConfig::new().seed(3).parallel().threads(2);
     let spec = spec_for("sort", 4096, 5);
-    let (first_summary, _first) = reg.solve("sort", &spec, &cfg).unwrap();
-    let (second_summary, second) = reg.solve("sort", &spec, &cfg).unwrap();
+    let solve = || rayon::with_region_ns(0, || reg.solve("sort", &spec, &cfg)).unwrap();
+    let (first_summary, _first) = solve();
+    let (second_summary, second) = solve();
     assert_eq!(fingerprint(&first_summary), fingerprint(&second_summary));
     assert!(
         second.scratch_hits > 0,
