@@ -12,20 +12,25 @@
 //! once per width on its first fetch. Otherwise the round runs inline
 //! on the calling thread — same results, zero scheduler involvement
 //! (`RunReport::{regions, helper_spawns}` stay 0). Width 1 (sequential
-//! mode, `threads == 1` configs) never reaches the rule.
+//! mode, `threads == 1` configs) never reaches the rule. Only the round
+//! site asks it: the combinators a crewed round calls never price work.
 //!
 //! An executor round site prices its items from its own latest round
-//! ([`RoundCost`]): the paper's rounds grow geometrically (Type 2
-//! prefixes and Type 3 rounds double), so a site times small inline rounds
-//! before any round needs a crew, and a round's work stays near its
-//! expectation (Sen, arXiv 1808.02356). Sites with no earlier round to
-//! time — the `ri-pram` primitives, Seidel's 1-D clip, sort's in-order
-//! walk — declare a cost instead. Tests force crews with
-//! [`with_region_ns`]`(0, ..)`, which prices every region at 0.
+//! ([`RoundCost`]), opening at [`DEFAULT_ITEM_NS`]: the paper's rounds
+//! grow geometrically (Type 2 prefixes and Type 3 rounds double), so a
+//! site times small inline rounds before any round needs a crew, and a
+//! round's work stays near its expectation (Sen, arXiv 1808.02356). Sites
+//! with no earlier round to time — the `ri-pram` primitives, Seidel's 1-D
+//! clip, sort's in-order walk — declare a cost instead. Tests force crews
+//! with [`with_region_ns`]`(0, ..)`, which prices every region at 0.
 
 use std::time::{Duration, Instant};
 
-pub use rayon::{goes_parallel, pays_off, region_ns, with_region_ns, DEFAULT_ITEM_NS, PAYOFF};
+pub use rayon::{goes_parallel, pays_off, region_ns, with_region_ns, PAYOFF};
+
+/// A round site's price per item before it has timed a round: a cheap
+/// element operation, so a first round gets a crew only if it is long.
+pub const DEFAULT_ITEM_NS: u64 = 1;
 
 /// One round site's price per item for the go-parallel rule:
 /// [`DEFAULT_ITEM_NS`] until the site has timed a round, then its latest

@@ -13,14 +13,12 @@
 //! can only cross threads through `std::thread::scope`, so every crew
 //! region and every `join` spawns its own scoped helper threads (the
 //! report's `regions` and `helper_spawns` count them). Each executor
-//! round therefore asks the one go-parallel rule ([`grain`]) at the
-//! nanoseconds per item of the executor's latest round
-//! ([`grain::RoundCost`]; [`grain::DEFAULT_ITEM_NS`] before the first):
-//! a round gets a crew only when its items times that cost cover
-//! [`grain::PAYOFF`] times the crew's measured spawn cost, and otherwise
-//! runs inline. Sequential-mode runs and `threads == 1` configs set width
-//! 1 and execute inline on the caller — they never reach the rule, read
-//! no clock, and their reports carry zero scheduler overhead.
+//! round therefore asks the one go-parallel rule ([`grain`]) at its
+//! executor's latest round's price ([`grain::RoundCost`]) and runs inline
+//! unless the rule admits a crew. Sequential-mode runs and `threads == 1`
+//! configs set width 1 and execute inline on the caller — they never
+//! reach the rule, read no clock, and their reports carry zero scheduler
+//! overhead.
 
 use rayon::prelude::*;
 
@@ -397,10 +395,9 @@ impl Runner {
 }
 
 /// Evaluate `test` on every item into `flags` (cleared first): a round
-/// the go-parallel rule admits at `cost`'s price splits into a few chunks
-/// per crew member for the crew's cursor to balance; other rounds
-/// evaluate inline on the caller without paying region setup. Either way
-/// the round prices the next one.
+/// the go-parallel rule admits at `cost`'s price is one crew region;
+/// other rounds evaluate inline on the caller without paying region
+/// setup. Either way the round prices the next one.
 fn fill_flags<T: Sync>(
     flags: &mut Vec<bool>,
     items: &[T],
@@ -410,17 +407,7 @@ fn fill_flags<T: Sync>(
     flags.clear();
     let t0 = cost.start();
     if cost.goes_parallel(items.len()) {
-        flags.resize(items.len(), false);
-        let chunk = items.len().div_ceil(rayon::recommended_splits());
-        flags
-            .par_chunks_mut(chunk)
-            .zip(items.par_chunks(chunk))
-            .with_cost(cost.ns_per_item())
-            .for_each(|(fs, xs)| {
-                for (f, x) in fs.iter_mut().zip(xs) {
-                    *f = test(x);
-                }
-            });
+        items.par_iter().map(test).collect_into_vec(flags);
     } else {
         flags.extend(items.iter().map(test));
     }
@@ -549,7 +536,6 @@ pub fn execute_type2<A: Type2Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
                     let l = if cost.goes_parallel(hi - j) {
                         (j..hi)
                             .into_par_iter()
-                            .with_cost(cost.ns_per_item())
                             .find_first(|&k| algo.is_special(k))
                             .unwrap_or(hi)
                     } else {
@@ -616,7 +602,6 @@ pub fn execute_type3<A: Type3Algorithm + ?Sized>(algo: &mut A, cfg: &RunConfig) 
                 if cost.goes_parallel(hi - lo) {
                     (lo..hi)
                         .into_par_iter()
-                        .with_cost(cost.ns_per_item())
                         .map(|k| algo.run_iteration(k))
                         .collect_into_vec(&mut outputs);
                 } else {

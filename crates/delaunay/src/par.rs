@@ -167,7 +167,6 @@ pub(crate) fn delaunay_parallel_impl(points: &[Point2]) -> DtResult {
             let chunk = candidates.len().div_ceil(rayon::recommended_splits());
             let parts: Vec<Vec<Task>> = candidates
                 .par_chunks(chunk)
-                .with_cost(classify_cost.ns_per_item())
                 .map(|keys| keys.iter().filter_map(|&key| classify(key)).collect())
                 .collect();
             for p in parts {

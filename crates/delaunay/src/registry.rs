@@ -14,6 +14,7 @@ use ri_core::engine::registry::{
 };
 use ri_core::engine::{Problem, RunConfig};
 use ri_geometry::{named_point_workload, Point2};
+use ri_pram::hash::checksum_u32s;
 
 use crate::problem::DelaunayProblem;
 use crate::DtOutput;
@@ -75,21 +76,6 @@ fn sorted_edges(out: &DtOutput) -> Vec<(u32, u32)> {
     edges
 }
 
-/// FNV-1a over an edge list, masked below 2⁵³ so the checksum survives a
-/// JSON (f64) round trip exactly.
-fn edge_checksum(edges: &[(u32, u32)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &(a, b) in edges {
-        for x in [a, b] {
-            for byte in x.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x1_0000_0193);
-            }
-        }
-    }
-    h & ((1 << 53) - 1)
-}
-
 /// The native streaming adapter: the delta counts the undirected
 /// triangulation edges a batch added and removed relative to the
 /// previous prefix, plus a checksum of the current sorted edge list —
@@ -129,11 +115,12 @@ impl PrefixStream for DelaunayStream {
         let added = edges.iter().filter(|e| !self.edges.contains(e)).count();
         // |old| - |old ∩ new|, with |old ∩ new| = |new| - added.
         let removed = self.edges.len() + added - edges.len();
+        let checksum = checksum_u32s(edges.iter().flat_map(|&(a, b)| [a, b]));
         let delta = Value::Obj(vec![
             ("edges".into(), Value::Num(edges.len() as f64)),
             ("added".into(), Value::Num(added as f64)),
             ("removed".into(), Value::Num(removed as f64)),
-            ("checksum".into(), Value::Num(edge_checksum(&edges) as f64)),
+            ("checksum".into(), Value::Num(checksum as f64)),
         ]);
         self.edges = edges.into_iter().collect();
         Ok(Some((delta, summarize(points, &out), report)))

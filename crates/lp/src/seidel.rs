@@ -2,7 +2,7 @@
 
 use rayon::prelude::*;
 
-use ri_core::engine::{execute_type2, ExecMode, RunConfig, RunReport};
+use ri_core::engine::{execute_type2, grain, ExecMode, RunConfig, RunReport};
 use ri_core::Type2Algorithm;
 use ri_geometry::Point2;
 
@@ -146,20 +146,17 @@ impl<'a> SeidelState<'a> {
             |a: (f64, f64, bool), b: (f64, f64, bool)| (a.0.max(b.0), a.1.min(b.1), a.2 || b.2);
         let id = (f64::NEG_INFINITY, f64::INFINITY, false);
 
+        // Parallel mode merges the box's interval with the body's; each
+        // mode keeps its fold order, as the optimum's bits depend on it.
         let boxed = self.boxc.iter().map(clip).fold(id, fold);
-        let (lo, hi, bad) = if self.parallel_special {
-            let body = self.inst.constraints[..k]
-                .par_iter()
-                .with_cost(CLIP_NS)
-                .map(clip)
-                .fold(|| id, fold)
-                .reduce(|| id, merge);
-            merge(boxed, body)
+        let body = &self.inst.constraints[..k];
+        let (lo, hi, bad) = if !self.parallel_special {
+            body.iter().map(clip).fold(boxed, fold)
+        } else if grain::goes_parallel(k, CLIP_NS) {
+            let per_chunk = body.par_iter().map(clip).fold(|| id, fold);
+            merge(boxed, per_chunk.reduce(|| id, merge))
         } else {
-            self.inst.constraints[..k]
-                .iter()
-                .map(clip)
-                .fold(boxed, fold)
+            merge(boxed, body.iter().map(clip).fold(id, fold))
         };
 
         if bad || lo > hi + EPS {
@@ -356,6 +353,29 @@ mod tests {
         let avg = total as f64 / trials as f64;
         let bound = 2.0 * ri_core::harmonic(n) + 4.0;
         assert!(avg <= bound, "avg specials {avg} above 2·H_n + 4 = {bound}");
+    }
+
+    #[test]
+    fn clip_forms_one_region_where_the_rule_admits_it() {
+        let inst = crate::workloads::tangent_instance(4000, 5);
+        // The optimum's bits and the regions formed by the parallel-mode
+        // clip on the last constraint's line at `width`.
+        let clip = |width: usize| {
+            let mut st = SeidelState::new(&inst, true);
+            let before = rayon::crew_regions();
+            rayon::cached_pool(width).install(|| st.one_dimensional_lp(3999));
+            assert!(!st.infeasible);
+            let bits = (st.optimum.x.to_bits(), st.optimum.y.to_bits());
+            (bits, rayon::crew_regions() - before)
+        };
+        let (want, regions) = clip(1);
+        assert_eq!(regions, 0, "width 1 runs inline");
+        // Admitted, the per-chunk accumulators merge on the caller.
+        for (region_ns, crews) in [(0, 1), (u64::MAX, 0)] {
+            let (bits, regions) = rayon::with_region_ns(region_ns, || clip(2));
+            assert_eq!(bits, want, "region cost {region_ns}");
+            assert_eq!(regions, crews, "region cost {region_ns}");
+        }
     }
 
     #[test]

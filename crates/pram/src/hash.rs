@@ -86,6 +86,24 @@ impl Hasher for FxHasher {
     }
 }
 
+/// The checksum the Delaunay and SCC stream deltas report for a `u32`
+/// sequence. From FNV's 64-bit offset basis, each word's little-endian
+/// bytes are xored in one at a time, each followed by a multiply by
+/// `0x1_0000_0193` (2³² + 403: neither FNV prime, so this is not
+/// FNV-1a); the low 53 bits are kept, which a JSON number holds exactly.
+/// The golden witness log's eight Delaunay and SCC stream records pin
+/// the value, so the arithmetic must not change.
+pub fn checksum_u32s(words: impl IntoIterator<Item = u32>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x1_0000_0193);
+        }
+    }
+    h & ((1 << 53) - 1)
+}
+
 /// `BuildHasher` for [`FxHasher`]; use as
 /// `HashMap::with_hasher(FxBuildHasher::default())`.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
@@ -126,6 +144,12 @@ mod tests {
         let bh = FxBuildHasher::default();
         let h = |a: u64, b: u64| bh.hash_one((a, b));
         assert_ne!(h(1, 2), h(2, 1));
+    }
+
+    #[test]
+    fn checksum_u32s_is_pinned() {
+        assert_eq!(checksum_u32s([]), 5_239_054_864_098_085);
+        assert_eq!(checksum_u32s([1, 2, 3]), 2_263_604_333_050_133);
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub fn pack<T: Clone + Send + Sync>(items: &[T], flags: &[bool]) -> Vec<T> {
     let parts: Vec<Vec<T>> = items
         .par_chunks(chunk)
         .zip(flags.par_chunks(chunk))
-        .with_cost(PACK_NS)
         .map(|(is, fs)| kept(is, fs))
         .collect();
     let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
@@ -67,7 +66,6 @@ where
     let chunk = n.div_ceil(nchunks);
     let parts: Vec<Vec<usize>> = (0..nchunks)
         .into_par_iter()
-        .with_cost(chunk as u64 * PACK_NS)
         .map(|c| {
             let lo = c * chunk;
             let hi = ((c + 1) * chunk).min(n);

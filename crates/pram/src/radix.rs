@@ -48,11 +48,7 @@ where
         return;
     }
     // Skip passes above the highest set bit of any key (common case: small keys).
-    let max_key = items
-        .par_iter()
-        .with_cost(RADIX_NS)
-        .map(&key)
-        .reduce(|| 0, u64::max);
+    let max_key = items.par_iter().map(&key).reduce(|| 0, u64::max);
     let passes = if max_key == 0 {
         1
     } else {
@@ -81,7 +77,6 @@ where
         hist.fill(0);
         hist.par_chunks_mut(RADIX)
             .zip(src.par_chunks(block))
-            .with_cost(RADIX_NS)
             .for_each(|(h, chunk)| {
                 for x in chunk {
                     h[digit(x)] += 1;
@@ -107,20 +102,16 @@ where
         }
 
         // 4. Scatter: each block counting-sorts its chunk straight into
-        // its RADIX owned segments (group index = digit), one region
-        // (weighted: each item is a whole block of work).
+        // its RADIX owned segments (group index = digit), one region.
         let pairs: Vec<(&[T], Vec<&mut [T]>)> = src.chunks(block).zip(groups).collect();
-        ParIter::from_vec(pairs)
-            .with_weight(block)
-            .with_cost(RADIX_NS)
-            .for_each(|(chunk, mut segs)| {
-                let mut cursors = [0u32; RADIX];
-                for x in chunk {
-                    let d = digit(x);
-                    segs[d][cursors[d] as usize] = x.clone();
-                    cursors[d] += 1;
-                }
-            });
+        ParIter::from_vec(pairs).for_each(|(chunk, mut segs)| {
+            let mut cursors = [0u32; RADIX];
+            for x in chunk {
+                let d = digit(x);
+                segs[d][cursors[d] as usize] = x.clone();
+                cursors[d] += 1;
+            }
+        });
 
         std::mem::swap(&mut src, &mut dst);
     }

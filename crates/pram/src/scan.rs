@@ -41,7 +41,6 @@ fn scan_inplace(values: &mut [usize]) -> usize {
     let mut block_sums: Vec<usize> = crate::scratch::take_vec();
     values
         .par_chunks(block)
-        .with_cost(SCAN_NS)
         .map(|c| c.iter().sum::<usize>())
         .collect_into_vec(&mut block_sums);
     // Scan the (small) block-sum array sequentially.
@@ -50,7 +49,6 @@ fn scan_inplace(values: &mut [usize]) -> usize {
     values
         .par_chunks_mut(block)
         .zip(block_sums.par_iter())
-        .with_cost(SCAN_NS)
         .for_each(|(chunk, &offset)| {
             let mut acc = offset;
             for v in chunk {

@@ -93,19 +93,15 @@ where
         |i| i == 0 || key(&records[i - 1]) != key(&records[i]),
         &mut boundary,
     );
-    let groups: Vec<(u64, usize, usize)> = boundary
-        .par_iter()
-        .enumerate()
-        .with_cost(GROUP_NS)
-        .map(|(gi, &start)| {
-            let end = if gi + 1 < boundary.len() {
-                boundary[gi + 1]
-            } else {
-                n
-            };
-            (key(&records[start]), start, end)
-        })
-        .collect();
+    let group = |(gi, &start): (usize, &usize)| {
+        let end = boundary.get(gi + 1).copied().unwrap_or(n);
+        (key(&records[start]), start, end)
+    };
+    let groups: Vec<(u64, usize, usize)> = if rayon::goes_parallel(boundary.len(), GROUP_NS) {
+        boundary.par_iter().enumerate().map(group).collect()
+    } else {
+        boundary.iter().enumerate().map(group).collect()
+    };
     crate::scratch::put_vec(boundary);
     Grouped { records, groups }
 }
@@ -188,6 +184,16 @@ mod tests {
         (records, groups)
     }
 
+    /// `data` semisorted at width 4 under the region cost `region_ns`,
+    /// and the crew regions that formed.
+    fn at_width_4(region_ns: u64, data: &[Rec]) -> (Grouped<Rec>, usize) {
+        let before = rayon::crew_regions();
+        let grouped = rayon::with_region_ns(region_ns, || {
+            rayon::cached_pool(4).install(|| semisort_by_key(data.to_vec(), |&(k, _)| k))
+        });
+        (grouped, rayon::crew_regions() - before)
+    }
+
     /// Keys whose hashes share their top 16 bits, so they land in one
     /// bucket at any size this module buckets.
     fn keys_sharing_top_hash_bits(count: usize) -> Vec<u64> {
@@ -225,13 +231,30 @@ mod tests {
             assert_eq!(inline.records, want_records, "inline records, {case}");
             assert_eq!(inline.groups, want_groups, "inline groups, {case}");
 
-            let before = rayon::crew_regions();
-            let crew = crate::forced(|| semisort_by_key(data.clone(), |&(k, _)| k));
-            let crews = rayon::crew_regions() > before;
-            assert_eq!(crews, !data.is_empty(), "crew path, {case}");
-            assert_eq!(crew.records, inline.records, "crew records, {case}");
-            assert_eq!(crew.groups, inline.groups, "crew groups, {case}");
+            for (region_ns, crews) in [(0, !data.is_empty()), (u64::MAX, false)] {
+                let (got, regions) = at_width_4(region_ns, &data);
+                let case = format!("{case} at region cost {region_ns}");
+                assert_eq!(regions > 0, crews, "crews, {case}");
+                assert_eq!(got.records, inline.records, "records, {case}");
+                assert_eq!(got.groups, inline.groups, "groups, {case}");
+            }
         }
+    }
+
+    #[test]
+    fn group_gather_asks_the_rule_at_its_own_price() {
+        let data: Vec<Rec> = (0..50_000u64)
+            .map(|i| hash_u64(i) % 20_000)
+            .zip(0..)
+            .collect();
+        let (grouped, all) = at_width_4(0, &data);
+        let groups = grouped.groups.len();
+        // A region cost the sort and the boundary pack cover but the
+        // gather's groups do not: only the gather stays inline.
+        let cost = groups as u64 * GROUP_NS / rayon::PAYOFF + 1;
+        assert!(rayon::pays_off(4, data.len(), RADIX_NS, cost));
+        assert!(!rayon::pays_off(4, groups, GROUP_NS, cost));
+        assert_eq!(at_width_4(cost, &data).1, all - 1);
     }
 
     #[test]

@@ -295,12 +295,13 @@ impl Router {
         // right after start() don't race an all-Unknown fleet.
         poll_health_once(&shared);
 
+        // A failed spawn returns the error: dropping `shared` drops the
+        // backends, whose `Drop` kills every spawned shard.
         let health = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("ri-router-health".into())
-                .spawn(move || health_loop(&shared))
-                .expect("spawning the health thread")
+                .spawn(move || health_loop(&shared))?
         };
         let acceptor = http::spawn_acceptor("ri-router", listener, Arc::clone(&shared))?;
 

@@ -22,6 +22,7 @@ use ri_core::engine::registry::{
 use ri_core::engine::{Problem, RunConfig, RunReport};
 use ri_graph::generators::degree_edges;
 use ri_graph::CsrGraph;
+use ri_pram::hash::checksum_u32s;
 
 use crate::{canonical_labels, SccProblem};
 
@@ -108,19 +109,6 @@ fn summarize(g: &CsrGraph, cfg: &RunConfig) -> (OutputSummary, RunReport, Vec<u3
     (s, report, labels)
 }
 
-/// FNV-1a over the canonical label vector, masked below 2⁵³ so the
-/// checksum survives a JSON (f64) round trip exactly.
-fn label_checksum(labels: &[u32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &l in labels {
-        for byte in l.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x1_0000_0193);
-        }
-    }
-    h & ((1 << 53) - 1)
-}
-
 /// The native streaming adapter. Each batch solves the subgraph induced
 /// by the revealed vertex prefix; at full capacity the original graph
 /// object is solved directly, so the final streamed answer and trace are
@@ -186,7 +174,7 @@ impl PrefixStream for SccStream {
             ("relabeled".into(), Value::Num(relabeled as f64)),
             (
                 "checksum".into(),
-                Value::Num(label_checksum(&labels) as f64),
+                Value::Num(checksum_u32s(labels.iter().copied()) as f64),
             ),
         ]);
         self.labels = labels;

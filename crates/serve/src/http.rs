@@ -773,45 +773,38 @@ impl ClientConn {
         body: Option<&str>,
         extra: &[(&str, &str)],
     ) -> io::Result<HttpResponse> {
-        if self.stream.is_none() {
-            let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
-            stream.set_read_timeout(Some(self.timeout))?;
-            stream.set_write_timeout(Some(self.timeout))?;
-            stream.set_nodelay(true)?;
-            self.carry.clear();
-            self.stream = Some(stream);
-        }
-        let result = {
-            let stream = self.stream.as_mut().expect("connected above");
-            let body = body.unwrap_or("");
-            use std::fmt::Write as _;
-            let mut head = format!(
-                "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n",
-                self.addr,
-                body.len()
-            );
-            for (name, value) in extra {
-                let _ = write!(head, "{name}: {value}\r\n");
+        let stream = match &mut self.stream {
+            Some(stream) => stream,
+            None => {
+                let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
+                stream.set_read_timeout(Some(self.timeout))?;
+                stream.set_write_timeout(Some(self.timeout))?;
+                stream.set_nodelay(true)?;
+                self.carry.clear();
+                self.stream.insert(stream)
             }
-            head.push_str("\r\n");
-            stream
-                .write_all(head.as_bytes())
-                .and_then(|_| stream.write_all(body.as_bytes()))
-                .and_then(|_| stream.flush())
-                .and_then(|_| read_response(stream, &mut self.carry))
         };
-        match result {
-            Ok(resp) => {
-                if !resp.keep_alive() {
-                    self.stream = None;
-                }
-                Ok(resp)
-            }
-            Err(e) => {
-                self.stream = None;
-                Err(e)
-            }
+        let body = body.unwrap_or("");
+        use std::fmt::Write as _;
+        let mut head = format!(
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n",
+            self.addr,
+            body.len()
+        );
+        for (name, value) in extra {
+            let _ = write!(head, "{name}: {value}\r\n");
         }
+        head.push_str("\r\n");
+        let result = stream
+            .write_all(head.as_bytes())
+            .and_then(|_| stream.write_all(body.as_bytes()))
+            .and_then(|_| stream.flush())
+            .and_then(|_| read_response(stream, &mut self.carry));
+        // A failed exchange or a server closing the connection drops it.
+        if !result.as_ref().is_ok_and(HttpResponse::keep_alive) {
+            self.stream = None;
+        }
+        result
     }
 }
 

@@ -319,19 +319,24 @@ impl Server {
             cfg,
         });
 
-        let executors = {
-            let rx = Arc::new(Mutex::new(rx));
-            (0..shared.cfg.executors.max(1))
-                .map(|i| {
-                    let shared = Arc::clone(&shared);
-                    let rx = Arc::clone(&rx);
-                    std::thread::Builder::new()
-                        .name(format!("ri-serve-exec-{i}"))
-                        .spawn(move || executor_loop(&shared, &rx))
-                        .expect("spawning an executor thread")
-                })
-                .collect()
-        };
+        let rx = Arc::new(Mutex::new(rx));
+        let mut executors = Vec::new();
+        for i in 0..shared.cfg.executors.max(1) {
+            let (exec_shared, rx) = (Arc::clone(&shared), Arc::clone(&rx));
+            let spawned = std::thread::Builder::new()
+                .name(format!("ri-serve-exec-{i}"))
+                .spawn(move || executor_loop(&exec_shared, &rx));
+            match spawned {
+                Ok(exec) => executors.push(exec),
+                // The executors already started would wait on the queue
+                // forever: close it, so they exit, and join them.
+                Err(e) => {
+                    *lock(&shared.queue_tx) = None;
+                    executors.into_iter().for_each(|exec| drop(exec.join()));
+                    return Err(e);
+                }
+            }
+        }
 
         let acceptor = http::spawn_acceptor("ri-serve", listener, Arc::clone(&shared))?;
 

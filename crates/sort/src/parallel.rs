@@ -146,7 +146,6 @@ pub(crate) fn parallel_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> ParSortResult
             snapshot
                 .par_chunks_mut(chunk)
                 .zip(active.par_chunks(chunk))
-                .with_cost(CONCURRENT_NS)
                 .for_each(|(ss, aa)| {
                     for (s, &(_, c)) in ss.iter_mut().zip(aa) {
                         *s = slot_of(c).load(Ordering::Acquire);
@@ -162,7 +161,6 @@ pub(crate) fn parallel_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> ParSortResult
             active
                 .par_iter()
                 .zip(snapshot.par_iter())
-                .with_cost(CONCURRENT_NS)
                 .for_each(|(&(i, c), &seen)| {
                     let slot = slot_of(c);
                     if seen == NONE && slot.load(Ordering::Relaxed) > i as u64 {
@@ -175,7 +173,6 @@ pub(crate) fn parallel_bst_sort_impl<T: Ord + Sync>(keys: &[T]) -> ParSortResult
             // per chunk, then drain into the reused `next` buffer in order.
             let parts: Vec<Vec<(usize, Cursor)>> = active
                 .par_chunks(chunk)
-                .with_cost(CONCURRENT_NS)
                 .map(|aa| {
                     aa.iter()
                         .filter_map(|&(i, c)| {

@@ -2,22 +2,17 @@
 //! nested parallelism keeping the installed width, width-1 configs
 //! running inline, panic propagation, and property-based
 //! sequential-equivalence at widths 1–8 of every combinator shape the
-//! solves call. Crews are forced with `rayon::with_region_ns(0, ..)`, so
-//! every non-empty pipeline runs on one at widths above 1.
+//! solves call. A combinator over more than one item runs on a crew at
+//! any width above 1; the primitives, which ask the go-parallel rule
+//! themselves, are forced onto crews with `rayon::with_region_ns(0, ..)`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use rayon::prelude::*;
-use rayon::ParIter;
 use ri_core::engine::{Problem, RunConfig, Runner};
 use ri_pram::random_permutation;
 use ri_sort::SortProblem;
-
-/// `op` under `runner`'s width with every region forced onto a crew.
-fn forced<R>(runner: &Runner, op: impl FnOnce() -> R) -> R {
-    rayon::with_region_ns(0, || runner.install(op))
-}
 
 /// Parallel work started from inside an installed run — including from
 /// crew helper threads — sees the installed width, not the machine
@@ -25,7 +20,7 @@ fn forced<R>(runner: &Runner, op: impl FnOnce() -> R) -> R {
 #[test]
 fn nested_parallelism_from_workers_stays_on_pool() {
     let runner = Runner::new(RunConfig::new().parallel().threads(5));
-    let widths: Vec<usize> = forced(&runner, || {
+    let widths: Vec<usize> = runner.install(|| {
         (0..20_000usize)
             .into_par_iter()
             .map(|_| {
@@ -77,7 +72,7 @@ fn panics_propagate_through_parallel_regions() {
     let runner = Runner::new(RunConfig::new().parallel().threads(4));
     let data: Vec<usize> = (0..100_000).collect();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        forced(&runner, || {
+        runner.install(|| {
             data.par_iter().for_each(|&x| {
                 if x == 90_123 {
                     panic!("iteration {x} failed");
@@ -94,14 +89,13 @@ fn panics_propagate_through_parallel_regions() {
 }
 
 /// Outputs of the combinator property, one per shape the solves call:
-/// chunked zip, element zip, fold-reduce, first match, enumerate-map,
-/// collect into a reused buffer, and weighted owned blocks.
+/// chunked zip (also radix's owned blocks), element zip, fold-reduce,
+/// first match, enumerate-map and collect into a reused buffer.
 type Shapes = (
     Vec<u64>,
     Vec<u64>,
     (u64, u64),
     Option<usize>,
-    Vec<u64>,
     Vec<u64>,
     Vec<u64>,
 );
@@ -120,7 +114,6 @@ fn reference_shapes(xs: &[u64]) -> Shapes {
             .map(|(i, &x)| x.wrapping_add(next(i)).wrapping_mul(i as u64 + 1))
             .collect(),
         xs.iter().map(|&x| x / 3).collect(),
-        xs.iter().map(|&x| x.rotate_left(9)).collect(),
     )
 }
 
@@ -130,7 +123,8 @@ fn parallel_shapes(xs: &[u64]) -> Shapes {
     let chunk = n.div_ceil(rayon::recommended_splits()).max(1);
     let next = |i: usize| xs.get(i + 1).copied().unwrap_or(0);
 
-    // Blocked primitives: mutable chunks paired with read chunks.
+    // Blocked primitives: mutable chunks paired with read chunks (owned
+    // pairs through `ParIter::for_each`, as radix's scatter runs).
     let mut chunk_zip = vec![0u64; n];
     chunk_zip
         .par_chunks_mut(chunk)
@@ -173,18 +167,6 @@ fn parallel_shapes(xs: &[u64]) -> Shapes {
         .map(|k| xs[k] / 3)
         .collect_into_vec(&mut collected);
 
-    // Radix's scatter: owned block pairs weighted by their length.
-    let mut weighted = vec![0u64; n];
-    let blocks: Vec<(&[u64], &mut [u64])> =
-        xs.chunks(chunk).zip(weighted.chunks_mut(chunk)).collect();
-    ParIter::from_vec(blocks)
-        .with_weight(chunk)
-        .for_each(|(src, out)| {
-            for (o, &x) in out.iter_mut().zip(src) {
-                *o = x.rotate_left(9);
-            }
-        });
-
     (
         chunk_zip,
         zip_for_each,
@@ -192,7 +174,6 @@ fn parallel_shapes(xs: &[u64]) -> Shapes {
         first_match,
         enumerate_map,
         collected,
-        weighted,
     )
 }
 
@@ -200,18 +181,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every combinator shape the solves call equals its sequential
-    /// reference at widths 1–8 (forced onto a crew at widths above 1).
+    /// reference at widths 1–8 (on a crew at widths above 1).
     #[test]
     fn combinators_match_sequential_at_any_width(
         xs in proptest::collection::vec(any::<u64>(), 0..6000),
         threads in 1usize..=8,
     ) {
         let runner = Runner::new(RunConfig::new().parallel().threads(threads));
-        prop_assert_eq!(forced(&runner, || parallel_shapes(&xs)), reference_shapes(&xs));
+        prop_assert_eq!(runner.install(|| parallel_shapes(&xs)), reference_shapes(&xs));
     }
 
     /// The pram primitives agree with their references at every width
-    /// too, forced onto crews like the combinators, empty inputs included
+    /// too, forced onto crews, empty inputs included
     /// (scan feeds pack; radix must stay stable).
     #[test]
     fn primitives_match_sequential_at_any_width(
@@ -220,14 +201,14 @@ proptest! {
     ) {
         let runner = Runner::new(RunConfig::new().parallel().threads(threads));
         let flags: Vec<bool> = xs.iter().map(|&x| x % 3 == 0).collect();
-        let (got_scan, got_pack, got_sorted) = forced(&runner, || {
+        let (got_scan, got_pack, got_sorted) = rayon::with_region_ns(0, || runner.install(|| {
             let scan = ri_pram::exclusive_scan_usize(&xs);
             let packed = ri_pram::pack(&xs, &flags);
             let mut sorted: Vec<(u64, usize)> =
                 xs.iter().enumerate().map(|(i, &x)| ((x % 16) as u64, i)).collect();
             ri_pram::radix_sort_by_key(&mut sorted, |&(k, _)| k);
             (scan, packed, sorted)
-        });
+        }));
         let mut acc = 0usize;
         let mut want_scan = Vec::with_capacity(xs.len());
         for &x in &xs {

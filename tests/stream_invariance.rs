@@ -10,6 +10,9 @@
 //! capacity-sized instance), but the *positions* are checked throughout:
 //! batch indices, cumulative totals and the completion flag must track
 //! the feed exactly, native adapters and the re-solve fallback alike.
+//! The split property streams at width 4 with every non-empty round on
+//! a crew (`rayon::with_region_ns(0, ..)`) against the one-shot solve at
+//! width 1, so a width-dependent answer or trace fails it.
 
 use parallel_ri::registry;
 use proptest::prelude::*;
@@ -53,8 +56,9 @@ fn plan(widths: &[usize], capacity: usize) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The core invariance: any split of the feed reaches the one-shot
-    /// answer and trace, for all nine problems.
+    /// The core invariance: any split of the feed, streamed on real
+    /// crews at width 4, reaches the width-1 one-shot answer and trace,
+    /// for all nine problems.
     #[test]
     fn any_batch_split_matches_the_one_shot_solve(
         widths in proptest::collection::vec(1usize..=8, 1..12),
@@ -64,7 +68,7 @@ proptest! {
         let reg = registry();
         for (problem, capacity) in PROBLEMS {
             let spec = WorkloadSpec::new(capacity, wseed);
-            let cfg = RunConfig::new().seed(cseed);
+            let cfg = RunConfig::new().seed(cseed).threads(4);
             let batches = plan(&widths, capacity);
 
             let mut inc = reg
@@ -75,8 +79,7 @@ proptest! {
             let mut cumulative = 0usize;
             let mut last = None;
             for (i, &count) in batches.iter().enumerate() {
-                let (delta, _) = inc
-                    .feed(count, &cfg)
+                let (delta, _) = rayon::with_region_ns(0, || inc.feed(count, &cfg))
                     .unwrap_or_else(|e| panic!("{problem}: batch {i} (count {count}): {e}"));
                 cumulative += count;
                 prop_assert_eq!(delta.batch, i, "{}", problem);
@@ -93,7 +96,7 @@ proptest! {
 
             let last = last.expect("at least one batch");
             let (one_shot, report) = reg
-                .solve(problem, &spec, &cfg)
+                .solve(problem, &spec, &RunConfig::new().seed(cseed).threads(1))
                 .unwrap_or_else(|e| panic!("{problem}: one-shot solve: {e}"));
             prop_assert_eq!(
                 &last.answer,
